@@ -34,7 +34,7 @@ from .fock_oracle import (
 )
 from .measurement import (
     FidelityRun,
-    FidelitySample,
+    FidelitySamples,
     DistributionSummary,
     estimate_alpha,
     info_mean_fidelity,

@@ -9,13 +9,14 @@ Exit codes: 0 when every internal gate passes, 2 for invalid configuration,
 a fixed seed.  Relative ``--output`` paths are resolved against the
 ``INFOCLONE_OUTPUT_DIR`` environment variable when it is set.
 
-File schemas (version 1):
+File schemas (version 2):
   samples CSV   header ``trial,re_est,im_est,F``, one row per trial, floats
                 rendered with 17 significant digits for lossless round-trips.
   summary JSON  single object with ``schema_version``, run configuration,
                 ``mean``, ``variance``, ``ks_statistic``, ``ks_critical_5pct``,
-                ``ks_pass`` and a 50-bin histogram.
-  density CSV   header ``F,p`` on a log-spaced grid from 1e-12 to 1.
+                ``ks_pass`` and a 50-bin histogram; strict JSON (no NaN).
+  density CSV   header ``F,p`` on a log-spaced grid of ``--grid`` >= 2 points
+                from 1e-12 to 1.
   dump CSV      header ``index,n_<mode>...,re,im`` over the flattened number
                 basis (source mode slowest).
 """
@@ -35,7 +36,7 @@ from . import fock_oracle, gaussian_cloner, measurement, phase_space
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_GATE = 3
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 OUTPUT_DIR_ENV = "INFOCLONE_OUTPUT_DIR"
 PDF_GRID_FLOOR = 1e-12
 DEFAULT_TABLE_CASES = "1,2;1,4;2,2;2,4"
@@ -239,13 +240,20 @@ def cmd_fock_verify(args) -> int:
     return EXIT_OK if infidelity < args.gate else EXIT_GATE
 
 
-def _write_samples_csv(handle, samples):
+def _write_samples_csv(handle, samples: measurement.FidelitySamples):
+    """One row per trial, formatted one ``TRIAL_BATCH`` chunk at a time."""
     handle.write("trial,re_est,im_est,F\n")
-    for index, sample in enumerate(samples):
-        handle.write(
-            f"{index},{sample.alpha_est.real:.17g},"
-            f"{sample.alpha_est.imag:.17g},{sample.fidelity:.17g}\n"
+    estimates, fidelity = samples.estimates, samples.fidelity
+    batch = measurement.TRIAL_BATCH
+    for start in range(0, fidelity.size, batch):
+        stop = start + batch
+        rows = zip(
+            range(start, stop),
+            estimates.real[start:stop].tolist(),
+            estimates.imag[start:stop].tolist(),
+            fidelity[start:stop].tolist(),
         )
+        handle.write("".join(["%d,%.17g,%.17g,%.17g\n" % row for row in rows]))
 
 
 def _run_mc(args, scheme: str) -> int:
@@ -258,11 +266,11 @@ def _run_mc(args, scheme: str) -> int:
         scheme=scheme,
     )
     if scheme == measurement.INFO_SCHEME:
-        samples = measurement.run_info_trials(run, workers=args.workers)
+        samples = measurement.run_info_trials(run)
         reference = measurement.info_cdf(run.sources)
         exponent = float(run.sources)
     else:
-        samples = gaussian_cloner.run_gauss_trials(run, workers=args.workers)
+        samples = gaussian_cloner.run_gauss_trials(run)
         reference = gaussian_cloner.gauss_cdf(run.sources, run.copies)
         exponent = gaussian_cloner.gauss_exponent(run.sources, run.copies)
     summary = measurement.summarize(samples, reference)
@@ -281,7 +289,6 @@ def _run_mc(args, scheme: str) -> int:
         "copies": run.copies,
         "trials": run.trials,
         "seed": run.seed,
-        "workers": args.workers,
         "reference_cdf_exponent": exponent,
         "mean": summary.mean,
         "variance": summary.variance,
@@ -293,7 +300,7 @@ def _run_mc(args, scheme: str) -> int:
             "counts": [int(count) for count in summary.counts],
         },
     }
-    print(json.dumps(payload))
+    print(json.dumps(payload, allow_nan=False))
     return EXIT_OK if ks_pass else EXIT_GATE
 
 
@@ -312,6 +319,8 @@ def cmd_pdf(args) -> int:
         if args.copies is None:
             raise ValueError("--copies is required for the gaussian scheme")
         density = gaussian_cloner.gauss_pdf(args.sources, args.copies)
+    if args.grid < 2:
+        raise ValueError(f"--grid must be at least 2 points, got {args.grid}")
     # log-spaced grid keeps trapezoidal mass accurate for the singular c<1 laws
     grid = np.geomspace(PDF_GRID_FLOOR, 1.0, args.grid)
     values = np.asarray(density(grid), dtype=float)
@@ -381,8 +390,6 @@ def _add_mc_flags(parser):
     parser.add_argument("--copies", type=int, required=True, help="clones per source N")
     parser.add_argument("--trials", type=int, default=100000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="parallel batch workers; results are worker-count independent")
     parser.add_argument("--output", default=None, help="write per-trial samples CSV here")
 
 
@@ -433,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     pdf.add_argument("--scheme", choices=("info", "gauss"), required=True)
     pdf.add_argument("--sources", type=int, required=True)
     pdf.add_argument("--copies", type=int, default=None)
-    pdf.add_argument("--grid", type=int, default=10000, help="number of grid points")
+    pdf.add_argument("--grid", type=int, default=10000, help="number of grid points, at least 2")
     pdf.add_argument("--output", default=None)
     pdf.set_defaults(func=cmd_pdf)
 

@@ -18,10 +18,9 @@ import numpy as np
 from .measurement import (
     GAUSS_SCHEME,
     FidelityRun,
-    FidelitySample,
+    FidelitySamples,
     _positive_int,
-    _quadrature_means,
-    _samples_from_estimates,
+    _run_trials,
     _SQRT2,
     info_mean_fraction,
 )
@@ -102,7 +101,7 @@ def gauss_exponent(sources: int, copies: int) -> float:
     return float(gauss_exponent_fraction(sources, copies))
 
 
-def run_gauss_trials(run: FidelityRun, workers: int = 1) -> list[FidelitySample]:
+def run_gauss_trials(run: FidelityRun) -> FidelitySamples:
     """Monte Carlo fidelity samples for the Gaussian-copier scheme.
 
     Copies carry the full source parameter, so the estimate is
@@ -115,19 +114,7 @@ def run_gauss_trials(run: FidelityRun, workers: int = 1) -> list[FidelitySample]
     if run.scheme != GAUSS_SCHEME:
         raise ValueError(f"run scheme is {run.scheme!r}; expected {GAUSS_SCHEME!r}")
     amp = amplification_A(run.sources, run.copies)
-    sd = math.sqrt((amp + 2.0) / amp)
-    y, z = _quadrature_means(
-        run.seed,
-        run.trials,
-        run.measurements_per_quadrature,
-        _SQRT2 * run.alpha_true.real,
-        _SQRT2 * run.alpha_true.imag,
-        sd,
-        workers,
-    )
-    factor = 1.0 / _SQRT2
-    estimates = factor * y + 1j * (factor * z)
-    return _samples_from_estimates(run.alpha_true, estimates)
+    return _run_trials(run, 1.0, math.sqrt((amp + 2.0) / amp))
 
 
 def gauss_pdf(sources: int, copies: int):

@@ -6,17 +6,22 @@ reconstruction by the squared coherent-state overlap exp(-|true - est|^2).
 For Gaussian quadrature statistics the sample means are exactly Gaussian, so
 the closed-form fidelity laws hold without any asymptotic caveat.
 
+A run returns its results as columns (:class:`FidelitySamples`): a complex
+array of estimates and a float array of fidelities, the latter computed by
+one array call to :func:`measurement_fidelity`.
+
 Determinism contract: trials are partitioned into fixed batches of
 ``TRIAL_BATCH`` with independent counter-based streams keyed by
 (seed, batch index); within a batch the position block is drawn before the
-momentum block.  Results are bit-identical for a given seed regardless of
-how batches are assigned to workers.
+momentum block.  Results are bit-identical for a given seed, and the first
+T results of a run are those of a T-trial run whenever T is a multiple of
+``TRIAL_BATCH``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +34,7 @@ __all__ = [
     "TRIAL_BATCH",
     "QUADRATURE_SD",
     "FidelityRun",
-    "FidelitySample",
+    "FidelitySamples",
     "DistributionSummary",
     "trial_rng",
     "sample_quadrature",
@@ -85,7 +90,10 @@ class FidelityRun:
             raise ValueError("trials must be positive")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit nonnegative integer")
-        object.__setattr__(self, "alpha_true", complex(self.alpha_true))
+        alpha = complex(self.alpha_true)
+        if not cmath.isfinite(alpha):
+            raise ValueError(f"alpha_true must be finite, got {alpha!r}")
+        object.__setattr__(self, "alpha_true", alpha)
 
     @property
     def measurements_per_quadrature(self) -> int:
@@ -93,11 +101,12 @@ class FidelityRun:
 
 
 @dataclass(frozen=True)
-class FidelitySample:
-    """One trial's reconstructed parameter and its measurement fidelity."""
+class FidelitySamples:
+    """Columns of a run: trial i reconstructed ``estimates[i]`` and scored
+    ``fidelity[i] == measurement_fidelity(alpha_true, estimates[i])``."""
 
-    alpha_est: complex
-    fidelity: float
+    estimates: np.ndarray
+    fidelity: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -118,38 +127,6 @@ def trial_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
-def _batch_ranges(trials: int):
-    return [(start, min(start + TRIAL_BATCH, trials)) for start in range(0, trials, TRIAL_BATCH)]
-
-
-def _quadrature_means(seed, trials, per_quadrature, mean_y, mean_z, sd, workers):
-    """Per-trial position/momentum sample means over all batches.
-
-    Each batch consumes its stream exactly as ``stop - start`` consecutive
-    per-trial draws of ``per_quadrature`` position samples, followed by the
-    same for momentum.
-    """
-
-    def one_batch(item):
-        index, (start, stop) = item
-        rng = trial_rng(seed, index)
-        shape = (stop - start, per_quadrature)
-        y = rng.normal(mean_y, sd, shape).mean(axis=1)
-        z = rng.normal(mean_z, sd, shape).mean(axis=1)
-        return y, z
-
-    items = list(enumerate(_batch_ranges(trials)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(one_batch, items))
-    else:
-        blocks = [one_batch(item) for item in items]
-    return (
-        np.concatenate([block[0] for block in blocks]),
-        np.concatenate([block[1] for block in blocks]),
-    )
-
-
 def sample_quadrature(clone_component: float, count: int, rng: np.random.Generator) -> np.ndarray:
     """Quadrature samples for a clone whose parameter component is given.
 
@@ -168,43 +145,53 @@ def estimate_alpha(y_mean: float, z_mean: float, copies: int) -> complex:
     return complex(factor * y_mean, factor * z_mean)
 
 
-def measurement_fidelity(alpha_true: complex, alpha_est: complex) -> float:
-    """Squared coherent overlap exp(-|true - est|^2) of the reconstruction."""
-    return math.exp(-abs(complex(alpha_true) - complex(alpha_est)) ** 2)
+def measurement_fidelity(alpha_true: complex, alpha_est):
+    """Squared coherent overlap exp(-|true - est|^2) of the reconstruction.
+
+    Elementwise for an array of estimates.  A single estimate goes through
+    the same ufunc loops as an array element (``np.square``, not the scalar
+    ``**``), so a run's fidelity column equals this function applied to each
+    of its estimates, bit for bit.
+    """
+    fidelity = np.exp(-np.square(np.abs(alpha_true - alpha_est)))
+    return float(fidelity) if np.ndim(fidelity) == 0 else fidelity
 
 
-def _samples_from_estimates(alpha_true: complex, estimates) -> list[FidelitySample]:
-    """Package estimates with fidelities computed by measurement_fidelity, so
-    the sample invariant F = exp(-|true - est|^2) holds bitwise."""
-    samples = []
-    for value in estimates:
-        estimate = complex(value)
-        samples.append(FidelitySample(estimate, measurement_fidelity(alpha_true, estimate)))
-    return samples
+def _run_trials(run: FidelityRun, clone_scale: float, sd: float) -> FidelitySamples:
+    """Monte Carlo trial loop shared by both schemes.
+
+    Each measured copy carries alpha_true / clone_scale, so its quadrature
+    samples have mean sqrt(2) * that component and standard deviation ``sd``.
+    Batch b draws from ``trial_rng(seed, b)``: ``stop - start`` consecutive
+    per-trial blocks of position samples, then the same for momentum.  The
+    estimate clone_scale * (y + iz) / sqrt(2) undoes the scale.
+    """
+    clone = run.alpha_true / clone_scale
+    mean_y, mean_z = _SQRT2 * clone.real, _SQRT2 * clone.imag
+    per_quadrature = run.measurements_per_quadrature
+    y = np.empty(run.trials)
+    z = np.empty(run.trials)
+    for index, start in enumerate(range(0, run.trials, TRIAL_BATCH)):
+        stop = min(start + TRIAL_BATCH, run.trials)
+        rng = trial_rng(run.seed, index)
+        shape = (stop - start, per_quadrature)
+        y[start:stop] = rng.normal(mean_y, sd, shape).mean(axis=1)
+        z[start:stop] = rng.normal(mean_z, sd, shape).mean(axis=1)
+    factor = clone_scale / _SQRT2
+    estimates = factor * y + 1j * (factor * z)
+    return FidelitySamples(estimates, measurement_fidelity(run.alpha_true, estimates))
 
 
-def run_info_trials(run: FidelityRun, workers: int = 1) -> list[FidelitySample]:
+def run_info_trials(run: FidelityRun) -> FidelitySamples:
     """Monte Carlo fidelity samples for the information-cloning scheme.
 
     Every clone carries alpha/sqrt(copies); per trial, sources*copies/2
-    position and momentum samples are averaged and the source parameter is
-    reconstructed with :func:`estimate_alpha`.
+    position and momentum samples of variance 1/2 are averaged and the
+    source parameter is reconstructed as in :func:`estimate_alpha`.
     """
     if run.scheme != INFO_SCHEME:
         raise ValueError(f"run scheme is {run.scheme!r}; expected {INFO_SCHEME!r}")
-    clone = run.alpha_true / math.sqrt(run.copies)
-    y, z = _quadrature_means(
-        run.seed,
-        run.trials,
-        run.measurements_per_quadrature,
-        _SQRT2 * clone.real,
-        _SQRT2 * clone.imag,
-        QUADRATURE_SD,
-        workers,
-    )
-    factor = math.sqrt(run.copies) / _SQRT2
-    estimates = factor * y + 1j * (factor * z)
-    return _samples_from_estimates(run.alpha_true, estimates)
+    return _run_trials(run, math.sqrt(run.copies), QUADRATURE_SD)
 
 
 def _positive_int(value, name) -> int:
@@ -245,11 +232,11 @@ def info_mean_fidelity(sources: int) -> float:
 
 
 def fidelity_values(samples) -> np.ndarray:
-    """Fidelity column of a sample list (plain floats pass through)."""
-    return np.asarray(
-        [s.fidelity if isinstance(s, FidelitySample) else float(s) for s in samples],
-        dtype=float,
-    )
+    """Fidelity column of a run's samples; an array or sequence of
+    fidelities passes through as a float array (a float ndarray as it is)."""
+    if isinstance(samples, FidelitySamples):
+        return samples.fidelity
+    return np.asarray(samples, dtype=float)
 
 
 def ks_statistic(samples, reference_cdf) -> float:

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from infoclone.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, main
+from infoclone.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, SCHEMA_VERSION, main
+from infoclone.gaussian_cloner import run_gauss_trials
+from infoclone.measurement import GAUSS_SCHEME, FidelityRun
 from infoclone.phase_space import info_overlap_fidelity
 
 
@@ -190,22 +192,53 @@ class TestMonteCarlo:
         header = paths[0].read_text().splitlines()[0]
         assert header == "trial,re_est,im_est,F"
 
-    def test_workers_do_not_change_output(self, capsys, tmp_path):
-        outputs = []
-        for workers, name in ((1, "w1.csv"), (4, "w4.csv")):
-            path = tmp_path / name
-            run_cli(
-                capsys,
-                "mc-info",
-                "--sources", "2",
-                "--copies", "2",
-                "--trials", "10000",
-                "--seed", "3",
-                "--workers", str(workers),
-                "--output", str(path),
-            )
-            outputs.append(path.read_bytes())
-        assert outputs[0] == outputs[1]
+    def test_samples_csv_parses_back_bitwise(self, capsys, tmp_path):
+        # 5000 trials span two formatting chunks of TRIAL_BATCH rows
+        path = tmp_path / "samples.csv"
+        code, _, _ = run_cli(
+            capsys,
+            "mc-gauss",
+            "--sources", "2",
+            "--copies", "2",
+            "--trials", "5000",
+            "--seed", "12",
+            "--alpha=-0.4,1.3",
+            "--output", str(path),
+        )
+        assert code in (EXIT_OK, EXIT_GATE)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "trial,re_est,im_est,F"
+        table = np.array([line.split(",") for line in lines[1:]], dtype=float)
+        samples = run_gauss_trials(
+            FidelityRun(complex(-0.4, 1.3), 2, 2, 5000, seed=12, scheme=GAUSS_SCHEME)
+        )
+        assert np.array_equal(table[:, 0], np.arange(5000))
+        assert np.array_equal(table[:, 1], samples.estimates.real)
+        assert np.array_equal(table[:, 2], samples.estimates.imag)
+        assert np.array_equal(table[:, 3], samples.fidelity)
+
+    def test_summary_schema_has_no_workers(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "mc-info", "--sources", "1", "--copies", "2", "--trials", "100"
+        )
+        assert code in (EXIT_OK, EXIT_GATE)
+        payload = json.loads(out)
+        assert payload["schema_version"] == SCHEMA_VERSION == 2
+        assert "workers" not in payload
+        code, _, _ = run_cli(
+            capsys, "mc-info", "--sources", "1", "--copies", "2", "--workers", "2"
+        )
+        assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("alpha", ["nan,0", "0,inf", "-inf,1"])
+    def test_non_finite_alpha_is_usage_error(self, capsys, alpha):
+        code, out, err = run_cli(
+            capsys, "mc-info", "--sources", "1", "--copies", "2", "--trials", "100",
+            f"--alpha={alpha}",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "finite" in err
 
     def test_odd_split_is_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -230,6 +263,15 @@ class TestMonteCarlo:
 
 
 class TestPdf:
+    @pytest.mark.parametrize("grid", ["0", "1", "-5"])
+    def test_grid_below_two_is_usage_error(self, capsys, grid):
+        code, out, err = run_cli(
+            capsys, "pdf", "--scheme", "info", "--sources", "1", f"--grid={grid}"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--grid" in err
+
     def test_info_single_source_is_flat(self, capsys):
         code, out, _ = run_cli(capsys, "pdf", "--scheme", "info", "--sources", "1")
         assert code == EXIT_OK

@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from infoclone.fock_oracle import coherent_state_vector, overlap
+from infoclone.gaussian_cloner import run_gauss_trials
 from infoclone.measurement import (
     GAUSS_SCHEME,
+    INFO_SCHEME,
     QUADRATURE_SD,
+    TRIAL_BATCH,
     FidelityRun,
-    FidelitySample,
+    FidelitySamples,
     estimate_alpha,
     fidelity_values,
     info_cdf,
@@ -44,6 +49,11 @@ class TestRunConfig:
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError):
             FidelityRun(1.0, sources=1, copies=2, trials=10, seed=-1)
+
+    @pytest.mark.parametrize("alpha", [complex(math.nan, 0.0), complex(0.0, math.inf), -math.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            FidelityRun(alpha, sources=1, copies=2, trials=10, seed=0)
 
     def test_measurement_split(self):
         run = FidelityRun(1.0, sources=3, copies=4, trials=10, seed=0)
@@ -125,8 +135,7 @@ class TestInfoTrials:
 
     def test_estimator_unbiased(self):
         run = FidelityRun(0.8 - 0.3j, sources=2, copies=4, trials=100_000, seed=13)
-        samples = run_info_trials(run)
-        estimates = np.array([s.alpha_est for s in samples])
+        estimates = run_info_trials(run).estimates
         standard_error = math.sqrt(1.0 / (2.0 * run.sources)) / math.sqrt(run.trials)
         assert abs(estimates.real.mean() - 0.8) < 5.0 * standard_error
         assert abs(estimates.imag.mean() + 0.3) < 5.0 * standard_error
@@ -135,16 +144,21 @@ class TestInfoTrials:
         # Var(Re est) = Var(Im est) = 1/(2M), independent of copies
         for copies, seed in ((2, 17), (8, 19)):
             run = FidelityRun(0.5, sources=2, copies=copies, trials=100_000, seed=seed)
-            estimates = np.array([s.alpha_est for s in run_info_trials(run)])
+            estimates = run_info_trials(run).estimates
             target = 1.0 / (2.0 * run.sources)
             tolerance = 5.0 * target * math.sqrt(2.0 / run.trials)
             assert abs(estimates.real.var() - target) < tolerance
             assert abs(estimates.imag.var() - target) < tolerance
 
     def test_fidelity_definition_holds_per_sample(self):
-        run = FidelityRun(0.4 + 0.1j, sources=1, copies=2, trials=64, seed=23)
-        for sample in run_info_trials(run):
-            assert sample.fidelity == measurement_fidelity(run.alpha_true, sample.alpha_est)
+        # the column comes from one array call; every scalar call must agree
+        # to the last bit (a scalar ** 2 instead of np.square breaks this on
+        # about 0.1% of rows)
+        run = FidelityRun(0.4 + 0.1j, sources=1, copies=2, trials=50_000, seed=23)
+        samples = run_info_trials(run)
+        assert samples.fidelity.shape == samples.estimates.shape == (run.trials,)
+        for i in range(run.trials):
+            assert samples.fidelity[i] == measurement_fidelity(run.alpha_true, samples.estimates[i])
 
     def test_log_law_is_chi_squared(self):
         # -2M ln F has CDF 1 - exp(-x/2)
@@ -160,11 +174,21 @@ class TestInfoTrials:
         second = fidelity_values(run_info_trials(run))
         assert np.array_equal(first, second)
 
-    def test_worker_count_does_not_change_results(self):
-        run = FidelityRun(0.6, sources=1, copies=4, trials=10_000, seed=31)
-        serial = fidelity_values(run_info_trials(run, workers=1))
-        threaded = fidelity_values(run_info_trials(run, workers=3))
-        assert np.array_equal(serial, threaded)
+    @settings(max_examples=15, deadline=None)
+    @given(
+        batches=st.integers(1, 3),
+        extra=st.integers(1, 2 * TRIAL_BATCH),
+        seed=st.integers(0, 2**64 - 1),
+        scheme=st.sampled_from([INFO_SCHEME, GAUSS_SCHEME]),
+    )
+    def test_batch_aligned_prefix_is_the_shorter_run(self, batches, extra, seed, scheme):
+        trials = batches * TRIAL_BATCH
+        runs = [FidelityRun(0.3 - 1.1j, sources=2, copies=2, trials=count, seed=seed,
+                            scheme=scheme) for count in (trials, trials + extra)]
+        run_trials = run_info_trials if scheme == INFO_SCHEME else run_gauss_trials
+        short, longer = (run_trials(run) for run in runs)
+        assert np.array_equal(short.estimates, longer.estimates[:trials])
+        assert np.array_equal(short.fidelity, longer.fidelity[:trials])
 
     def test_copies_do_not_change_fidelity_law(self):
         trials = 50_000
@@ -194,7 +218,7 @@ class TestInfoTrials:
             for _ in range(run.trials)
         ]
         manual = [estimate_alpha(y, z, run.copies) for y, z in zip(ys, zs)]
-        assert np.array_equal(np.array(manual), np.array([s.alpha_est for s in samples]))
+        assert np.array_equal(np.array(manual), samples.estimates)
 
 
 class TestClosedForms:
@@ -245,9 +269,15 @@ class TestSummaries:
         assert summary.bin_edges.size == 51
 
     def test_accepts_fidelity_samples(self):
-        samples = [FidelitySample(0.1 + 0j, 0.25), FidelitySample(0.2 + 0j, 0.75)]
+        samples = FidelitySamples(np.array([0.1 + 0j, 0.2 + 0j]), np.array([0.25, 0.75]))
         summary = summarize(samples, info_cdf(1))
         assert summary.mean == 0.5
+
+    def test_fidelity_values_returns_arrays_as_they_are(self):
+        fidelity = np.array([0.25, 0.75])
+        assert fidelity_values(FidelitySamples(np.zeros(2, dtype=complex), fidelity)) is fidelity
+        assert fidelity_values(fidelity) is fidelity
+        assert np.array_equal(fidelity_values([0.25, 0.75]), fidelity)
 
     def test_rejects_single_sample(self):
         with pytest.raises(ValueError):
