@@ -31,6 +31,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
+# The package registers fock_oracle lazily: this import loads no scipy, and
+# only fock-verify touches the module, so only fock-verify loads it.
 from . import fock_oracle, gaussian_cloner, measurement, phase_space
 
 EXIT_OK = 0
@@ -206,13 +208,17 @@ def cmd_fock_verify(args) -> int:
     entries[1 : 1 + len(betas)] = betas
     params = phase_space.CoherentParams(entries)
 
-    infidelity = fock_oracle.verify_disentanglement(
-        params, config, args.truncation, dim_budget=args.budget
-    )
+    budget = fock_oracle.DEFAULT_DIM_BUDGET if args.budget is None else args.budget
     predicted = phase_space.apply_transfer(phase_space.build_transfer(config), params)
+    fock_oracle.check_truncation(
+        [*params.entries, *predicted.entries], args.truncation, args.gate, budget
+    )
+    infidelity = fock_oracle.verify_disentanglement(
+        params, config, args.truncation, dim_budget=budget
+    )
     if args.dump:
         evolved = fock_oracle.evolve_product_state(
-            params, config, args.truncation, dim_budget=args.budget
+            params, config, args.truncation, dim_budget=budget
         )
         _write_amplitude_dump(args.dump, evolved)
 
@@ -421,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="initial target parameters as 're,im;re,im;...'")
     _add_network_flags(verify)
     verify.add_argument("--truncation", type=int, default=16, help="levels per mode")
-    verify.add_argument("--budget", type=int, default=fock_oracle.DEFAULT_DIM_BUDGET,
-                        help="total-dimension budget")
+    verify.add_argument("--budget", type=int, default=None,
+                        help="total-dimension budget (default: fock_oracle.DEFAULT_DIM_BUDGET)")
     verify.add_argument("--gate", type=float, default=1e-6, help="infidelity pass threshold")
     verify.add_argument("--dump", default=None, help="write evolved amplitudes CSV here")
     _add_output_flags(verify, formats=("text", "json"))

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
-from scipy.stats import poisson
+from scipy.special import pdtrc
 
 from .phase_space import CloneNetworkConfig, CoherentParams, apply_transfer, build_transfer
 
@@ -29,6 +29,7 @@ __all__ = [
     "ladder_matrices",
     "poisson_tail",
     "required_levels",
+    "check_truncation",
     "coherent_state_vector",
     "displacement_matrix",
     "coupling_unitary",
@@ -42,6 +43,10 @@ __all__ = [
 ]
 
 DEFAULT_DIM_BUDGET = 20000
+# Largest per-mode truncation tail that check_truncation leaves for the gate
+# to judge: 100 times the CLI's default gate, and above the 1.0e-5 tail of
+# alpha=1 at 8 levels, which the CLI reports as an unreachable gate (exit 3).
+TRUNCATION_TAIL_LIMIT = 1e-4
 NORM_SLACK = 1e-9
 
 
@@ -102,7 +107,9 @@ def poisson_tail(mean_occupation: float, levels: int) -> float:
     """Probability weight a coherent state carries above the top retained level."""
     if mean_occupation == 0:
         return 0.0
-    return float(poisson.sf(levels - 1, mean_occupation))
+    if levels < 1:
+        return 1.0
+    return float(pdtrc(levels - 1, mean_occupation))
 
 
 def required_levels(mean_occupation: float, tail_bound: float) -> int:
@@ -111,6 +118,43 @@ def required_levels(mean_occupation: float, tail_bound: float) -> int:
     while poisson_tail(mean_occupation, levels) > tail_bound:
         levels += 1
     return levels
+
+
+def check_truncation(entries, levels: int, gate: float,
+                     dim_budget: int = DEFAULT_DIM_BUDGET) -> None:
+    """Check that ``levels`` per mode can hold coherent states with these
+    parameters, typically the input and the predicted output of a network.
+
+    Truncation alone costs an infidelity of about the sum of the modes'
+    Poisson tails.  When the largest tail exceeds
+    ``max(gate, TRUNCATION_TAIL_LIMIT)``, an infidelity measures the
+    truncation, not the network, so this raises :class:`TruncationError`
+    naming the level count at which every tail is within
+    ``gate / len(entries)``, enough for the truncation to keep below
+    ``gate``.  A tail between ``gate`` and the limit passes: the gate is then
+    out of reach at this truncation, and the infidelity says by how much.
+    A mean occupation of ``dim_budget`` or more raises
+    :class:`DimensionBudgetError`, since such a mode alone needs more levels
+    than the budget allows.
+    """
+    if not gate > 0:
+        raise ValueError(f"gate must be positive, got {gate}")
+    largest = max(abs(complex(z)) for z in entries)
+    mean = largest * largest
+    if not mean < dim_budget:
+        raise DimensionBudgetError(
+            f"a mode with mean occupation {mean:.3g} needs more levels than the "
+            f"dimension budget {dim_budget} allows"
+        )
+    tail = poisson_tail(mean, levels)
+    if tail > max(gate, TRUNCATION_TAIL_LIMIT):
+        needed = required_levels(mean, gate / len(entries))
+        raise TruncationError(
+            f"{levels} levels drop {tail:.3e} of a mode's weight, above "
+            f"max(gate, {TRUNCATION_TAIL_LIMIT:g}); need at least {needed} levels "
+            f"for gate {gate:g}",
+            required=needed,
+        )
 
 
 def coherent_state_vector(alpha: complex, levels: int, tail_bound: float | None = None) -> FockVector:

@@ -26,13 +26,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import ks_2samp, kstwobign
 
 __all__ = [
     "INFO_SCHEME",
     "GAUSS_SCHEME",
     "TRIAL_BATCH",
     "QUADRATURE_SD",
+    "KS_5PCT",
+    "ALPHA_ULP_FRACTION",
     "FidelityRun",
     "FidelitySamples",
     "DistributionSummary",
@@ -58,6 +59,10 @@ GAUSS_SCHEME = "gaussian"
 TRIAL_BATCH = 4096
 QUADRATURE_SD = math.sqrt(0.5)
 _SQRT2 = math.sqrt(2.0)
+# Asymptotic 5% point of the Kolmogorov distribution, scipy.special.kolmogi(0.05);
+# equal, bit for bit, to scipy.stats.kstwobign.isf(0.05).
+KS_5PCT = 1.3580986393225507
+ALPHA_ULP_FRACTION = 2.0**-20
 
 
 @dataclass(frozen=True)
@@ -66,6 +71,23 @@ class FidelityRun:
 
     ``sources * copies`` clones are available per trial; half are measured in
     position and half in momentum, so the product must be even (and >= 2).
+    A run needs at least two trials for its summary.
+
+    ``|alpha_true|`` is bounded so that rounding cannot shape the fidelity
+    law.  Each estimate component scatters around alpha_true with a
+    standard deviation of at least ``1/sqrt(2*sources*copies)`` in both
+    schemes (1/sqrt(2*sources) for information cloning,
+    sqrt((A+2)/A)/sqrt(sources*copies) for the Gaussian copier), while the
+    estimate error can resolve no step finer than about one ulp of the
+    quadrature mean ``sqrt(2)*|alpha_true|``.  The run is rejected when
+
+        ulp(sqrt(2)*|alpha_true|) > ALPHA_ULP_FRACTION / sqrt(2*sources*copies)
+
+    with ``ALPHA_ULP_FRACTION = 2**-20``: below the bound the error still
+    takes about a million distinct values per standard deviation, which
+    moves the fidelity CDF by about 1e-6, far under the KS resolution of any
+    feasible run.  For sources*copies = 2 the bound is |alpha_true| <
+    2**31.5, about 3.04e9.
     """
 
     alpha_true: complex
@@ -86,13 +108,20 @@ class FidelityRun:
                 "sources*copies must be even and at least 2 for the "
                 "position/momentum split"
             )
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
+        if self.trials < 2:
+            raise ValueError(f"trials must be at least 2, got {self.trials}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit nonnegative integer")
         alpha = complex(self.alpha_true)
         if not cmath.isfinite(alpha):
             raise ValueError(f"alpha_true must be finite, got {alpha!r}")
+        noise = 1.0 / math.sqrt(2.0 * total)
+        if math.ulp(_SQRT2 * abs(alpha)) > ALPHA_ULP_FRACTION * noise:
+            raise ValueError(
+                f"|alpha_true| = {abs(alpha):.6g} is too large for {total} measured "
+                f"copies: one ulp of the quadrature mean sqrt(2)*|alpha_true| exceeds "
+                f"2**-20 of the per-trial estimate noise floor {noise:.3g}"
+            )
         object.__setattr__(self, "alpha_true", alpha)
 
     @property
@@ -250,19 +279,21 @@ def ks_statistic(samples, reference_cdf) -> float:
     return float(max(np.max(steps[1:] - reference), np.max(reference - steps[:-1])))
 
 
-def ks_critical(count: int, level: float = 0.05) -> float:
-    """Asymptotic one-sample KS critical value at the given level."""
-    return float(kstwobign.isf(level) / math.sqrt(count))
+def ks_critical(count: int) -> float:
+    """Asymptotic one-sample KS critical value at the 5% level."""
+    return KS_5PCT / math.sqrt(count)
 
 
 def ks_two_sample(first, second) -> float:
-    """Two-sample KS distance between fidelity sample sets."""
+    """Two-sample KS distance between fidelity sample sets (loads scipy)."""
+    from scipy.stats import ks_2samp
+
     return float(ks_2samp(fidelity_values(first), fidelity_values(second)).statistic)
 
 
-def ks_critical_two_sample(n_first: int, n_second: int, level: float = 0.05) -> float:
-    """Asymptotic two-sample KS critical value at the given level."""
-    return float(kstwobign.isf(level) * math.sqrt((n_first + n_second) / (n_first * n_second)))
+def ks_critical_two_sample(n_first: int, n_second: int) -> float:
+    """Asymptotic two-sample KS critical value at the 5% level."""
+    return KS_5PCT * math.sqrt((n_first + n_second) / (n_first * n_second))
 
 
 def summarize(samples, reference_cdf, bins: int = 50) -> DistributionSummary:

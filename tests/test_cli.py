@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,7 +104,8 @@ class TestFockVerify:
         assert "budget" in err
 
     def test_unreachable_gate_exits_three(self, capsys):
-        # truncation loss at alpha=1, d=8 is ~1e-7, well above the gate
+        # truncation loss at alpha=1, d=8 is ~2e-5, well above the gate; each
+        # mode's tail (1.0e-5) is under the 1e-4 limit, so the run still reports
         code, out, _ = run_cli(
             capsys,
             "fock-verify",
@@ -115,6 +117,23 @@ class TestFockVerify:
         )
         assert code == EXIT_GATE
         assert json.loads(out)["infidelity"] >= 1e-12
+
+    def test_state_outside_truncation_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "fock-verify", "--alpha", "9,0", "--copies", "2", "--truncation", "8"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "need at least 132 levels" in err
+
+    @pytest.mark.parametrize("gate", ["0", "-1e-6", "nan"])
+    def test_non_positive_gate_is_usage_error(self, capsys, gate):
+        code, out, err = run_cli(
+            capsys, "fock-verify", "--alpha", "0.6,0", "--copies", "2", f"--gate={gate}"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "gate" in err
 
     def test_zero_time_reports_zero(self, capsys):
         code, out, _ = run_cli(
@@ -239,6 +258,35 @@ class TestMonteCarlo:
         assert code == EXIT_USAGE
         assert out == ""
         assert "finite" in err
+
+    def test_single_trial_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "mc-info", "--sources", "1", "--copies", "2", "--trials", "1"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "trials" in err
+
+    @pytest.mark.parametrize("alpha", ["1e17,0", "1e300,0", "1e308,1e308"])
+    @pytest.mark.parametrize("command", ["mc-info", "mc-gauss"])
+    def test_huge_alpha_is_usage_error(self, capsys, command, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, command, "--sources", "1", "--copies", "2", "--trials", "2000",
+                f"--alpha={alpha}",
+            )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "too large" in err
+
+    def test_alpha_just_below_bound_passes(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "mc-info", "--sources", "1", "--copies", "2", "--trials", "2000",
+            "--alpha=3.03e9,0",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["ks_pass"]
 
     def test_odd_split_is_usage_error(self, capsys):
         code, _, err = run_cli(

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
 from infoclone.fock_oracle import (
+    TRUNCATION_TAIL_LIMIT,
     DimensionBudgetError,
     FockVector,
     TruncationError,
     _coupling_generator,
+    check_truncation,
     coherent_state_vector,
     coupling_unitary,
     displacement_matrix,
@@ -106,6 +109,17 @@ class TestCoherentVector:
 
     def test_required_levels_monotone(self):
         assert required_levels(1.0, 1e-10) < required_levels(4.0, 1e-10)
+
+    def test_poisson_tail_is_scipy_survival_function_bitwise(self):
+        rng = np.random.default_rng(5)
+        means = np.concatenate([[1e-6, 0.5, 1.0, 9.0, 81.0, 149.9], rng.uniform(0.0, 150.0, 60)])
+        for mean in means:
+            for levels in (1, 2, 3, 8, 16, 40, 81, 120, 160, 200):
+                assert poisson_tail(mean, levels) == poisson.sf(levels - 1, mean)
+
+    def test_poisson_tail_edges(self):
+        assert poisson_tail(0.0, 0) == 0.0
+        assert poisson_tail(2.0, 0) == 1.0
 
 
 class TestDisplacement:
@@ -293,6 +307,64 @@ class TestDisentanglement:
         config = CloneNetworkConfig([1.0, 1.0], [0.0, 0.0], 1.0)
         with pytest.raises(DimensionBudgetError):
             verify_disentanglement(CoherentParams([0.1, 0.0, 0.0]), config, 30)
+
+
+class TestTruncationCheck:
+    def test_oracle_benchmark_truncations_pass(self):
+        # truncations whose total-excitation tail is at most 1e-8 (the
+        # benchmark's oracle commands) pass at the default gate
+        for levels in range(4, 60):
+            lo, hi = 0.0, float(levels)
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if poisson_tail(mid, levels) <= 1e-8 else (lo, mid)
+            check_truncation([math.sqrt(lo), 0.0, 0.0], levels, 1e-6)
+
+    def test_state_outside_truncation_names_levels_for_gate(self):
+        entries = [9.0, 0.0, 0.0, 0.0, 6.4, 6.4]
+        with pytest.raises(TruncationError) as info:
+            check_truncation(entries, 8, 1e-6)
+        needed = info.value.required_levels
+        assert needed == required_levels(81.0, 1e-6 / 6)
+        assert poisson_tail(81.0, needed) <= 1e-6 / 6
+        assert str(needed) in str(info.value)
+
+    def test_tail_between_gate_and_limit_passes(self):
+        # an unreachable gate is left to the infidelity (exit 3 in the CLI)
+        tail = poisson_tail(1.0, 8)
+        assert 1e-12 < tail < TRUNCATION_TAIL_LIMIT
+        check_truncation([1.0, 0.0], 8, 1e-12)
+
+    def test_loose_gate_loosens_limit(self):
+        tail = poisson_tail(4.0, 8)
+        assert TRUNCATION_TAIL_LIMIT < tail < 0.1
+        check_truncation([2.0, 0.0], 8, 0.1)
+        with pytest.raises(TruncationError):
+            check_truncation([2.0, 0.0], 8, 1e-6)
+
+    @pytest.mark.parametrize("amplitude", [200.0, 1e17, 1e200])
+    def test_mean_beyond_budget(self, amplitude):
+        with pytest.raises(DimensionBudgetError):
+            check_truncation([amplitude, 0.0], 8, 1e-6)
+
+    @pytest.mark.parametrize("gate", [0.0, -1e-6, math.nan])
+    def test_gate_must_be_positive(self, gate):
+        with pytest.raises(ValueError, match="gate"):
+            check_truncation([0.5, 0.0], 8, gate)
+
+    def test_predicted_outputs_count(self):
+        # the reversed symmetric network gathers both targets into the
+        # source: 16 levels hold each input mode (|beta|^2 = 4.5), not the
+        # output (|alpha|^2 = 9), and the infidelity shows the loss
+        forward = symmetric_clone_config(2)
+        config = CloneNetworkConfig(forward.magnitudes, forward.phases, -forward.time)
+        params = CoherentParams([0.0, 3.0 / math.sqrt(2.0), 3.0 / math.sqrt(2.0)])
+        predicted = apply_transfer(build_transfer(config), params)
+        assert poisson_tail(4.5, 16) < TRUNCATION_TAIL_LIMIT < poisson_tail(9.0, 16)
+        check_truncation(params.entries, 16, 1e-6)
+        with pytest.raises(TruncationError):
+            check_truncation([*params.entries, *predicted.entries], 16, 1e-6)
+        assert verify_disentanglement(params, config, 16) > 1e-3
 
 
 class TestIndexing:

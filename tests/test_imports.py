@@ -1,0 +1,65 @@
+"""Import path: only fock-verify loads scipy."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import infoclone
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+GUARD_SCRIPT = textwrap.dedent(
+    """
+    import contextlib, io, sys
+    import infoclone.cli as cli
+
+    def scipy_modules():
+        return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+    commands = [
+        ["transfer", "--copies", "3", "--format", "json"],
+        ["clone", "--alpha", "1,0.5", "--copies", "4"],
+        ["table", "--format", "csv"],
+        ["pdf", "--scheme", "gauss", "--sources", "1", "--copies", "2", "--grid", "50"],
+        ["mc-info", "--sources", "1", "--copies", "2", "--trials", "3000", "--seed", "5"],
+        ["mc-gauss", "--sources", "2", "--copies", "2", "--trials", "3000", "--seed", "6"],
+    ]
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        assert code in (0, 3), (argv, code)
+    assert not scipy_modules(), scipy_modules()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["fock-verify", "--copies", "2", "--alpha", "0.6,0",
+                         "--truncation", "16"])
+    assert code == 0, code
+    assert scipy_modules()
+    print("ok")
+    """
+)
+
+
+def test_only_fock_verify_loads_scipy():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", GUARD_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_fock_oracle_names_resolve_from_the_package():
+    from infoclone import FockVector, TruncationError, verify_disentanglement
+    from infoclone import fock_oracle
+
+    assert verify_disentanglement is fock_oracle.verify_disentanglement
+    assert FockVector is fock_oracle.FockVector
+    assert issubclass(TruncationError, ValueError)
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        infoclone.no_such_name  # noqa: B018

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import kolmogi
+from scipy.stats import kstwobign
 
 from infoclone.fock_oracle import coherent_state_vector, overlap
-from infoclone.gaussian_cloner import run_gauss_trials
+from infoclone.gaussian_cloner import gauss_cdf, run_gauss_trials
 from infoclone.measurement import (
     GAUSS_SCHEME,
     INFO_SCHEME,
+    KS_5PCT,
     QUADRATURE_SD,
     TRIAL_BATCH,
     FidelityRun,
@@ -54,6 +57,35 @@ class TestRunConfig:
     def test_rejects_non_finite_alpha(self, alpha):
         with pytest.raises(ValueError, match="finite"):
             FidelityRun(alpha, sources=1, copies=2, trials=10, seed=0)
+
+    @pytest.mark.parametrize("trials", [1, 0, -3])
+    def test_rejects_fewer_than_two_trials(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            FidelityRun(1.0, sources=1, copies=2, trials=trials, seed=0)
+
+    @pytest.mark.parametrize("alpha", [1e17, 1e300, complex(1e308, 1e308), 3.04e9j])
+    def test_rejects_alpha_beyond_rounding_bound(self, alpha):
+        with pytest.raises(ValueError, match="too large"):
+            FidelityRun(alpha, sources=1, copies=2, trials=10, seed=0)
+
+    def test_alpha_bound_follows_ulp_against_noise(self):
+        # sources*copies = 2: noise floor 1/2, so sqrt(2)|alpha| < 2**32
+        limit = 2.0**32 / math.sqrt(2.0)
+        FidelityRun(math.nextafter(limit, 0.0), sources=1, copies=2, trials=10, seed=0)
+        with pytest.raises(ValueError, match="too large"):
+            FidelityRun(2.0**32, sources=1, copies=2, trials=10, seed=0)
+        # more measured copies lower the noise floor and with it the bound
+        FidelityRun(3.0e9, sources=1, copies=2, trials=10, seed=0)
+        with pytest.raises(ValueError, match="too large"):
+            FidelityRun(3.0e9, sources=8, copies=32, trials=10, seed=0)
+
+    @pytest.mark.parametrize("scheme", [INFO_SCHEME, GAUSS_SCHEME])
+    def test_law_holds_just_below_alpha_bound(self, scheme):
+        run = FidelityRun(complex(2.1e9, -2.1e9), sources=1, copies=2, trials=50_000,
+                          seed=3, scheme=scheme)
+        samples = run_info_trials(run) if scheme == INFO_SCHEME else run_gauss_trials(run)
+        reference = info_cdf(1) if scheme == INFO_SCHEME else gauss_cdf(1, 2)
+        assert ks_statistic(samples, reference) < ks_critical(run.trials)
 
     def test_measurement_split(self):
         run = FidelityRun(1.0, sources=3, copies=4, trials=10, seed=0)
@@ -302,3 +334,14 @@ class TestSummaries:
     def test_critical_value_constant(self):
         # asymptotic 5% constant is 1.358 / sqrt(n)
         assert ks_critical(10_000) == pytest.approx(1.3581 / 100.0, abs=1e-4)
+
+    def test_kolmogorov_constant_is_scipy_quantile_bitwise(self):
+        assert KS_5PCT == kolmogi(0.05) == kstwobign.isf(0.05)
+
+    @pytest.mark.parametrize("count", [2, 100, 3000, 10_000, 1_000_000, 12_345_679])
+    def test_critical_values_match_scipy_bitwise(self, count):
+        quantile = kstwobign.isf(0.05)
+        assert ks_critical(count) == float(quantile / math.sqrt(count))
+        assert ks_critical_two_sample(count, 7) == float(
+            quantile * math.sqrt((count + 7) / (count * 7))
+        )
