@@ -45,7 +45,6 @@ from .gaussian_cloner import (
     comparison_table,
     gauss_mean_fidelity,
     gauss_pdf,
-    gauss_quadrature_sampler,
     overlap_fidelity_gaussian,
     run_gauss_trials,
 )
@@ -70,7 +69,7 @@ _FOCK_ORACLE_EXPORTS = frozenset({
     "FockVector",
     "TruncationError",
     "coherent_state_vector",
-    "coupling_unitary",
+    "disentanglement_infidelity",
     "displacement_matrix",
     "ladder_matrices",
     "overlap",

@@ -18,7 +18,7 @@ File schemas (version 2):
   density CSV   header ``F,p`` on a log-spaced grid of ``--grid`` >= 2 points
                 from 1e-12 to 1.
   dump CSV      header ``index,n_<mode>...,re,im`` over the flattened number
-                basis (source mode slowest).
+                basis (source mode slowest): the evolved state that was scored.
 """
 
 from __future__ import annotations
@@ -213,16 +213,14 @@ def cmd_fock_verify(args) -> int:
     fock_oracle.check_truncation(
         [*params.entries, *predicted.entries], args.truncation, args.gate, budget
     )
-    infidelity = fock_oracle.verify_disentanglement(
+    evolved = fock_oracle.evolve_product_state(
         params, config, args.truncation, dim_budget=budget
     )
+    infidelity = fock_oracle.disentanglement_infidelity(predicted, evolved)
     if args.dump:
-        evolved = fock_oracle.evolve_product_state(
-            params, config, args.truncation, dim_budget=budget
-        )
         _write_amplitude_dump(args.dump, evolved)
 
-    dim = args.truncation ** (config.n_targets + 1)
+    dim = evolved.amplitudes.size
     with _open_output(args.output) as out:
         if args.format == "json":
             payload = {

@@ -1,11 +1,11 @@
 """Brute-force verification in a truncated multimode number basis.
 
 States are complex amplitude vectors over occupation levels 0..d-1 per mode,
-flattened row-major with the source mode slowest, so amplitude dumps are
-bit-reproducible for a given level count.  Operators are built from ladder
-matrices and exponentiated directly; nothing here assumes the parameter-level
-algebra of ``phase_space``, which is exactly what makes
-:func:`verify_disentanglement` an independent end-to-end oracle for it.
+flattened row-major with the source mode slowest.  The coupling generator is
+built from ladder matrices, and its exponential is applied to a state
+sparsely (``expm_multiply``), never formed as a dense unitary.  Nothing here
+assumes the parameter-level algebra of ``phase_space``, which is exactly what
+makes :func:`verify_disentanglement` an independent end-to-end oracle for it.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ __all__ = [
     "check_truncation",
     "coherent_state_vector",
     "displacement_matrix",
-    "coupling_unitary",
     "product_coherent_state",
     "overlap",
     "evolve_product_state",
+    "disentanglement_infidelity",
     "verify_disentanglement",
     "mode_occupations",
     "interior_mask",
@@ -157,24 +157,20 @@ def check_truncation(entries, levels: int, gate: float,
         )
 
 
-def coherent_state_vector(alpha: complex, levels: int, tail_bound: float | None = None) -> FockVector:
+def coherent_state_vector(alpha: complex, levels: int) -> FockVector:
     """Truncated coherent state with amplitudes e^{-|a|^2/2} a^n / sqrt(n!).
 
-    The squared norm equals 1 minus the Poisson tail beyond the top level.
-    With ``tail_bound`` set, raises :class:`TruncationError` (carrying the
-    smallest adequate level count) when the discarded weight is too large.
+    The squared norm equals 1 minus the Poisson tail beyond the top level
+    (see :func:`check_truncation`).  Raises ``ValueError`` when the mean
+    occupation |alpha|^2 is not finite.
     """
     alpha = complex(alpha)
-    mean = abs(alpha) ** 2
-    if tail_bound is not None:
-        tail = poisson_tail(mean, levels)
-        if tail > tail_bound:
-            needed = required_levels(mean, tail_bound)
-            raise TruncationError(
-                f"truncation tail {tail:.3e} exceeds bound {tail_bound:.3e}; "
-                f"need at least {needed} levels",
-                required=needed,
-            )
+    try:
+        mean = abs(alpha) ** 2
+    except OverflowError:  # |alpha| or its square is beyond the float range
+        mean = math.inf
+    if not math.isfinite(mean):
+        raise ValueError(f"mean occupation |alpha|^2 of alpha={alpha} is not finite")
     amps = np.empty(levels, dtype=complex)
     amps[0] = math.exp(-0.5 * mean)
     for n in range(1, levels):
@@ -236,19 +232,11 @@ def _check_budget(config: CloneNetworkConfig, levels: int, dim_budget: int) -> i
     return dim
 
 
-def coupling_unitary(config: CloneNetworkConfig, levels: int,
-                     dim_budget: int = DEFAULT_DIM_BUDGET) -> np.ndarray:
-    """Dense matrix exponential of the coupling generator on all modes."""
-    _check_budget(config, levels, dim_budget)
-    return expm(_coupling_generator(config, levels).toarray())
-
-
-def product_coherent_state(params: CoherentParams, levels: int,
-                           tail_bound: float | None = None) -> FockVector:
+def product_coherent_state(params: CoherentParams, levels: int) -> FockVector:
     """Tensor product of truncated coherent states, source mode slowest."""
     amps = None
     for entry in params.entries:
-        mode = coherent_state_vector(entry, levels, tail_bound=tail_bound)
+        mode = coherent_state_vector(entry, levels)
         amps = mode.amplitudes if amps is None else np.kron(amps, mode.amplitudes)
     return FockVector(len(params), levels, amps)
 
@@ -264,8 +252,7 @@ def evolve_product_state(params: CoherentParams, config: CloneNetworkConfig, lev
                          dim_budget: int = DEFAULT_DIM_BUDGET) -> FockVector:
     """Evolve a product coherent state by the coupling network.
 
-    Uses the sparse action of the generator's exponential on the state, so it
-    scales to dimensions where the dense unitary is out of budget.
+    Uses the sparse action of the generator's exponential on the state.
     """
     if len(params) != config.n_targets + 1:
         raise ValueError("parameter count must match the network size")
@@ -277,20 +264,26 @@ def evolve_product_state(params: CoherentParams, config: CloneNetworkConfig, lev
     return FockVector(len(params), levels, evolved)
 
 
+def disentanglement_infidelity(predicted: CoherentParams, evolved: FockVector) -> float:
+    """1 - |<expected|evolved>|^2, where ``expected`` is the product coherent
+    state with the ``predicted`` parameters on the truncation of ``evolved``."""
+    expected = product_coherent_state(predicted, evolved.levels)
+    return float(1.0 - abs(overlap(expected, evolved)) ** 2)
+
+
 def verify_disentanglement(params: CoherentParams, config: CloneNetworkConfig, levels: int,
                            dim_budget: int = DEFAULT_DIM_BUDGET) -> float:
     """Infidelity between brute-force evolution and the parameter-map prediction.
 
-    The input product state is evolved numerically and compared against the
-    product coherent state built from ``apply_transfer(build_transfer(config))``;
-    returns 1 - |<expected|evolved>|^2.  This is the end-to-end check that the
-    network output stays a disentangled set of coherent states with exactly
-    the predicted parameters.
+    The input product state is evolved numerically and scored by
+    :func:`disentanglement_infidelity` against the parameters predicted by
+    ``apply_transfer(build_transfer(config))``.  This is the end-to-end check
+    that the network output stays a disentangled set of coherent states with
+    exactly the predicted parameters.
     """
     evolved = evolve_product_state(params, config, levels, dim_budget)
     predicted = apply_transfer(build_transfer(config), params)
-    expected = product_coherent_state(predicted, levels)
-    return float(1.0 - abs(overlap(expected, evolved)) ** 2)
+    return disentanglement_infidelity(predicted, evolved)
 
 
 def mode_occupations(mode_count: int, levels: int) -> np.ndarray:

@@ -5,6 +5,12 @@ by the amplification parameter A = M*N/(N-1) (M sources copied to M*N
 outputs).  Closed forms for the overlap fidelity and the measurement-fidelity
 law F**c, c = M^2 N^2 / (2(MN + 2N - 2)), live here next to the Monte Carlo
 driver that reproduces them.
+
+There is one noise model: every quadrature measurement of a copy has
+variance (A+2)/A.  That is twice the single-copy marginal (A+2)/(2A) of the
+optimal cloner (Cerf, Ipe and Rottenberg, quant-ph/9909037), and it is the
+level at which the trial law is the paper's F**c; the marginal itself gives
+F**(2c).  :func:`run_gauss_trials` states the derivation.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from .measurement import (
     FidelitySamples,
     _positive_int,
     _run_trials,
-    _SQRT2,
     info_mean_fraction,
 )
 
@@ -29,7 +34,6 @@ __all__ = [
     "amplification_A",
     "amplification_fraction",
     "overlap_fidelity_gaussian",
-    "gauss_quadrature_sampler",
     "run_gauss_trials",
     "gauss_exponent",
     "gauss_exponent_fraction",
@@ -74,22 +78,6 @@ def overlap_fidelity_gaussian(n_in: int, m_out: int) -> float:
     return m * n / (m * n + m - n)
 
 
-def gauss_quadrature_sampler(alpha0_component: float, amplification: float, count: int,
-                             rng: np.random.Generator) -> np.ndarray:
-    """Quadrature samples of a single copier output.
-
-    The coherent-state width convolves with the 1/A mixture noise per
-    quadrature, giving mean sqrt(2)*component and variance (A+2)/(2A); the
-    A -> infinity limit recovers the pure-state width 1/2.
-    """
-    if amplification <= 0:
-        raise ValueError("amplification must be positive")
-    if count < 1:
-        raise ValueError("count must be positive")
-    sd = math.sqrt((amplification + 2.0) / (2.0 * amplification))
-    return rng.normal(_SQRT2 * alpha0_component, sd, count)
-
-
 def gauss_exponent_fraction(sources: int, copies: int) -> Fraction:
     """Exact exponent c = MNA/(2(A+2)) = M^2 N^2 / (2(MN + 2N - 2)) of the
     fidelity law F**c."""
@@ -105,11 +93,17 @@ def run_gauss_trials(run: FidelityRun) -> FidelitySamples:
     """Monte Carlo fidelity samples for the Gaussian-copier scheme.
 
     Copies carry the full source parameter, so the estimate is
-    (y + iz)/sqrt(2) with no rescaling.  Per-measurement draws use variance
-    (A+2)/A, twice the single-copy marginal of
-    :func:`gauss_quadrature_sampler`: that is the noise level whose trial law
-    is exactly F**c with c = gauss_exponent, consistent with
-    :func:`gauss_pdf` and :func:`gauss_mean_fidelity`.
+    (y + iz)/sqrt(2) with no rescaling, where y and z are means of
+    k = M*N/2 quadrature draws of variance s^2 each.  Each estimate
+    component then has variance s^2/(2k), so |alpha - est|^2 is exponential
+    with mean s^2/k and F = exp(-|alpha - est|^2) has CDF F**(k/s^2), that
+    is F**(MN/(2 s^2)).
+
+    - The optimal cloner's single-copy marginal s^2 = (A+2)/(2A) gives the
+      exponent MNA/(A+2) = 2c, not the paper's law.
+    - The per-measurement variance used here, s^2 = (A+2)/A, gives
+      c = MNA/(2(A+2)) = gauss_exponent, consistent with :func:`gauss_pdf`
+      and :func:`gauss_mean_fidelity`.
     """
     if run.scheme != GAUSS_SCHEME:
         raise ValueError(f"run scheme is {run.scheme!r}; expected {GAUSS_SCHEME!r}")

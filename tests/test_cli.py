@@ -5,10 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+from infoclone import fock_oracle
 from infoclone.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, SCHEMA_VERSION, main
 from infoclone.gaussian_cloner import run_gauss_trials
 from infoclone.measurement import GAUSS_SCHEME, FidelityRun
-from infoclone.phase_space import info_overlap_fidelity
+from infoclone.phase_space import CoherentParams, info_overlap_fidelity
 
 
 def run_cli(capsys, *argv):
@@ -163,6 +164,35 @@ class TestFockVerify:
         lines = dump.read_text().splitlines()
         assert lines[0] == "index,n_0,n_1,re,im"
         assert len(lines) == 37
+
+    def test_dump_is_the_scored_vector_from_one_evolution(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        original = fock_oracle.expm_multiply
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fock_oracle, "expm_multiply", counting)
+        dump = tmp_path / "amplitudes.csv"
+        code, out, _ = run_cli(
+            capsys,
+            "fock-verify",
+            "--copies", "2",
+            "--alpha", "0.6,0.2",
+            "--beta", "0.1,-0.3",
+            "--truncation", "9",
+            "--format", "json",
+            "--dump", str(dump),
+        )
+        assert code == EXIT_OK
+        assert len(calls) == 1
+        payload = json.loads(out)
+        rows = np.loadtxt(dump, delimiter=",", skiprows=1)
+        assert rows.shape[0] == payload["dim"] == 9**3
+        evolved = fock_oracle.FockVector(3, 9, rows[:, -2] + 1j * rows[:, -1])
+        predicted = CoherentParams([complex(re, im) for re, im in payload["predicted"]])
+        assert fock_oracle.disentanglement_infidelity(predicted, evolved) == payload["infidelity"]
 
 
 class TestMonteCarlo:

@@ -12,7 +12,7 @@ from infoclone.fock_oracle import (
     _coupling_generator,
     check_truncation,
     coherent_state_vector,
-    coupling_unitary,
+    disentanglement_infidelity,
     displacement_matrix,
     evolve_product_state,
     interior_mask,
@@ -99,13 +99,10 @@ class TestCoherentVector:
         expectation = np.vdot(vec.amplitudes, lower @ vec.amplitudes)
         assert abs(expectation - alpha) < 1e-12
 
-    def test_truncation_error_carries_required_levels(self):
-        with pytest.raises(TruncationError) as info:
-            coherent_state_vector(2.0, 6, tail_bound=1e-10)
-        needed = info.value.required_levels
-        assert poisson_tail(4.0, needed) <= 1e-10
-        assert poisson_tail(4.0, needed - 1) > 1e-10
-        assert str(needed) in str(info.value)
+    @pytest.mark.parametrize("alpha", [1e200, complex(1e308, 1e308), math.inf, math.nan])
+    def test_non_finite_mean_occupation_rejected(self, alpha):
+        with pytest.raises(ValueError, match="not finite"):
+            coherent_state_vector(alpha, 8)
 
     def test_required_levels_monotone(self):
         assert required_levels(1.0, 1e-10) < required_levels(4.0, 1e-10)
@@ -149,9 +146,13 @@ class TestDisplacement:
 
 
 class TestCouplingUnitary:
+    """The exponentiated coupling, applied to states by evolve_product_state."""
+
     def test_zero_time_is_identity(self):
         config = CloneNetworkConfig([1.0], [0.0], 0.0)
-        assert np.abs(coupling_unitary(config, 6) - np.eye(36)).max() < 1e-15
+        params = CoherentParams([0.5, -0.2j])
+        evolved = evolve_product_state(params, config, 6)
+        assert np.array_equal(evolved.amplitudes, product_coherent_state(params, 6).amplitudes)
 
     def test_generator_is_antihermitian(self):
         config = CloneNetworkConfig([0.8, 0.5], [0.4, -1.0], 1.2)
@@ -162,32 +163,21 @@ class TestCouplingUnitary:
         # unit coupling at rt = pi/2 maps |alpha>|0> to |0>|-alpha>
         alpha = 0.8
         config = CloneNetworkConfig([1.0], [0.0], math.pi / 2)
-        unitary = coupling_unitary(config, 20)
-        state = product_coherent_state(CoherentParams([alpha, 0.0]), 20)
-        evolved = unitary @ state.amplitudes
+        evolved = evolve_product_state(CoherentParams([alpha, 0.0]), config, 20)
         expected = product_coherent_state(CoherentParams([0.0, -alpha]), 20)
-        fidelity = abs(np.vdot(expected.amplitudes, evolved)) ** 2
-        assert fidelity >= 1.0 - 1e-6
-
-    def test_unitary_on_interior(self):
-        config = CloneNetworkConfig([0.9, 0.4], [0.2, 1.1], 0.8)
-        unitary = coupling_unitary(config, 8)
-        gram = unitary.conj().T @ unitary
-        mask = interior_mask(3, 8)
-        deviation = np.abs(gram - np.eye(8**3))[np.ix_(mask, mask)].max()
-        assert deviation < 1e-9
+        assert abs(overlap(expected, evolved)) ** 2 >= 1.0 - 1e-6
 
     def test_vacuum_is_fixed(self):
         config = CloneNetworkConfig([1.0, 1.0], [0.0, 0.0], 1.3)
-        unitary = coupling_unitary(config, 6)
+        evolved = evolve_product_state(CoherentParams([0.0, 0.0, 0.0]), config, 6)
         vacuum = np.zeros(216, dtype=complex)
         vacuum[0] = 1.0
-        np.testing.assert_allclose(unitary @ vacuum, vacuum, atol=1e-12)
+        np.testing.assert_allclose(evolved.amplitudes, vacuum, atol=1e-12)
 
     def test_budget_enforced(self):
         config = CloneNetworkConfig([1.0, 1.0], [0.0, 0.0], 1.0)
         with pytest.raises(DimensionBudgetError):
-            coupling_unitary(config, 30)  # 27000 > 20000
+            evolve_product_state(CoherentParams([0.1, 0.0, 0.0]), config, 30)  # 27000 > 20000
 
 
 class TestProductState:
@@ -298,6 +288,19 @@ class TestDisentanglement:
         n_after = np.sum(number * np.abs(after.amplitudes) ** 2)
         assert abs(n_after - n_before) < 1e-8
 
+    def test_scores_against_the_predicted_parameters(self):
+        config = CloneNetworkConfig([0.9, 0.4], [0.2, 1.1], 0.8)
+        params = CoherentParams([0.5, 0.1j, -0.2])
+        evolved = evolve_product_state(params, config, 12)
+        predicted = apply_transfer(build_transfer(config), params)
+        infidelity = disentanglement_infidelity(predicted, evolved)
+        assert infidelity < 1e-6
+        assert disentanglement_infidelity(params, evolved) > 1e-2
+
+    def test_huge_amplitude_rejected(self):
+        with pytest.raises(ValueError, match="not finite"):
+            verify_disentanglement(CoherentParams([1e200, 0, 0]), symmetric_clone_config(2), 8)
+
     def test_parameter_count_must_match(self):
         config = CloneNetworkConfig([1.0], [0.0], 1.0)
         with pytest.raises(ValueError):
@@ -327,6 +330,7 @@ class TestTruncationCheck:
         needed = info.value.required_levels
         assert needed == required_levels(81.0, 1e-6 / 6)
         assert poisson_tail(81.0, needed) <= 1e-6 / 6
+        assert poisson_tail(81.0, needed - 1) > 1e-6 / 6
         assert str(needed) in str(info.value)
 
     def test_tail_between_gate_and_limit_passes(self):

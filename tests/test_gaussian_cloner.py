@@ -16,7 +16,6 @@ from infoclone.gaussian_cloner import (
     gauss_mean_fidelity,
     gauss_mean_fraction,
     gauss_pdf,
-    gauss_quadrature_sampler,
     overlap_fidelity_gaussian,
     run_gauss_trials,
 )
@@ -27,8 +26,8 @@ from infoclone.measurement import (
     info_mean_fidelity,
     ks_critical,
     ks_statistic,
+    _run_trials,
     summarize,
-    trial_rng,
 )
 
 
@@ -71,41 +70,6 @@ class TestOverlapFidelity:
     def test_rejects_fewer_outputs(self):
         with pytest.raises(ValueError):
             overlap_fidelity_gaussian(3, 2)
-
-
-class TestSampler:
-    def test_large_amplification_recovers_pure_width(self):
-        rng = trial_rng(50, 0)
-        samples = gauss_quadrature_sampler(0.0, 1e12, 200_000, rng)
-        tolerance = 5.0 * 0.5 * math.sqrt(2.0 / samples.size)
-        assert abs(samples.var() - 0.5) < tolerance
-
-    def test_unit_variance_at_amplification_two(self):
-        # (A+2)/(2A) = 1 for A = 2
-        rng = trial_rng(51, 0)
-        samples = gauss_quadrature_sampler(0.7, 2.0, 1_000_000, rng)
-        tolerance = 5.0 * 1.0 * math.sqrt(2.0 / samples.size)
-        assert abs(samples.var() - 1.0) < tolerance
-        mean_tol = 5.0 / math.sqrt(samples.size)
-        assert abs(samples.mean() - math.sqrt(2.0) * 0.7) < mean_tol
-
-    def test_matches_mixture_convolution(self):
-        # oracle: draw the mixture displacement (variance 1/(2A) per quadrature)
-        # and the coherent width 1/2 separately, then convolve
-        amplification = 3.0
-        rng = trial_rng(52, 0)
-        count = 1_000_000
-        displaced = rng.normal(0.0, math.sqrt(1.0 / (2.0 * amplification)), count)
-        samples = rng.normal(math.sqrt(2.0) * displaced, math.sqrt(0.5))
-        expected = (amplification + 2.0) / (2.0 * amplification)
-        tolerance = 5.0 * expected * math.sqrt(2.0 / count)
-        assert abs(samples.var() - expected) < tolerance
-        direct = gauss_quadrature_sampler(0.0, amplification, count, trial_rng(53, 0))
-        assert abs(direct.var() - expected) < tolerance
-
-    def test_rejects_nonpositive_amplification(self):
-        with pytest.raises(ValueError):
-            gauss_quadrature_sampler(0.0, 0.0, 10, trial_rng(0, 0))
 
 
 class TestExponent:
@@ -171,6 +135,19 @@ class TestGaussTrials:
         exponent = gauss_exponent(2, 2)
         statistic = ks_statistic(values**exponent, lambda f: f)
         assert statistic < ks_critical(run.trials)
+
+    def test_noise_model_sets_the_exponent(self):
+        # the single-copy marginal (A+2)/(2A) gives F**(2c); the driver's
+        # per-measurement variance (A+2)/A gives the paper's F**c
+        run = FidelityRun(0.5, 1, 2, 50_000, seed=79, scheme=GAUSS_SCHEME)
+        amp = amplification_A(1, 2)
+        c = gauss_exponent(1, 2)
+        critical = ks_critical(run.trials)
+        marginal = _run_trials(run, 1.0, math.sqrt((amp + 2.0) / (2.0 * amp))).fidelity
+        assert ks_statistic(marginal, lambda f: f ** (2.0 * c)) < critical
+        assert ks_statistic(marginal, gauss_cdf(1, 2)) > critical
+        driver = run_gauss_trials(run).fidelity
+        assert ks_statistic(driver, gauss_cdf(1, 2)) < critical
 
     def test_deterministic(self):
         run = FidelityRun(0.5, 1, 2, 5_000, seed=73, scheme=GAUSS_SCHEME)

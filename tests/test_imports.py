@@ -1,5 +1,6 @@
-"""Import path: only fock-verify loads scipy."""
+"""Import path (only fock-verify loads scipy) and package exports."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -63,3 +64,32 @@ def test_fock_oracle_names_resolve_from_the_package():
 def test_unknown_package_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         infoclone.no_such_name  # noqa: B018
+
+
+MODULES = ("phase_space", "measurement", "gaussian_cloner", "fock_oracle")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_module_export_exists(name):
+    module = importlib.import_module(f"infoclone.{name}")
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert not missing
+
+
+def test_lazy_exports_are_fock_oracle_exports():
+    from infoclone import fock_oracle
+
+    assert infoclone._FOCK_ORACLE_EXPORTS <= set(fock_oracle.__all__)
+
+
+def test_every_package_reexport_resolves():
+    from infoclone import fock_oracle
+
+    for attr in infoclone._FOCK_ORACLE_EXPORTS:
+        assert getattr(infoclone, attr) is getattr(fock_oracle, attr)
+    eager = {attr: value for attr, value in vars(infoclone).items()
+             if not attr.startswith("_")
+             and getattr(value, "__module__", "").startswith("infoclone.")}
+    assert len(eager) > 20
+    for attr, value in eager.items():
+        assert attr in sys.modules[value.__module__].__all__, attr
