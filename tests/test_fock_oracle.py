@@ -104,6 +104,15 @@ class TestCoherentVector:
         with pytest.raises(ValueError, match="not finite"):
             coherent_state_vector(alpha, 8)
 
+    def test_truncation_error_carries_required_levels(self):
+        # a single coherent mode |alpha=2> does not fit in 6 levels at tail 1e-10
+        with pytest.raises(TruncationError) as info:
+            check_truncation([2.0], 6, 1e-10)
+        needed = info.value.required_levels
+        assert poisson_tail(4.0, needed) <= 1e-10
+        assert poisson_tail(4.0, needed - 1) > 1e-10
+        assert str(needed) in str(info.value)
+
     def test_required_levels_monotone(self):
         assert required_levels(1.0, 1e-10) < required_levels(4.0, 1e-10)
 
