@@ -6,8 +6,15 @@ closed-form fidelity densities, and print the scheme-comparison table.
 
 Exit codes: 0 when every internal gate passes, 2 for invalid configuration,
 3 when a numeric or statistical gate fails.  All output is deterministic for
-a fixed seed.  Relative ``--output`` paths are resolved against the
+a fixed seed, and every JSON output is strict (no NaN or infinity).
+Relative ``--output`` paths are resolved against the
 ``INFOCLONE_OUTPUT_DIR`` environment variable when it is set.
+
+``fock-verify --truncation d`` keeps every occupation tuple whose total
+excitation is at most d - 1 (the simplex), which the network maps into
+itself.  It exits 2 when the Poisson tail T of the input's total excitation
+exceeds max(--gate, 1e-4), since the infidelity is then the truncation loss
+2T - T**2 rather than a test of the network.
 
 File schemas (version 2):
   samples CSV   header ``trial,re_est,im_est,F``, one row per trial, floats
@@ -17,8 +24,10 @@ File schemas (version 2):
                 ``ks_pass`` and a 50-bin histogram; strict JSON (no NaN).
   density CSV   header ``F,p`` on a log-spaced grid of ``--grid`` >= 2 points
                 from 1e-12 to 1.
-  dump CSV      header ``index,n_<mode>...,re,im`` over the flattened number
-                basis (source mode slowest): the evolved state that was scored.
+  dump CSV      header ``index,n_<mode>...,re,im`` over the total-excitation
+                simplex (every occupation tuple with total <= truncation - 1,
+                row-major, source mode slowest): the evolved state that was
+                scored, one row per basis state (``dim`` rows).
 """
 
 from __future__ import annotations
@@ -86,6 +95,11 @@ def _fmt_complex(value: complex) -> str:
     return f"{value.real:.12g}{value.imag:+.12g}j"
 
 
+def _write_json(out, payload: dict):
+    """One strict-JSON line; a NaN or infinity raises before anything is written."""
+    out.write(json.dumps(payload, allow_nan=False) + "\n")
+
+
 def _resolve_output(path: str | None) -> str | None:
     if path is None:
         return None
@@ -145,8 +159,7 @@ def cmd_transfer(args) -> int:
                 "entries": [[[z.real, z.imag] for z in row] for row in matrix],
                 "unitarity_deviation": deviation,
             }
-            json.dump(payload, out)
-            out.write("\n")
+            _write_json(out, payload)
         elif args.format == "csv":
             out.write("row,col,re,im\n")
             for i, row in enumerate(matrix):
@@ -174,8 +187,7 @@ def cmd_clone(args) -> int:
                 "targets": [[z.real, z.imag] for z in params.targets],
                 "overlap_fidelity": fidelity,
             }
-            json.dump(payload, out)
-            out.write("\n")
+            _write_json(out, payload)
         elif args.format == "csv":
             out.write("mode,re,im\n")
             for index, z in enumerate(params.entries):
@@ -210,9 +222,7 @@ def cmd_fock_verify(args) -> int:
 
     budget = fock_oracle.DEFAULT_DIM_BUDGET if args.budget is None else args.budget
     predicted = phase_space.apply_transfer(phase_space.build_transfer(config), params)
-    fock_oracle.check_truncation(
-        [*params.entries, *predicted.entries], args.truncation, args.gate, budget
-    )
+    fock_oracle.check_truncation(params.entries, args.truncation, args.gate, budget)
     evolved = fock_oracle.evolve_product_state(
         params, config, args.truncation, dim_budget=budget
     )
@@ -231,8 +241,7 @@ def cmd_fock_verify(args) -> int:
                 "gate": args.gate,
                 "predicted": [[z.real, z.imag] for z in predicted.entries],
             }
-            json.dump(payload, out)
-            out.write("\n")
+            _write_json(out, payload)
         else:
             out.write(f"truncation: {args.truncation} levels, dimension {dim}\n")
             out.write(
@@ -304,7 +313,7 @@ def _run_mc(args, scheme: str) -> int:
             "counts": [int(count) for count in summary.counts],
         },
     }
-    print(json.dumps(payload, allow_nan=False))
+    _write_json(sys.stdout, payload)
     return EXIT_OK if ks_pass else EXIT_GATE
 
 
@@ -353,8 +362,7 @@ def cmd_table(args) -> int:
                     for row in rows
                 ],
             }
-            json.dump(payload, out)
-            out.write("\n")
+            _write_json(out, payload)
         elif args.format == "csv":
             out.write("sources,copies,gaussian_mean,info_mean\n")
             for row in rows:
@@ -424,9 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--beta", type=_parse_complex_list, default=None,
                         help="initial target parameters as 're,im;re,im;...'")
     _add_network_flags(verify)
-    verify.add_argument("--truncation", type=int, default=16, help="levels per mode")
+    verify.add_argument("--truncation", type=int, default=16,
+                        help="levels d: keep every occupation with total excitation <= d-1")
     verify.add_argument("--budget", type=int, default=None,
-                        help="total-dimension budget (default: fock_oracle.DEFAULT_DIM_BUDGET)")
+                        help="budget on the simplex dimension C(d-1+modes, modes) "
+                        "(default: fock_oracle.DEFAULT_DIM_BUDGET)")
     verify.add_argument("--gate", type=float, default=1e-6, help="infidelity pass threshold")
     verify.add_argument("--dump", default=None, help="write evolved amplitudes CSV here")
     _add_output_flags(verify, formats=("text", "json"))

@@ -1,11 +1,19 @@
 """Brute-force verification in a truncated multimode number basis.
 
-States are complex amplitude vectors over occupation levels 0..d-1 per mode,
-flattened row-major with the source mode slowest.  The coupling generator is
-built from ladder matrices, and its exponential is applied to a state
-sparsely (``expm_multiply``), never formed as a dense unitary.  Nothing here
-assumes the parameter-level algebra of ``phase_space``, which is exactly what
-makes :func:`verify_disentanglement` an independent end-to-end oracle for it.
+The coupling generator sum_j kappa_j a_0^dag a_j - h.c. conserves the total
+excitation number, so states live on the total-excitation simplex: every
+occupation tuple (n_0, ..., n_k) with n_0 + ... + n_k <= d - 1, in row-major
+order with the source mode slowest (the d**(k+1) box restricted to the
+simplex).  That basis holds C(d+k, k+1) states.  Each total-number sector
+evolves exactly there, so the only truncation loss is the Poisson tail T of
+the input's total excitation above d - 1: a product coherent state is scored
+at infidelity 2T - T**2 (see :func:`check_truncation`).
+
+The generator is built entry by entry from the occupations, and its
+exponential is applied to a state sparsely (``expm_multiply``), never formed
+as a dense unitary.  Nothing here assumes the parameter-level algebra of
+``phase_space``, which is exactly what makes :func:`verify_disentanglement`
+an independent end-to-end oracle for it.
 """
 
 from __future__ import annotations
@@ -19,7 +27,13 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import pdtrc
 
-from .phase_space import CloneNetworkConfig, CoherentParams, apply_transfer, build_transfer
+from .phase_space import (
+    CloneNetworkConfig,
+    CoherentParams,
+    apply_transfer,
+    build_transfer,
+    mean_occupation,
+)
 
 __all__ = [
     "DEFAULT_DIM_BUDGET",
@@ -38,13 +52,12 @@ __all__ = [
     "disentanglement_infidelity",
     "verify_disentanglement",
     "mode_occupations",
-    "interior_mask",
     "total_number_diagonal",
 ]
 
 DEFAULT_DIM_BUDGET = 20000
-# Largest per-mode truncation tail that check_truncation leaves for the gate
-# to judge: 100 times the CLI's default gate, and above the 1.0e-5 tail of
+# Largest total-excitation tail that check_truncation leaves for the gate to
+# judge: 100 times the CLI's default gate, and above the 1.0e-5 tail of
 # alpha=1 at 8 levels, which the CLI reports as an unreachable gate (exit 3).
 TRUNCATION_TAIL_LIMIT = 1e-4
 NORM_SLACK = 1e-9
@@ -64,7 +77,8 @@ class DimensionBudgetError(ValueError):
 
 @dataclass(frozen=True)
 class FockVector:
-    """Amplitudes over the truncated number basis of ``mode_count`` modes.
+    """Amplitudes over the total-excitation simplex of ``mode_count`` modes
+    (one amplitude per row of :func:`mode_occupations`).
 
     Truncation can only lose weight, so the norm never exceeds 1 (up to
     rounding slack).
@@ -78,8 +92,8 @@ class FockVector:
         if self.mode_count < 1 or self.levels < 2:
             raise ValueError("need at least one mode and two levels")
         amps = np.asarray(self.amplitudes, dtype=complex).copy()
-        if amps.shape != (self.levels**self.mode_count,):
-            raise ValueError("amplitude count must equal levels**mode_count")
+        if amps.shape != (_simplex_dimension(self.mode_count, self.levels),):
+            raise ValueError("amplitude count must equal comb(levels-1+mode_count, mode_count)")
         norm = np.linalg.norm(amps)
         if norm > 1.0 + NORM_SLACK:
             raise ValueError(f"norm {norm} exceeds 1; truncation can only lose weight")
@@ -122,37 +136,37 @@ def required_levels(mean_occupation: float, tail_bound: float) -> int:
 
 def check_truncation(entries, levels: int, gate: float,
                      dim_budget: int = DEFAULT_DIM_BUDGET) -> None:
-    """Check that ``levels`` per mode can hold coherent states with these
-    parameters, typically the input and the predicted output of a network.
+    """Check that the simplex of ``levels`` can hold the product coherent
+    state with these input parameters.
 
-    Truncation alone costs an infidelity of about the sum of the modes'
-    Poisson tails.  When the largest tail exceeds
-    ``max(gate, TRUNCATION_TAIL_LIMIT)``, an infidelity measures the
-    truncation, not the network, so this raises :class:`TruncationError`
-    naming the level count at which every tail is within
-    ``gate / len(entries)``, enough for the truncation to keep below
-    ``gate``.  A tail between ``gate`` and the limit passes: the gate is then
-    out of reach at this truncation, and the infidelity says by how much.
-    A mean occupation of ``dim_budget`` or more raises
-    :class:`DimensionBudgetError`, since such a mode alone needs more levels
-    than the budget allows.
+    The network conserves the total excitation, whose mean is
+    sum |entry|^2, so the input alone decides the loss: with T the Poisson
+    tail of that total above ``levels - 1``, the scored infidelity is exactly
+    2T - T**2.  When T exceeds ``max(gate, TRUNCATION_TAIL_LIMIT)``, an
+    infidelity measures the truncation, not the network, so this raises
+    :class:`TruncationError` naming the level count at which T is within
+    ``gate / 2``, enough for the truncation to keep below ``gate``.  A tail
+    between ``gate`` and the limit passes: the gate is then out of reach at
+    this truncation, and the infidelity says by how much.  A total mean
+    occupation of ``dim_budget`` or more raises :class:`DimensionBudgetError`,
+    since it alone needs more levels than the budget allows.
     """
     if not gate > 0:
         raise ValueError(f"gate must be positive, got {gate}")
-    largest = max(abs(complex(z)) for z in entries)
-    mean = largest * largest
-    if not mean < dim_budget:
+    moduli = [abs(complex(z)) for z in entries]
+    total = math.fsum(m * m for m in moduli)  # inf, not OverflowError, past the float range
+    if not total < dim_budget:
         raise DimensionBudgetError(
-            f"a mode with mean occupation {mean:.3g} needs more levels than the "
+            f"a total mean occupation of {total:.3g} needs more levels than the "
             f"dimension budget {dim_budget} allows"
         )
-    tail = poisson_tail(mean, levels)
+    tail = poisson_tail(total, levels)
     if tail > max(gate, TRUNCATION_TAIL_LIMIT):
-        needed = required_levels(mean, gate / len(entries))
+        needed = required_levels(total, gate / 2)
         raise TruncationError(
-            f"{levels} levels drop {tail:.3e} of a mode's weight, above "
-            f"max(gate, {TRUNCATION_TAIL_LIMIT:g}); need at least {needed} levels "
-            f"for gate {gate:g}",
+            f"{levels} levels drop {tail:.3e} of the total excitation's weight, "
+            f"above max(gate, {TRUNCATION_TAIL_LIMIT:g}); need at least {needed} "
+            f"levels for gate {gate:g}",
             required=needed,
         )
 
@@ -165,12 +179,7 @@ def coherent_state_vector(alpha: complex, levels: int) -> FockVector:
     occupation |alpha|^2 is not finite.
     """
     alpha = complex(alpha)
-    try:
-        mean = abs(alpha) ** 2
-    except OverflowError:  # |alpha| or its square is beyond the float range
-        mean = math.inf
-    if not math.isfinite(mean):
-        raise ValueError(f"mean occupation |alpha|^2 of alpha={alpha} is not finite")
+    mean = mean_occupation(alpha)
     amps = np.empty(levels, dtype=complex)
     amps[0] = math.exp(-0.5 * mean)
     for n in range(1, levels):
@@ -189,42 +198,39 @@ def displacement_matrix(alpha: complex, levels: int) -> np.ndarray:
     return expm(alpha * lift - np.conj(alpha) * lower)
 
 
-def _mode_operator(op: sparse.spmatrix, mode: int, mode_count: int) -> sparse.spmatrix:
-    """Kronecker-embed a single-mode operator; mode 0 (the source) is slowest."""
-    eye = sparse.identity(op.shape[0], format="csr", dtype=complex)
-    result = None
-    for m in range(mode_count):
-        factor = op if m == mode else eye
-        result = factor if result is None else sparse.kron(result, factor, format="csr")
-    return result
-
-
 def _coupling_generator(config: CloneNetworkConfig, levels: int) -> sparse.spmatrix:
-    """Sparse anti-Hermitian generator of the coupling network.
+    """Sparse anti-Hermitian generator of the coupling network on the simplex.
 
     The configured phase enters as coupling kappa_j = r_j * exp(-1j*delta_j),
     the convention under which ``build_transfer`` is the exact parameter map
-    of the exponentiated generator.
+    of the exponentiated generator.  The term kappa_j a_0^dag a_j moves one
+    excitation from target j to the source with amplitude
+    sqrt((n_0+1) n_j); it keeps the total, so its image lies in the simplex.
+    The Hermitian-conjugate term is the negated conjugate transpose.
     """
     modes = config.n_targets + 1
-    lower, lift = ladder_matrices(levels)
-    lower = sparse.csr_matrix(lower.astype(complex))
-    lift = sparse.csr_matrix(lift.astype(complex))
-    source_up = _mode_operator(lift, 0, modes)
-    source_down = _mode_operator(lower, 0, modes)
-    kappa = config.magnitudes * np.exp(-1j * config.phases)
-    dim = levels**modes
-    generator = sparse.csr_matrix((dim, dim), dtype=complex)
-    for j, coupling in enumerate(kappa):
-        target_down = _mode_operator(lower, j + 1, modes)
-        target_up = _mode_operator(lift, j + 1, modes)
-        generator = generator + coupling * (source_up @ target_down) \
-            - np.conj(coupling) * (source_down @ target_up)
-    return config.time * generator
+    occupations = mode_occupations(modes, levels)
+    kappa = config.time * config.magnitudes * np.exp(-1j * config.phases)
+    rows, cols, values = [], [], []
+    for j, coupling in enumerate(kappa, start=1):
+        (source,) = np.nonzero(occupations[:, j])
+        moved = occupations[source].copy()
+        moved[:, 0] += 1
+        moved[:, j] -= 1
+        rows.append(_simplex_index(moved, levels))
+        cols.append(source)
+        values.append(coupling * np.sqrt(moved[:, 0] * occupations[source, j]))
+    rows, cols, values = (np.concatenate(part) for part in (rows, cols, values))
+    dim = occupations.shape[0]
+    return sparse.csr_matrix(
+        (np.concatenate([values, -values.conj()]),
+         (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+        shape=(dim, dim),
+    )
 
 
 def _check_budget(config: CloneNetworkConfig, levels: int, dim_budget: int) -> int:
-    dim = levels ** (config.n_targets + 1)
+    dim = _simplex_dimension(config.n_targets + 1, levels)
     if dim > dim_budget:
         raise DimensionBudgetError(
             f"total dimension {dim} exceeds the budget {dim_budget}"
@@ -233,11 +239,15 @@ def _check_budget(config: CloneNetworkConfig, levels: int, dim_budget: int) -> i
 
 
 def product_coherent_state(params: CoherentParams, levels: int) -> FockVector:
-    """Tensor product of truncated coherent states, source mode slowest."""
-    amps = None
-    for entry in params.entries:
-        mode = coherent_state_vector(entry, levels)
-        amps = mode.amplitudes if amps is None else np.kron(amps, mode.amplitudes)
+    """Product of truncated coherent states on the simplex, source mode slowest.
+
+    The amplitude of occupation row (n_0, ..., n_k) is the product of the
+    modes' amplitudes c_0[n_0] * ... * c_k[n_k], taken left to right.
+    """
+    occupations = mode_occupations(len(params), levels)
+    amps = np.ones(occupations.shape[0], dtype=complex)
+    for mode, entry in enumerate(params.entries):
+        amps *= coherent_state_vector(entry, levels).amplitudes[occupations[:, mode]]
     return FockVector(len(params), levels, amps)
 
 
@@ -252,7 +262,9 @@ def evolve_product_state(params: CoherentParams, config: CloneNetworkConfig, lev
                          dim_budget: int = DEFAULT_DIM_BUDGET) -> FockVector:
     """Evolve a product coherent state by the coupling network.
 
-    Uses the sparse action of the generator's exponential on the state.
+    Uses the sparse action of the generator's exponential on the state; the
+    generator maps each total-number sector of the simplex into itself, so
+    every retained sector evolves exactly.
     """
     if len(params) != config.n_targets + 1:
         raise ValueError("parameter count must match the network size")
@@ -286,19 +298,46 @@ def verify_disentanglement(params: CoherentParams, config: CloneNetworkConfig, l
     return disentanglement_infidelity(predicted, evolved)
 
 
+def _simplex_dimension(mode_count: int, levels: int) -> int:
+    """Number of occupation tuples of ``mode_count`` modes with total <= levels - 1."""
+    return math.comb(levels - 1 + mode_count, mode_count)
+
+
 def mode_occupations(mode_count: int, levels: int) -> np.ndarray:
-    """Occupation numbers of every flattened basis index, shape (dim, modes)."""
-    grids = np.indices((levels,) * mode_count)
-    return grids.reshape(mode_count, -1).T
+    """Occupation numbers of every basis index, shape (dim, modes).
 
-
-def interior_mask(mode_count: int, levels: int) -> np.ndarray:
-    """Basis states whose occupations all stay below the truncation edge.
-
-    Unitarity and commutator identities necessarily break on the boundary
-    states, so checks restrict to this interior.
+    The rows are the tuples with n_0 + ... + n_k <= levels - 1 in row-major
+    order, source mode slowest.  They are built from the last mode forward:
+    each step puts every occupation n of one more mode in front of the rows
+    that leave room for it.
     """
-    return np.all(mode_occupations(mode_count, levels) <= levels - 2, axis=1)
+    rows = np.arange(levels)[:, None]
+    for _ in range(mode_count - 1):
+        room = levels - 1 - rows.sum(axis=1)
+        rows = np.concatenate([
+            np.column_stack([np.full(np.count_nonzero(room >= n), n), rows[room >= n]])
+            for n in range(levels)
+        ])
+    return rows
+
+
+def _simplex_index(occupations: np.ndarray, levels: int) -> np.ndarray:
+    """Row of each occupation tuple in :func:`mode_occupations`.
+
+    A tuple is preceded by those that agree with it before mode i and put
+    v < n_i at mode i.  With room b left before mode i and r = modes - i,
+    there are C(b + r, r) - C(b - n_i + r, r) of them (hockey-stick sum over
+    v of the simplices of the remaining modes).
+    """
+    modes = occupations.shape[1]
+    room = np.full(occupations.shape[0], levels - 1)
+    index = np.zeros(occupations.shape[0], dtype=np.int64)
+    for i in range(modes):
+        r = modes - i
+        count = np.array([math.comb(b + r, r) for b in range(levels)], dtype=np.int64)
+        index += count[room] - count[room - occupations[:, i]]
+        room -= occupations[:, i]
+    return index
 
 
 def total_number_diagonal(mode_count: int, levels: int) -> np.ndarray:

@@ -33,6 +33,7 @@ __all__ = [
     "symmetric_clone_config",
     "information_clone",
     "remove_phases",
+    "mean_occupation",
     "info_overlap_fidelity",
 ]
 
@@ -93,6 +94,8 @@ class CloneNetworkConfig:
             raise ValueError("coupling magnitudes must be finite and nonnegative")
         if not np.all(np.isfinite(phases)):
             raise ValueError("coupling phases must be finite")
+        if not math.isfinite(self.time):
+            raise ValueError(f"interaction time must be finite, got {self.time}")
         if not np.any(mags > 0):
             raise DegenerateCouplingError(
                 "all coupling magnitudes are zero; the total coupling rate "
@@ -267,9 +270,27 @@ def remove_phases(params: CoherentParams, gammas) -> CoherentParams:
     return CoherentParams(np.exp(1j * gammas) * params.entries)
 
 
+def mean_occupation(alpha: complex) -> float:
+    """Mean occupation |alpha|^2 of the coherent state |alpha>.
+
+    Raises ``ValueError`` naming alpha when it is not finite.
+    """
+    alpha = complex(alpha)
+    try:
+        mean = abs(alpha) ** 2
+    except OverflowError:  # |alpha| or its square is beyond the float range
+        mean = math.inf
+    if not math.isfinite(mean):
+        raise ValueError(f"mean occupation |alpha|^2 of alpha={alpha} is not finite")
+    return mean
+
+
 def info_overlap_fidelity(alpha: complex, n_copies: int) -> float:
     """Squared overlap between the source state and one 1/sqrt(n) copy:
-    exp(-|alpha|^2 (1 - 1/sqrt(n))^2)."""
+    exp(-|alpha|^2 (1 - 1/sqrt(n))^2).
+
+    Raises ``ValueError`` when |alpha|^2 is not finite.
+    """
     if n_copies < 1:
         raise ValueError("need at least one copy")
-    return math.exp(-abs(complex(alpha)) ** 2 * (1.0 - 1.0 / math.sqrt(n_copies)) ** 2)
+    return math.exp(-mean_occupation(alpha) * (1.0 - 1.0 / math.sqrt(n_copies)) ** 2)

@@ -132,7 +132,7 @@ def test_criterion_4_fock_disentanglement_oracle():
         assert elapsed < 60.0
         worst_infidelity = max(worst_infidelity, infidelity)
         worst_time = max(worst_time, elapsed)
-    _report(4, f"{len(cases)} cases at d=16 (dim <= 4096): max infidelity "
+    _report(4, f"{len(cases)} cases at d=16 (simplex dim <= C(18, 3) = 816): max infidelity "
                f"{worst_infidelity:.2e}, max time {worst_time:.2f}s")
 
 

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from infoclone import fock_oracle
+from infoclone import fock_oracle, phase_space
 from infoclone.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, SCHEMA_VERSION, main
 from infoclone.gaussian_cloner import run_gauss_trials
 from infoclone.measurement import GAUSS_SCHEME, FidelityRun
@@ -91,22 +91,23 @@ class TestFockVerify:
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["infidelity"] < 1e-6
-        assert payload["dim"] == 4096
+        assert payload["dim"] == 816  # C(18, 3) simplex states
 
     def test_budget_exceeded_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys,
             "fock-verify",
-            "--copies", "2",
+            "--copies", "3",
             "--alpha", "0.5,0",
             "--truncation", "30",
         )
-        assert code == EXIT_USAGE
+        assert code == EXIT_USAGE  # C(33, 4) = 40920 > 20000
         assert "budget" in err
 
     def test_unreachable_gate_exits_three(self, capsys):
-        # truncation loss at alpha=1, d=8 is ~2e-5, well above the gate; each
-        # mode's tail (1.0e-5) is under the 1e-4 limit, so the run still reports
+        # truncation loss at alpha=1, d=8 is 2T - T^2 ~ 2e-5, well above the
+        # gate; the total-excitation tail T (1.0e-5) is under the 1e-4 limit,
+        # so the run still reports
         code, out, _ = run_cli(
             capsys,
             "fock-verify",
@@ -125,7 +126,7 @@ class TestFockVerify:
         )
         assert code == EXIT_USAGE
         assert out == ""
-        assert "need at least 132 levels" in err
+        assert "need at least 130 levels" in err
 
     @pytest.mark.parametrize("gate", ["0", "-1e-6", "nan"])
     def test_non_positive_gate_is_usage_error(self, capsys, gate):
@@ -163,7 +164,10 @@ class TestFockVerify:
         assert code == EXIT_OK
         lines = dump.read_text().splitlines()
         assert lines[0] == "index,n_0,n_1,re,im"
-        assert len(lines) == 37
+        assert len(lines) == 22  # header and C(7, 2) simplex rows
+        occupations = [tuple(int(n) for n in line.split(",")[1:3]) for line in lines[1:]]
+        assert occupations == sorted(occupations)  # row-major, source slowest
+        assert max(n0 + n1 for n0, n1 in occupations) == 5
 
     def test_dump_is_the_scored_vector_from_one_evolution(self, capsys, tmp_path, monkeypatch):
         calls = []
@@ -189,10 +193,55 @@ class TestFockVerify:
         assert len(calls) == 1
         payload = json.loads(out)
         rows = np.loadtxt(dump, delimiter=",", skiprows=1)
-        assert rows.shape[0] == payload["dim"] == 9**3
+        assert rows.shape[0] == payload["dim"] == 165  # C(11, 3); the box has 9**3
         evolved = fock_oracle.FockVector(3, 9, rows[:, -2] + 1j * rows[:, -1])
         predicted = CoherentParams([complex(re, im) for re, im in payload["predicted"]])
         assert fock_oracle.disentanglement_infidelity(predicted, evolved) == payload["infidelity"]
+
+
+    def test_non_finite_time_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "fock-verify", "--copies", "2", "--alpha=0.5,0", "--time", "inf"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "time must be finite" in err
+
+
+class TestStrictInput:
+    """Inputs without a meaningful answer exit 2; JSON output is strict."""
+
+    def test_huge_clone_alpha_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "clone", "--copies", "2", "--alpha=1e200,0")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "alpha" in err and "not finite" in err
+
+    @pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+    def test_non_finite_transfer_time_is_usage_error(self, capsys, time):
+        code, out, err = run_cli(
+            capsys, "transfer", "--copies", "2", f"--time={time}", "--format", "json"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "time must be finite" in err
+
+    @pytest.mark.parametrize("command", [
+        ("transfer", "--copies", "2", "--format", "json"),
+        ("clone", "--copies", "2", "--alpha", "1,0", "--format", "json"),
+        ("fock-verify", "--copies", "2", "--alpha", "0.5,0", "--format", "json"),
+    ])
+    def test_json_refuses_nan_before_writing(self, capsys, monkeypatch, command):
+        def nan(*args, **kwargs):
+            return math.nan
+
+        monkeypatch.setattr(phase_space, "unitarity_deviation", nan)
+        monkeypatch.setattr(phase_space, "info_overlap_fidelity", nan)
+        monkeypatch.setattr(fock_oracle, "disentanglement_infidelity", nan)
+        code, out, err = run_cli(capsys, *command)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "JSON" in err
 
 
 class TestMonteCarlo:

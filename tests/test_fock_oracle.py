@@ -1,21 +1,26 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from infoclone.fock_oracle import (
+    DEFAULT_DIM_BUDGET,
     TRUNCATION_TAIL_LIMIT,
     DimensionBudgetError,
     FockVector,
     TruncationError,
     _coupling_generator,
+    _simplex_index,
     check_truncation,
     coherent_state_vector,
     disentanglement_infidelity,
     displacement_matrix,
     evolve_product_state,
-    interior_mask,
     ladder_matrices,
     mode_occupations,
     overlap,
@@ -105,12 +110,13 @@ class TestCoherentVector:
             coherent_state_vector(alpha, 8)
 
     def test_truncation_error_carries_required_levels(self):
-        # a single coherent mode |alpha=2> does not fit in 6 levels at tail 1e-10
+        # a single coherent mode |alpha=2> does not fit in 6 levels at gate
+        # 1e-10; the named count is the least whose tail is within gate / 2
         with pytest.raises(TruncationError) as info:
             check_truncation([2.0], 6, 1e-10)
         needed = info.value.required_levels
-        assert poisson_tail(4.0, needed) <= 1e-10
-        assert poisson_tail(4.0, needed - 1) > 1e-10
+        assert poisson_tail(4.0, needed) <= 1e-10 / 2
+        assert poisson_tail(4.0, needed - 1) > 1e-10 / 2
         assert str(needed) in str(info.value)
 
     def test_required_levels_monotone(self):
@@ -147,10 +153,10 @@ class TestDisplacement:
         np.testing.assert_allclose(displaced, series, atol=1e-9)
 
     def test_interior_unitarity(self):
+        # unitary away from the top level, where the truncated ladder breaks
         d = displacement_matrix(0.9 + 0.3j, 18)
         gram = d.conj().T @ d
-        mask = interior_mask(1, 18)
-        deviation = np.abs(gram - np.eye(18))[np.ix_(mask, mask)].max()
+        deviation = np.abs(gram - np.eye(18))[:17, :17].max()
         assert deviation < 1e-9
 
 
@@ -168,6 +174,19 @@ class TestCouplingUnitary:
         generator = _coupling_generator(config, 6).toarray()
         assert np.abs(generator + generator.conj().T).max() == 0.0
 
+    def test_generator_matches_ladder_action(self):
+        # oracle: a_0^dag a_1 applied to each basis tuple by hand
+        config = CloneNetworkConfig([1.0], [0.0], 1.0)
+        generator = _coupling_generator(config, 4).toarray()
+        occupations = [tuple(row) for row in mode_occupations(2, 4)]
+        expected = np.zeros_like(generator)
+        for col, (n0, n1) in enumerate(occupations):
+            if n1 > 0:
+                row = occupations.index((n0 + 1, n1 - 1))
+                expected[row, col] = math.sqrt((n0 + 1) * n1)
+                expected[col, row] = -math.sqrt((n0 + 1) * n1)
+        assert np.array_equal(generator, expected)
+
     def test_swap_sends_source_to_negative_target(self):
         # unit coupling at rt = pi/2 maps |alpha>|0> to |0>|-alpha>
         alpha = 0.8
@@ -179,38 +198,49 @@ class TestCouplingUnitary:
     def test_vacuum_is_fixed(self):
         config = CloneNetworkConfig([1.0, 1.0], [0.0, 0.0], 1.3)
         evolved = evolve_product_state(CoherentParams([0.0, 0.0, 0.0]), config, 6)
-        vacuum = np.zeros(216, dtype=complex)
+        vacuum = np.zeros(56, dtype=complex)  # C(8, 3) simplex states
         vacuum[0] = 1.0
         np.testing.assert_allclose(evolved.amplitudes, vacuum, atol=1e-12)
 
     def test_budget_enforced(self):
-        config = CloneNetworkConfig([1.0, 1.0], [0.0, 0.0], 1.0)
-        with pytest.raises(DimensionBudgetError):
-            evolve_product_state(CoherentParams([0.1, 0.0, 0.0]), config, 30)  # 27000 > 20000
+        config = CloneNetworkConfig([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], 1.0)
+        with pytest.raises(DimensionBudgetError):  # C(33, 4) = 40920 > 20000
+            evolve_product_state(CoherentParams([0.1, 0.0, 0.0, 0.0]), config, 30)
+
+    def test_generator_conserves_total_excitation(self):
+        # every entry joins two basis states of the same total number, so
+        # each sector of the simplex maps into itself
+        config = CloneNetworkConfig([0.8, 0.5, 1.3], [0.4, -1.0, 2.2], 0.7)
+        generator = _coupling_generator(config, 7).tocoo()
+        total = mode_occupations(4, 7).sum(axis=1)
+        assert generator.nnz > 0
+        assert np.array_equal(total[generator.row], total[generator.col])
 
 
 class TestProductState:
     def test_all_vacuum(self):
         state = product_coherent_state(CoherentParams([0.0, 0.0, 0.0]), 5)
-        expected = np.zeros(125, dtype=complex)
+        expected = np.zeros(35, dtype=complex)  # C(7, 3) simplex states
         expected[0] = 1.0
         assert np.array_equal(state.amplitudes, expected)
 
     def test_norm_is_product_of_mode_norms(self):
-        # oracle: per-mode Poisson tails
+        # oracle: the product of Poisson laws is the Poisson law of the total,
+        # so the simplex keeps 1 - T of the weight, T the total's tail
         params = CoherentParams([1.0, 0.5j, -0.8])
         state = product_coherent_state(params, 12)
-        expected = 1.0
-        for entry in params.entries:
-            expected *= 1.0 - exact_poisson_tail(abs(entry) ** 2, 12)
-        assert abs(state.norm() ** 2 - expected) < 1e-13
+        total = sum(abs(entry) ** 2 for entry in params.entries)
+        assert abs(state.norm() ** 2 - (1.0 - exact_poisson_tail(total, 12))) < 1e-13
 
     def test_source_mode_is_slowest(self):
         state = product_coherent_state(CoherentParams([0.6, 0.2j]), 7)
         mode0 = coherent_state_vector(0.6, 7).amplitudes
         mode1 = coherent_state_vector(0.2j, 7).amplitudes
-        grid = state.amplitudes.reshape(7, 7)
-        np.testing.assert_allclose(grid, np.outer(mode0, mode1), atol=0)
+        n0, n1 = mode_occupations(2, 7).T
+        # the 7 x 7 grid, row-major, restricted to n0 + n1 <= 6
+        keep = np.add.outer(np.arange(7), np.arange(7)) <= 6
+        assert np.array_equal(np.flatnonzero(keep), 7 * n0 + n1)
+        np.testing.assert_allclose(state.amplitudes, np.outer(mode0, mode1)[keep], atol=0)
 
     def test_two_mode_number_expectation(self):
         # oracle: ladder-operator expectation of the total occupation
@@ -287,7 +317,8 @@ class TestDisentanglement:
         assert verify_disentanglement(params, config, 16) < 1e-6
 
     def test_number_conservation(self):
-        # operator-level weight conservation behind the transfer unitarity
+        # operator-level weight conservation behind the transfer unitarity:
+        # the weight of every total-number sector is kept
         config = CloneNetworkConfig([0.7, 1.1], [0.5, -0.9], 1.7)
         params = CoherentParams([0.6, -0.3j, 0.4])
         before = product_coherent_state(params, 14)
@@ -295,7 +326,13 @@ class TestDisentanglement:
         number = total_number_diagonal(3, 14)
         n_before = np.sum(number * np.abs(before.amplitudes) ** 2)
         n_after = np.sum(number * np.abs(after.amplitudes) ** 2)
-        assert abs(n_after - n_before) < 1e-8
+        assert abs(n_after - n_before) < 1e-12
+        sectors = number.astype(int)
+        np.testing.assert_allclose(
+            np.bincount(sectors, np.abs(after.amplitudes) ** 2),
+            np.bincount(sectors, np.abs(before.amplitudes) ** 2),
+            rtol=0, atol=1e-14,
+        )
 
     def test_scores_against_the_predicted_parameters(self):
         config = CloneNetworkConfig([0.9, 0.4], [0.2, 1.1], 0.8)
@@ -316,9 +353,42 @@ class TestDisentanglement:
             verify_disentanglement(CoherentParams([0.1, 0.0, 0.0]), config, 8)
 
     def test_budget_enforced(self):
-        config = CloneNetworkConfig([1.0, 1.0], [0.0, 0.0], 1.0)
-        with pytest.raises(DimensionBudgetError):
-            verify_disentanglement(CoherentParams([0.1, 0.0, 0.0]), config, 30)
+        config = CloneNetworkConfig([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], 1.0)
+        with pytest.raises(DimensionBudgetError):  # C(33, 4) = 40920 > 20000
+            verify_disentanglement(CoherentParams([0.1, 0.0, 0.0, 0.0]), config, 30)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        targets=st.integers(1, 3),
+        levels=st.integers(3, 10),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.0, 1.5),
+    )
+    def test_infidelity_is_the_total_excitation_tail(self, targets, levels, seed, scale):
+        # each sector evolves exactly, so only the input's total-excitation
+        # tail T is lost: 1 - |<expected|evolved>|^2 = 1 - (1 - T)^2
+        rng = np.random.default_rng(seed)
+        config = CloneNetworkConfig(
+            rng.uniform(0.0, 1.5, targets) + 1e-3,
+            rng.uniform(-np.pi, np.pi, targets),
+            rng.uniform(-3.0, 3.0),
+        )
+        entries = scale * rng.uniform(0.0, 1.0, targets + 1) * np.exp(
+            1j * rng.uniform(-np.pi, np.pi, targets + 1)
+        )
+        tail = poisson_tail(float(np.sum(np.abs(entries) ** 2)), levels)
+        infidelity = verify_disentanglement(CoherentParams(entries), config, levels)
+        assert abs(infidelity - (2.0 * tail - tail * tail)) < 1e-12
+
+    def test_five_mode_symmetric_clone_within_budget(self):
+        # 4 targets at 16 levels: C(20, 5) = 15504 simplex states, where the
+        # per-mode box would need 16**5 = 1048576
+        assert math.comb(20, 5) <= DEFAULT_DIM_BUDGET < 16**5
+        params = CoherentParams([1.0, 0.0, 0.0, 0.0, 0.0])
+        start = time.perf_counter()
+        infidelity = verify_disentanglement(params, symmetric_clone_config(4), 16)
+        assert time.perf_counter() - start < 60.0
+        assert infidelity < 1e-6
 
 
 class TestTruncationCheck:
@@ -333,13 +403,14 @@ class TestTruncationCheck:
             check_truncation([math.sqrt(lo), 0.0, 0.0], levels, 1e-6)
 
     def test_state_outside_truncation_names_levels_for_gate(self):
-        entries = [9.0, 0.0, 0.0, 0.0, 6.4, 6.4]
+        # a total excitation of 5.4**2 + 7.2**2 = 81 spread over two input modes
+        entries = [9.0 * 0.6, 9.0 * 0.8, 0.0]
         with pytest.raises(TruncationError) as info:
             check_truncation(entries, 8, 1e-6)
         needed = info.value.required_levels
-        assert needed == required_levels(81.0, 1e-6 / 6)
-        assert poisson_tail(81.0, needed) <= 1e-6 / 6
-        assert poisson_tail(81.0, needed - 1) > 1e-6 / 6
+        assert needed == required_levels(81.0, 1e-6 / 2)
+        assert poisson_tail(81.0, needed) <= 1e-6 / 2
+        assert poisson_tail(81.0, needed - 1) > 1e-6 / 2
         assert str(needed) in str(info.value)
 
     def test_tail_between_gate_and_limit_passes(self):
@@ -367,28 +438,43 @@ class TestTruncationCheck:
 
     def test_predicted_outputs_count(self):
         # the reversed symmetric network gathers both targets into the
-        # source: 16 levels hold each input mode (|beta|^2 = 4.5), not the
-        # output (|alpha|^2 = 9), and the infidelity shows the loss
+        # source: 16 levels would hold each input mode alone (|beta|^2 = 4.5)
+        # but not their total, which is the output (|alpha|^2 = 9); the input
+        # total alone is judged, and the infidelity is exactly its loss
         forward = symmetric_clone_config(2)
         config = CloneNetworkConfig(forward.magnitudes, forward.phases, -forward.time)
         params = CoherentParams([0.0, 3.0 / math.sqrt(2.0), 3.0 / math.sqrt(2.0)])
         predicted = apply_transfer(build_transfer(config), params)
+        assert abs(predicted.source) == pytest.approx(3.0, abs=1e-12)
         assert poisson_tail(4.5, 16) < TRUNCATION_TAIL_LIMIT < poisson_tail(9.0, 16)
-        check_truncation(params.entries, 16, 1e-6)
         with pytest.raises(TruncationError):
-            check_truncation([*params.entries, *predicted.entries], 16, 1e-6)
-        assert verify_disentanglement(params, config, 16) > 1e-3
+            check_truncation(params.entries, 16, 1e-6)
+        tail = poisson_tail(9.0, 16)
+        infidelity = verify_disentanglement(params, config, 16)
+        assert infidelity > 1e-3
+        assert abs(infidelity - (2.0 * tail - tail * tail)) < 1e-12
 
 
 class TestIndexing:
     def test_mode_occupations_rowmajor(self):
         occupations = mode_occupations(2, 3)
-        assert occupations.shape == (9, 2)
+        assert occupations.shape == (6, 2)
         assert np.array_equal(occupations[0], [0, 0])
         assert np.array_equal(occupations[1], [0, 1])  # target mode fastest
         assert np.array_equal(occupations[3], [1, 0])
+        assert np.array_equal(occupations, [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [2, 0]])
 
-    def test_interior_mask_excludes_boundary(self):
-        mask = interior_mask(2, 3)
-        occupations = mode_occupations(2, 3)
-        assert np.array_equal(mask, np.all(occupations <= 1, axis=1))
+    @pytest.mark.parametrize("modes", [1, 2, 3, 5])
+    def test_mode_occupations_are_the_box_restricted_to_the_simplex(self, modes):
+        # oracle: the box in itertools order (row-major), filtered by total
+        levels = 5
+        box = [t for t in itertools.product(range(levels), repeat=modes) if sum(t) < levels]
+        occupations = mode_occupations(modes, levels)
+        assert occupations.tolist() == [list(t) for t in box]
+        assert len(box) == math.comb(levels - 1 + modes, modes)
+
+    def test_simplex_index_inverts_the_enumeration(self):
+        for modes, levels in [(1, 6), (2, 9), (3, 7), (5, 4)]:
+            occupations = mode_occupations(modes, levels)
+            index = _simplex_index(occupations, levels)
+            assert np.array_equal(index, np.arange(len(occupations)))

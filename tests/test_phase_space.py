@@ -53,6 +53,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             CloneNetworkConfig([1.0, -0.5], [0.0, 0.0], 1.0)
 
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+    def test_config_rejects_non_finite_time(self, time):
+        with pytest.raises(ValueError, match="time must be finite"):
+            CloneNetworkConfig([1.0, 1.0], [0.0, 0.0], time)
+
     def test_config_total_coupling(self):
         config = CloneNetworkConfig([3.0, 4.0], [0.0, 0.0], 0.5)
         assert config.total_coupling == pytest.approx(5.0, abs=1e-15)
@@ -339,3 +344,8 @@ class TestOverlapFidelity:
 
     def test_decreases_with_alpha(self):
         assert info_overlap_fidelity(2.0, 4) < info_overlap_fidelity(1.0, 4)
+
+    @pytest.mark.parametrize("alpha", [1e200, complex(1e308, 1e308), math.inf, math.nan])
+    def test_non_finite_mean_occupation_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha=.*not finite"):
+            info_overlap_fidelity(alpha, 2)
