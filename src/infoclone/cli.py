@@ -14,7 +14,8 @@ Relative ``--output`` paths are resolved against the
 excitation is at most d - 1 (the simplex), which the network maps into
 itself.  It exits 2 when the Poisson tail T of the input's total excitation
 exceeds max(--gate, 1e-4), since the infidelity is then the truncation loss
-2T - T**2 rather than a test of the network.
+2T - T**2 rather than a test of the network, and when (d - 1) times the
+rotation angle, the radius of its Chebyshev-Bessel series, exceeds 1e6.
 
 File schemas (version 2):
   samples CSV   header ``trial,re_est,im_est,F``, one row per trial, floats
@@ -40,8 +41,6 @@ from contextlib import contextmanager
 
 import numpy as np
 
-# The package registers fock_oracle lazily: this import loads no scipy, and
-# only fock-verify touches the module, so only fock-verify loads it.
 from . import fock_oracle, gaussian_cloner, measurement, phase_space
 
 EXIT_OK = 0
@@ -220,11 +219,10 @@ def cmd_fock_verify(args) -> int:
     entries[1 : 1 + len(betas)] = betas
     params = phase_space.CoherentParams(entries)
 
-    budget = fock_oracle.DEFAULT_DIM_BUDGET if args.budget is None else args.budget
     predicted = phase_space.apply_transfer(phase_space.build_transfer(config), params)
-    fock_oracle.check_truncation(params.entries, args.truncation, args.gate, budget)
+    fock_oracle.check_truncation(params.entries, args.truncation, args.gate, args.budget)
     evolved = fock_oracle.evolve_product_state(
-        params, config, args.truncation, dim_budget=budget
+        params, config, args.truncation, dim_budget=args.budget
     )
     infidelity = fock_oracle.disentanglement_infidelity(predicted, evolved)
     if args.dump:
@@ -434,9 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_network_flags(verify)
     verify.add_argument("--truncation", type=int, default=16,
                         help="levels d: keep every occupation with total excitation <= d-1")
-    verify.add_argument("--budget", type=int, default=None,
-                        help="budget on the simplex dimension C(d-1+modes, modes) "
-                        "(default: fock_oracle.DEFAULT_DIM_BUDGET)")
+    verify.add_argument("--budget", type=int, default=fock_oracle.DEFAULT_DIM_BUDGET,
+                        help="budget on the simplex dimension C(d-1+modes, modes)")
     verify.add_argument("--gate", type=float, default=1e-6, help="infidelity pass threshold")
     verify.add_argument("--dump", default=None, help="write evolved amplitudes CSV here")
     _add_output_flags(verify, formats=("text", "json"))

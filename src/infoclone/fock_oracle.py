@@ -10,22 +10,20 @@ the input's total excitation above d - 1: a product coherent state is scored
 at infidelity 2T - T**2 (see :func:`check_truncation`).
 
 The generator is built entry by entry from the occupations, and its
-exponential is applied to a state sparsely (``expm_multiply``), never formed
-as a dense unitary.  Nothing here assumes the parameter-level algebra of
-``phase_space``, which is exactly what makes :func:`verify_disentanglement`
-an independent end-to-end oracle for it.
+exponential is applied to a state by the Chebyshev-Bessel series (numpy
+only, no random step, so bit-reproducible), never formed as a dense unitary.
+Nothing here assumes the parameter-level algebra of ``phase_space``, which
+is exactly what makes :func:`verify_disentanglement` an independent
+end-to-end oracle for it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
-from scipy.special import pdtrc
 
 from .phase_space import (
     CloneNetworkConfig,
@@ -40,19 +38,16 @@ __all__ = [
     "TruncationError",
     "DimensionBudgetError",
     "FockVector",
-    "ladder_matrices",
     "poisson_tail",
     "required_levels",
     "check_truncation",
     "coherent_state_vector",
-    "displacement_matrix",
     "product_coherent_state",
     "overlap",
     "evolve_product_state",
     "disentanglement_infidelity",
     "verify_disentanglement",
     "mode_occupations",
-    "total_number_diagonal",
 ]
 
 DEFAULT_DIM_BUDGET = 20000
@@ -61,6 +56,9 @@ DEFAULT_DIM_BUDGET = 20000
 # alpha=1 at 8 levels, which the CLI reports as an unreachable gate (exit 3).
 TRUNCATION_TAIL_LIMIT = 1e-4
 NORM_SLACK = 1e-9
+# Largest series radius (levels - 1) * rotation angle, about the number of
+# generator products, and of Bessel coefficients, an evolution takes.
+SERIES_RADIUS_LIMIT = 1e6
 
 
 class TruncationError(ValueError):
@@ -104,26 +102,25 @@ class FockVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def ladder_matrices(levels: int):
-    """Lowering and raising matrices on a single truncated mode.
-
-    lower|n> = sqrt(n)|n-1>, raise|n> = sqrt(n+1)|n+1> with the top
-    transition dropped.  Their commutator is the identity except the last
-    diagonal entry, which is 1 - levels (truncation artifact).
-    """
-    if levels < 2:
-        raise ValueError("need at least two levels")
-    lower = np.diag(np.sqrt(np.arange(1.0, levels)), k=1)
-    return lower, np.ascontiguousarray(lower.T)
-
-
 def poisson_tail(mean_occupation: float, levels: int) -> float:
-    """Probability weight a coherent state carries above the top retained level."""
+    """Probability weight a coherent state carries above the top retained level.
+
+    P(n >= levels) sums the side that does not cancel: 1 - P(n < levels)
+    when ``levels <= mean``, else the tail itself, from the term nearest the
+    mean (built in log space) outward while the terms shrink.
+    """
     if mean_occupation == 0:
         return 0.0
     if levels < 1:
         return 1.0
-    return float(pdtrc(levels - 1, mean_occupation))
+    head = levels <= mean_occupation
+    n = levels - 1 if head else levels
+    terms = [math.exp(n * math.log(mean_occupation) - mean_occupation - math.lgamma(n + 1))]
+    while terms[-1] > terms[0] * 2.0**-60 and (n > 0 or not head):
+        n += -1 if head else 1
+        terms.append(terms[-1] * ((n + 1) / mean_occupation if head else mean_occupation / n))
+    total = math.fsum(terms)
+    return 1.0 - total if head else total
 
 
 def required_levels(mean_occupation: float, tail_bound: float) -> int:
@@ -187,46 +184,76 @@ def coherent_state_vector(alpha: complex, levels: int) -> FockVector:
     return FockVector(1, levels, amps)
 
 
-def displacement_matrix(alpha: complex, levels: int) -> np.ndarray:
-    """Matrix exponential of alpha*raise - conj(alpha)*lower on one mode.
-
-    Applied to the vacuum it reproduces :func:`coherent_state_vector` up to
-    truncation effects.
-    """
-    alpha = complex(alpha)
-    lower, lift = ladder_matrices(levels)
-    return expm(alpha * lift - np.conj(alpha) * lower)
-
-
-def _coupling_generator(config: CloneNetworkConfig, levels: int) -> sparse.spmatrix:
-    """Sparse anti-Hermitian generator of the coupling network on the simplex.
+def _coupling_generator(config: CloneNetworkConfig, levels: int) -> list:
+    """Anti-Hermitian generator G on the simplex, one ``(rows, cols, values)``
+    triple per coupling.
 
     The configured phase enters as coupling kappa_j = r_j * exp(-1j*delta_j),
     the convention under which ``build_transfer`` is the exact parameter map
     of the exponentiated generator.  The term kappa_j a_0^dag a_j moves one
     excitation from target j to the source with amplitude
-    sqrt((n_0+1) n_j); it keeps the total, so its image lies in the simplex.
-    The Hermitian-conjugate term is the negated conjugate transpose.
+    sqrt((n_0+1) n_j), G[rows, cols] = values; it keeps the total, so its
+    image lies in the simplex, and it maps basis states one to one.  The
+    Hermitian-conjugate term is G[cols, rows] = -conj(values).
     """
-    modes = config.n_targets + 1
-    occupations = mode_occupations(modes, levels)
+    occupations = mode_occupations(config.n_targets + 1, levels)
     kappa = config.time * config.magnitudes * np.exp(-1j * config.phases)
-    rows, cols, values = [], [], []
+    terms = []
     for j, coupling in enumerate(kappa, start=1):
         (source,) = np.nonzero(occupations[:, j])
         moved = occupations[source].copy()
         moved[:, 0] += 1
         moved[:, j] -= 1
-        rows.append(_simplex_index(moved, levels))
-        cols.append(source)
-        values.append(coupling * np.sqrt(moved[:, 0] * occupations[source, j]))
-    rows, cols, values = (np.concatenate(part) for part in (rows, cols, values))
-    dim = occupations.shape[0]
-    return sparse.csr_matrix(
-        (np.concatenate([values, -values.conj()]),
-         (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-        shape=(dim, dim),
-    )
+        values = coupling * np.sqrt(moved[:, 0] * occupations[source, j])
+        terms.append((_simplex_index(moved, levels), source, values))
+    return terms
+
+
+def _apply_generator(terms: list, vector: np.ndarray) -> np.ndarray:
+    """G @ vector; no term repeats an index, so fancy indexing is exact."""
+    out = np.zeros_like(vector)
+    for rows, cols, values in terms:
+        out[rows] += values * vector[cols]
+        out[cols] -= values.conj() * vector[rows]
+    return out
+
+
+def _bessel_coefficients(radius: float) -> np.ndarray:
+    """J_0, ..., J_{K-1} at ``radius >= 1``, K the first order above it with
+    |J_K| < 2**-53, by Miller's backward recurrence from an order where J is
+    below about 1e-40, normalised by J_0 + 2 (J_2 + J_4 + ...) = 1.  Twice
+    the dropped |J_k| bound the series' error, which must stay below the
+    rounding of K steps, K * 2**-53.
+    """
+    start = int(radius + 20.0 * radius ** (1.0 / 3.0) + 30.0)
+    values = [0.0] * (start + 2)
+    values[start] = 1.0
+    for k in range(start, 0, -1):
+        values[k - 1] = 2.0 * k / radius * values[k] - values[k + 1]
+    values = np.array(values[: start + 1])
+    values /= values[0] + 2.0 * values[2::2].sum()
+    negligible = (np.arange(values.size) > radius) & (np.abs(values) < 2.0**-53)
+    stop = int(np.argmax(negligible))  # 0 when no order qualifies
+    if stop == 0 or 2.0 * np.abs(values[stop:]).sum() > stop * 2.0**-53:
+        raise ArithmeticError(f"the Bessel series at radius {radius} did not converge")
+    return values[:stop]
+
+
+def _propagate(terms: list, radius: float, vector: np.ndarray) -> np.ndarray:
+    """exp(G) @ vector for ``radius >= max(1, ||G||_2)``, by the Chebyshev-Bessel
+    series of Tal-Ezer and Kosloff (J. Chem. Phys. 81, 3967 (1984)):
+    exp(G) = J_0 + 2 sum_k i^k J_k(radius) T_k(-iG/radius).  The vectors
+    Q_k = i^k T_k(-iG/radius) vector, of norm at most ``|vector|``, obey
+    Q_1 = G Q_0 / radius and Q_{k+1} = (2/radius) G Q_k + Q_{k-1}.
+    """
+    coefficients = _bessel_coefficients(radius)
+    doubled = [(rows, cols, (2.0 / radius) * values) for rows, cols, values in terms]
+    previous, current = vector, 0.5 * _apply_generator(doubled, vector)
+    result = coefficients[0] * previous + (2.0 * coefficients[1]) * current
+    for coefficient in 2.0 * coefficients[2:]:
+        previous, current = current, _apply_generator(doubled, current) + previous
+        result += coefficient * current
+    return result
 
 
 def _check_budget(config: CloneNetworkConfig, levels: int, dim_budget: int) -> int:
@@ -262,17 +289,23 @@ def evolve_product_state(params: CoherentParams, config: CloneNetworkConfig, lev
                          dim_budget: int = DEFAULT_DIM_BUDGET) -> FockVector:
     """Evolve a product coherent state by the coupling network.
 
-    Uses the sparse action of the generator's exponential on the state; the
-    generator maps each total-number sector of the simplex into itself, so
-    every retained sector evolves exactly.
+    The generator maps each total-number sector of the simplex into itself,
+    so every retained sector evolves exactly.  One excitation sees
+    eigenvalues 0 and +-i*theta, theta = |time| * sqrt(sum r_j**2), and n
+    excitations sums of n of them, so the series radius is exactly
+    rho = (levels - 1) * theta; above ``SERIES_RADIUS_LIMIT`` it is refused.
     """
     if len(params) != config.n_targets + 1:
         raise ValueError("parameter count must match the network size")
     _check_budget(config, levels, dim_budget)
+    rho = (levels - 1) * abs(config.time) * math.hypot(*config.magnitudes)
+    if not rho <= SERIES_RADIUS_LIMIT:
+        raise ValueError(f"(levels - 1) * rotation angle = {rho:.3g} exceeds "
+                         f"{SERIES_RADIUS_LIMIT:g}; the network is 2*pi-periodic in the angle")
     initial = product_coherent_state(params, levels)
     if config.time == 0:
         return initial
-    evolved = expm_multiply(_coupling_generator(config, levels), initial.amplitudes)
+    evolved = _propagate(_coupling_generator(config, levels), max(rho, 1.0), initial.amplitudes)
     return FockVector(len(params), levels, evolved)
 
 
@@ -303,13 +336,14 @@ def _simplex_dimension(mode_count: int, levels: int) -> int:
     return math.comb(levels - 1 + mode_count, mode_count)
 
 
+@functools.lru_cache(maxsize=4)
 def mode_occupations(mode_count: int, levels: int) -> np.ndarray:
-    """Occupation numbers of every basis index, shape (dim, modes).
+    """Occupation numbers of every basis index, shape (dim, modes), read-only.
 
     The rows are the tuples with n_0 + ... + n_k <= levels - 1 in row-major
     order, source mode slowest.  They are built from the last mode forward:
     each step puts every occupation n of one more mode in front of the rows
-    that leave room for it.
+    that leave room for it.  Memoised: one ``fock-verify`` builds it once.
     """
     rows = np.arange(levels)[:, None]
     for _ in range(mode_count - 1):
@@ -318,6 +352,7 @@ def mode_occupations(mode_count: int, levels: int) -> np.ndarray:
             np.column_stack([np.full(np.count_nonzero(room >= n), n), rows[room >= n]])
             for n in range(levels)
         ])
+    rows.flags.writeable = False
     return rows
 
 
@@ -338,8 +373,3 @@ def _simplex_index(occupations: np.ndarray, levels: int) -> np.ndarray:
         index += count[room] - count[room - occupations[:, i]]
         room -= occupations[:, i]
     return index
-
-
-def total_number_diagonal(mode_count: int, levels: int) -> np.ndarray:
-    """Diagonal of the total occupation-number operator."""
-    return mode_occupations(mode_count, levels).sum(axis=1).astype(float)

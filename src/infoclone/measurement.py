@@ -50,8 +50,6 @@ __all__ = [
     "summarize",
     "ks_statistic",
     "ks_critical",
-    "ks_two_sample",
-    "ks_critical_two_sample",
 ]
 
 INFO_SCHEME = "info_cloning"
@@ -283,17 +281,6 @@ def ks_critical(count: int) -> float:
     """Asymptotic one-sample KS critical value at the 5% level."""
     return KS_5PCT / math.sqrt(count)
 
-
-def ks_two_sample(first, second) -> float:
-    """Two-sample KS distance between fidelity sample sets (loads scipy)."""
-    from scipy.stats import ks_2samp
-
-    return float(ks_2samp(fidelity_values(first), fidelity_values(second)).statistic)
-
-
-def ks_critical_two_sample(n_first: int, n_second: int) -> float:
-    """Asymptotic two-sample KS critical value at the 5% level."""
-    return KS_5PCT * math.sqrt((n_first + n_second) / (n_first * n_second))
 
 
 def summarize(samples, reference_cdf, bins: int = 50) -> DistributionSummary:

@@ -106,6 +106,11 @@ class CloneNetworkConfig:
         object.__setattr__(self, "magnitudes", mags)
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "time", float(self.time))
+        with np.errstate(over="ignore"):
+            total, angle = self.total_coupling, self.rotation_angle
+        if not (math.isfinite(total) and math.isfinite(angle)):
+            raise ValueError(f"the total coupling sqrt(sum r_j**2) = {total:.3g} (--r) times "
+                             f"the time {self.time:.3g} is not finite")
 
     @property
     def n_targets(self) -> int:

@@ -30,9 +30,7 @@ from infoclone.measurement import (
     fidelity_values,
     info_cdf,
     ks_critical,
-    ks_critical_two_sample,
     ks_statistic,
-    ks_two_sample,
     run_info_trials,
 )
 from infoclone.phase_space import (
@@ -45,6 +43,7 @@ from infoclone.phase_space import (
     information_clone,
     unitarity_deviation,
 )
+from two_sample import ks_critical_two_sample, ks_two_sample
 
 MC_TRIALS = 100_000
 MC_MEAN_TOL = 0.005

@@ -171,13 +171,13 @@ class TestFockVerify:
 
     def test_dump_is_the_scored_vector_from_one_evolution(self, capsys, tmp_path, monkeypatch):
         calls = []
-        original = fock_oracle.expm_multiply
+        original = fock_oracle._propagate
 
         def counting(*args, **kwargs):
-            calls.append(args[0].shape)
+            calls.append(args[2].shape)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(fock_oracle, "expm_multiply", counting)
+        monkeypatch.setattr(fock_oracle, "_propagate", counting)
         dump = tmp_path / "amplitudes.csv"
         code, out, _ = run_cli(
             capsys,
@@ -198,6 +198,43 @@ class TestFockVerify:
         predicted = CoherentParams([complex(re, im) for re, im in payload["predicted"]])
         assert fock_oracle.disentanglement_infidelity(predicted, evolved) == payload["infidelity"]
 
+    def test_stdout_and_dump_are_byte_identical_across_runs(self, capsys, tmp_path):
+        # the evolution draws nothing from numpy's global generator; an
+        # evolution that estimates norms with it gave these two seeds
+        # different bytes here (5,050 states, series radius about 450)
+        outputs = []
+        for seed in (0, 5):
+            np.random.seed(seed)
+            dump = tmp_path / f"amplitudes{seed}.csv"
+            code, out, _ = run_cli(
+                capsys,
+                "fock-verify",
+                "--alpha=1.76,-2.95",
+                "--beta=-3.25,5.54",
+                "--r=0.66",
+                "--delta=0.68",
+                "--time=6.92",
+                "--truncation=100",
+                "--dump", str(dump),
+            )
+            assert code == EXIT_OK
+            outputs.append((out, dump.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_mode_occupations_built_once_per_command(self, capsys, tmp_path):
+        # input state, generator, expected state and dump share one build
+        fock_oracle.mode_occupations.cache_clear()
+        code, _, _ = run_cli(
+            capsys,
+            "fock-verify",
+            "--copies", "3",
+            "--alpha", "0.6,0.2",
+            "--truncation", "9",
+            "--dump", str(tmp_path / "amplitudes.csv"),
+        )
+        assert code == EXIT_OK
+        info = fock_oracle.mode_occupations.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
 
     def test_non_finite_time_is_usage_error(self, capsys):
         code, out, err = run_cli(
@@ -216,6 +253,22 @@ class TestStrictInput:
         assert code == EXIT_USAGE
         assert out == ""
         assert "alpha" in err and "not finite" in err
+
+    @pytest.mark.parametrize("command", [("transfer",), ("fock-verify", "--alpha=0.1,0")])
+    def test_overflowing_total_coupling_is_usage_error(self, capsys, command):
+        # sqrt(sum r**2) overflows: exit 2 naming --r, with no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *command, "--r", "1e200", "--time", "1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--r" in err
+
+    def test_overflowing_rotation_angle_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "transfer", "--copies", "4", "--time", "1.7e308")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "not finite" in err and "time" in err
 
     @pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
     def test_non_finite_transfer_time_is_usage_error(self, capsys, time):

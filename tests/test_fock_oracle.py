@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
+from scipy.special import jv
 from scipy.stats import poisson
 
 from infoclone.fock_oracle import (
@@ -14,20 +16,20 @@ from infoclone.fock_oracle import (
     DimensionBudgetError,
     FockVector,
     TruncationError,
+    _apply_generator,
+    _bessel_coefficients,
     _coupling_generator,
+    _propagate,
     _simplex_index,
     check_truncation,
     coherent_state_vector,
     disentanglement_infidelity,
-    displacement_matrix,
     evolve_product_state,
-    ladder_matrices,
     mode_occupations,
     overlap,
     poisson_tail,
     product_coherent_state,
     required_levels,
-    total_number_diagonal,
     verify_disentanglement,
 )
 from infoclone.phase_space import (
@@ -45,7 +47,29 @@ def exact_poisson_tail(mean, levels):
     return 1.0 - head
 
 
+def ladder_matrices(levels):
+    """Reference lowering and raising matrices on a single truncated mode.
+
+    lower|n> = sqrt(n)|n-1>, raise|n> = sqrt(n+1)|n+1> with the top
+    transition dropped.  Their commutator is the identity except the last
+    diagonal entry, which is 1 - levels (truncation artifact).
+    """
+    if levels < 2:
+        raise ValueError("need at least two levels")
+    lower = np.diag(np.sqrt(np.arange(1.0, levels)), k=1)
+    return lower, np.ascontiguousarray(lower.T)
+
+
+def dense_generator(config, levels):
+    """G as a dense matrix: the gather/scatter product on identity columns."""
+    terms = _coupling_generator(config, levels)
+    identity = np.eye(math.comb(levels + config.n_targets, config.n_targets + 1), dtype=complex)
+    return np.column_stack([_apply_generator(terms, column) for column in identity.T])
+
+
 class TestLadders:
+    """The reference ladder matrices that the coherent-vector tests use."""
+
     def test_two_levels(self):
         lower, lift = ladder_matrices(2)
         assert np.array_equal(lower, [[0.0, 1.0], [0.0, 0.0]])
@@ -122,12 +146,16 @@ class TestCoherentVector:
     def test_required_levels_monotone(self):
         assert required_levels(1.0, 1e-10) < required_levels(4.0, 1e-10)
 
-    def test_poisson_tail_is_scipy_survival_function_bitwise(self):
+    def test_poisson_tail_matches_scipy_survival_function(self):
+        # the lgamma start term carries a few ulp of its log, about 1.4e-13
+        # relative at the largest terms of this grid
         rng = np.random.default_rng(5)
         means = np.concatenate([[1e-6, 0.5, 1.0, 9.0, 81.0, 149.9], rng.uniform(0.0, 150.0, 60)])
         for mean in means:
             for levels in (1, 2, 3, 8, 16, 40, 81, 120, 160, 200):
-                assert poisson_tail(mean, levels) == poisson.sf(levels - 1, mean)
+                assert poisson_tail(mean, levels) == pytest.approx(
+                    poisson.sf(levels - 1, mean), rel=1e-12, abs=0.0
+                )
 
     def test_poisson_tail_edges(self):
         assert poisson_tail(0.0, 0) == 0.0
@@ -135,29 +163,15 @@ class TestCoherentVector:
 
 
 class TestDisplacement:
-    def test_zero_displacement_is_identity(self):
-        assert np.array_equal(displacement_matrix(0.0, 6), np.eye(6))
-
-    def test_inverse_displacement(self):
-        d = displacement_matrix(0.7 - 0.2j, 20)
-        d_inv = displacement_matrix(-0.7 + 0.2j, 20)
-        assert np.abs(d @ d_inv - np.eye(20)).max() < 1e-12
-
     @pytest.mark.parametrize("alpha", [1.0, -0.5 + 0.5j, 2.0, 1.2 - 1.6j])
     def test_displaced_vacuum_matches_series(self, alpha):
+        # the coherent vector is the displaced vacuum exp(alpha a^dag - h.c.)|0>,
+        # up to the truncated ladder's edge at the top level
         levels = 40
-        vacuum = np.zeros(levels, dtype=complex)
-        vacuum[0] = 1.0
-        displaced = displacement_matrix(alpha, levels) @ vacuum
+        lower, lift = ladder_matrices(levels)
+        displacement = expm(alpha * lift - np.conj(alpha) * lower)
         series = coherent_state_vector(alpha, levels).amplitudes
-        np.testing.assert_allclose(displaced, series, atol=1e-9)
-
-    def test_interior_unitarity(self):
-        # unitary away from the top level, where the truncated ladder breaks
-        d = displacement_matrix(0.9 + 0.3j, 18)
-        gram = d.conj().T @ d
-        deviation = np.abs(gram - np.eye(18))[:17, :17].max()
-        assert deviation < 1e-9
+        np.testing.assert_allclose(displacement[:, 0], series, atol=1e-9)
 
 
 class TestCouplingUnitary:
@@ -171,13 +185,13 @@ class TestCouplingUnitary:
 
     def test_generator_is_antihermitian(self):
         config = CloneNetworkConfig([0.8, 0.5], [0.4, -1.0], 1.2)
-        generator = _coupling_generator(config, 6).toarray()
+        generator = dense_generator(config, 6)
         assert np.abs(generator + generator.conj().T).max() == 0.0
 
     def test_generator_matches_ladder_action(self):
         # oracle: a_0^dag a_1 applied to each basis tuple by hand
         config = CloneNetworkConfig([1.0], [0.0], 1.0)
-        generator = _coupling_generator(config, 4).toarray()
+        generator = dense_generator(config, 4)
         occupations = [tuple(row) for row in mode_occupations(2, 4)]
         expected = np.zeros_like(generator)
         for col, (n0, n1) in enumerate(occupations):
@@ -211,10 +225,52 @@ class TestCouplingUnitary:
         # every entry joins two basis states of the same total number, so
         # each sector of the simplex maps into itself
         config = CloneNetworkConfig([0.8, 0.5, 1.3], [0.4, -1.0, 2.2], 0.7)
-        generator = _coupling_generator(config, 7).tocoo()
+        rows, cols = np.nonzero(dense_generator(config, 7))
         total = mode_occupations(4, 7).sum(axis=1)
-        assert generator.nnz > 0
-        assert np.array_equal(total[generator.row], total[generator.col])
+        assert rows.size > 0
+        assert np.array_equal(total[rows], total[cols])
+
+
+class TestChebyshevPropagator:
+    def test_bessel_coefficients_match_scipy(self):
+        # scipy's jv is itself off by up to 1.5e-14 near radius 486 against a
+        # 40-digit reference, where the backward recurrence stays within 4e-16
+        rng = np.random.default_rng(17)
+        for radius in np.concatenate([np.geomspace(1.0, 500.0, 50), rng.uniform(1.0, 500.0, 50)]):
+            coefficients = _bessel_coefficients(radius)
+            assert coefficients.size > radius
+            np.testing.assert_allclose(
+                coefficients, jv(np.arange(coefficients.size), radius), rtol=0, atol=2e-14
+            )
+
+    @pytest.mark.parametrize("targets,levels,time", [
+        (1, 30, 0.01), (1, 30, 7.0), (2, 12, 2.5), (2, 12, 25.0), (3, 7, -4.0), (4, 5, 1.1),
+    ])
+    def test_matches_dense_expm(self, targets, levels, time):
+        rng = np.random.default_rng(100 * targets + levels)
+        config = CloneNetworkConfig(
+            rng.uniform(0.5, 1.5, targets), rng.uniform(-np.pi, np.pi, targets), time
+        )
+        generator = dense_generator(config, levels)
+        dim = generator.shape[0]
+        assert dim <= 500
+        # the norm the series relies on: (levels - 1) times the rotation angle
+        rho = (levels - 1) * abs(config.rotation_angle)
+        assert np.linalg.norm(generator, 2) == pytest.approx(rho, rel=1e-12)
+        unitary = expm(generator)
+        vector = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        vector /= np.linalg.norm(vector)
+        propagated = _propagate(_coupling_generator(config, levels), max(rho, 1.0), vector)
+        np.testing.assert_allclose(propagated, unitary @ vector, rtol=0, atol=1e-13)
+        params = CoherentParams(0.5 * np.exp(1j * rng.uniform(-np.pi, np.pi, targets + 1)))
+        evolved = evolve_product_state(params, config, levels)
+        initial = product_coherent_state(params, levels).amplitudes
+        np.testing.assert_allclose(evolved.amplitudes, unitary @ initial, rtol=0, atol=1e-13)
+
+    def test_series_radius_limit(self):
+        config = CloneNetworkConfig([1.0], [0.0], 1e6)
+        with pytest.raises(ValueError, match="periodic"):
+            evolve_product_state(CoherentParams([0.1, 0.0]), config, 8)
 
 
 class TestProductState:
@@ -246,7 +302,7 @@ class TestProductState:
         # oracle: ladder-operator expectation of the total occupation
         alpha, beta = 0.7, 0.4j
         state = product_coherent_state(CoherentParams([alpha, beta]), 18)
-        number = total_number_diagonal(2, 18)
+        number = mode_occupations(2, 18).sum(axis=1)
         expectation = np.sum(number * np.abs(state.amplitudes) ** 2)
         assert abs(expectation - (abs(alpha) ** 2 + abs(beta) ** 2)) < 1e-10
 
@@ -323,14 +379,13 @@ class TestDisentanglement:
         params = CoherentParams([0.6, -0.3j, 0.4])
         before = product_coherent_state(params, 14)
         after = evolve_product_state(params, config, 14)
-        number = total_number_diagonal(3, 14)
+        number = mode_occupations(3, 14).sum(axis=1)
         n_before = np.sum(number * np.abs(before.amplitudes) ** 2)
         n_after = np.sum(number * np.abs(after.amplitudes) ** 2)
         assert abs(n_after - n_before) < 1e-12
-        sectors = number.astype(int)
         np.testing.assert_allclose(
-            np.bincount(sectors, np.abs(after.amplitudes) ** 2),
-            np.bincount(sectors, np.abs(before.amplitudes) ** 2),
+            np.bincount(number, np.abs(after.amplitudes) ** 2),
+            np.bincount(number, np.abs(before.amplitudes) ** 2),
             rtol=0, atol=1e-14,
         )
 
@@ -456,6 +511,11 @@ class TestTruncationCheck:
 
 
 class TestIndexing:
+    def test_mode_occupations_are_read_only(self):
+        occupations = mode_occupations(3, 5)
+        with pytest.raises(ValueError):
+            occupations[0, 0] = 1
+
     def test_mode_occupations_rowmajor(self):
         occupations = mode_occupations(2, 3)
         assert occupations.shape == (6, 2)

@@ -1,4 +1,4 @@
-"""Import path (only fock-verify loads scipy) and package exports."""
+"""Import path (no command loads scipy) and package exports."""
 
 import importlib
 import os
@@ -28,23 +28,19 @@ GUARD_SCRIPT = textwrap.dedent(
         ["pdf", "--scheme", "gauss", "--sources", "1", "--copies", "2", "--grid", "50"],
         ["mc-info", "--sources", "1", "--copies", "2", "--trials", "3000", "--seed", "5"],
         ["mc-gauss", "--sources", "2", "--copies", "2", "--trials", "3000", "--seed", "6"],
+        ["fock-verify", "--copies", "2", "--alpha", "0.6,0", "--truncation", "16"],
     ]
     for argv in commands:
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(argv)
         assert code in (0, 3), (argv, code)
     assert not scipy_modules(), scipy_modules()
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["fock-verify", "--copies", "2", "--alpha", "0.6,0",
-                         "--truncation", "16"])
-    assert code == 0, code
-    assert scipy_modules()
     print("ok")
     """
 )
 
 
-def test_only_fock_verify_loads_scipy():
+def test_no_command_loads_scipy():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", GUARD_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -76,17 +72,7 @@ def test_every_module_export_exists(name):
     assert not missing
 
 
-def test_lazy_exports_are_fock_oracle_exports():
-    from infoclone import fock_oracle
-
-    assert infoclone._FOCK_ORACLE_EXPORTS <= set(fock_oracle.__all__)
-
-
 def test_every_package_reexport_resolves():
-    from infoclone import fock_oracle
-
-    for attr in infoclone._FOCK_ORACLE_EXPORTS:
-        assert getattr(infoclone, attr) is getattr(fock_oracle, attr)
     eager = {attr: value for attr, value in vars(infoclone).items()
              if not attr.startswith("_")
              and getattr(value, "__module__", "").startswith("infoclone.")}

@@ -25,15 +25,14 @@ from infoclone.measurement import (
     info_mean_fraction,
     info_pdf,
     ks_critical,
-    ks_critical_two_sample,
     ks_statistic,
-    ks_two_sample,
     measurement_fidelity,
     run_info_trials,
     sample_quadrature,
     summarize,
     trial_rng,
 )
+from two_sample import ks_critical_two_sample, ks_two_sample
 
 
 class TestRunConfig:
