@@ -25,12 +25,10 @@ from .measurement import (
     FidelityRun,
     FidelitySamples,
     DistributionSummary,
-    estimate_alpha,
     info_mean_fidelity,
     info_pdf,
     measurement_fidelity,
     run_info_trials,
-    sample_quadrature,
     summarize,
 )
 from .gaussian_cloner import (

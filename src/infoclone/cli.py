@@ -17,7 +17,7 @@ exceeds max(--gate, 1e-4), since the infidelity is then the truncation loss
 2T - T**2 rather than a test of the network, and when (d - 1) times the
 rotation angle, the radius of its Chebyshev-Bessel series, exceeds 1e6.
 
-File schemas (version 2):
+File schemas (version 3):
   samples CSV   header ``trial,re_est,im_est,F``, one row per trial, floats
                 rendered with 17 significant digits for lossless round-trips.
   summary JSON  single object with ``schema_version``, run configuration,
@@ -46,7 +46,7 @@ from . import fock_oracle, gaussian_cloner, measurement, phase_space
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_GATE = 3
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 OUTPUT_DIR_ENV = "INFOCLONE_OUTPUT_DIR"
 PDF_GRID_FLOOR = 1e-12
 DEFAULT_TABLE_CASES = "1,2;1,4;2,2;2,4"

@@ -124,10 +124,21 @@ def poisson_tail(mean_occupation: float, levels: int) -> float:
 
 
 def required_levels(mean_occupation: float, tail_bound: float) -> int:
-    """Smallest level count whose Poisson tail is within ``tail_bound``."""
-    levels = 2
+    """Smallest level count (at least 2) whose Poisson tail is within
+    ``tail_bound``.
+
+    The tail shrinks as levels grow, so the count is bracketed by doubling
+    and then found by bisection: about 2*log2(levels) tail evaluations.
+    """
+    above, levels = 1, 2  # the tail at `above` exceeds the bound, or it is below 2
     while poisson_tail(mean_occupation, levels) > tail_bound:
-        levels += 1
+        above, levels = levels, 2 * levels
+    while levels - above > 1:
+        middle = (above + levels) // 2
+        if poisson_tail(mean_occupation, middle) > tail_bound:
+            above = middle
+        else:
+            levels = middle
     return levels
 
 

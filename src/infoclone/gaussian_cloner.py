@@ -94,7 +94,8 @@ def run_gauss_trials(run: FidelityRun) -> FidelitySamples:
 
     Copies carry the full source parameter, so the estimate is
     (y + iz)/sqrt(2) with no rescaling, where y and z are means of
-    k = M*N/2 quadrature draws of variance s^2 each.  Each estimate
+    k = M*N/2 quadrature measurements of variance s^2 each; each mean is
+    drawn directly as one normal of variance s^2/k.  Each estimate
     component then has variance s^2/(2k), so |alpha - est|^2 is exponential
     with mean s^2/k and F = exp(-|alpha - est|^2) has CDF F**(k/s^2), that
     is F**(MN/(2 s^2)).

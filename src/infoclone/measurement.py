@@ -4,16 +4,18 @@ Each trial measures half of the available copies in position and half in
 momentum, averages, reconstructs the source parameter, and scores the
 reconstruction by the squared coherent-state overlap exp(-|true - est|^2).
 For Gaussian quadrature statistics the sample means are exactly Gaussian, so
-the closed-form fidelity laws hold without any asymptotic caveat.
+the closed-form fidelity laws hold without any asymptotic caveat, and a run
+draws each trial's two quadrature means directly instead of the individual
+samples: one normal per quadrature per trial, at any number of copies.
 
 A run returns its results as columns (:class:`FidelitySamples`): a complex
 array of estimates and a float array of fidelities, the latter computed by
 one array call to :func:`measurement_fidelity`.
 
-Determinism contract: trials are partitioned into fixed batches of
-``TRIAL_BATCH`` with independent counter-based streams keyed by
-(seed, batch index); within a batch the position block is drawn before the
-momentum block.  Results are bit-identical for a given seed, and the first
+Determinism contract (stream version 3): trials are partitioned into fixed
+batches of ``TRIAL_BATCH`` with independent counter-based streams keyed by
+(seed, batch index); within a batch the position means are drawn before the
+momentum means.  Results are bit-identical for a given seed, and the first
 T results of a run are those of a T-trial run whenever T is a multiple of
 ``TRIAL_BATCH``.
 """
@@ -38,8 +40,6 @@ __all__ = [
     "FidelitySamples",
     "DistributionSummary",
     "trial_rng",
-    "sample_quadrature",
-    "estimate_alpha",
     "measurement_fidelity",
     "run_info_trials",
     "info_pdf",
@@ -154,24 +154,6 @@ def trial_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
-def sample_quadrature(clone_component: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Quadrature samples for a clone whose parameter component is given.
-
-    i.i.d. normal with mean sqrt(2)*component and variance 1/2 (for a clone
-    carrying alpha/sqrt(n) the position mean is sqrt(2/n)*Re alpha).
-    """
-    if count < 1:
-        raise ValueError("count must be positive")
-    return rng.normal(_SQRT2 * clone_component, QUADRATURE_SD, count)
-
-
-def estimate_alpha(y_mean: float, z_mean: float, copies: int) -> complex:
-    """Source-parameter estimate sqrt(copies) * (y + iz) / sqrt(2) from the
-    quadrature means of 1/sqrt(copies) clones."""
-    factor = math.sqrt(copies) / _SQRT2
-    return complex(factor * y_mean, factor * z_mean)
-
-
 def measurement_fidelity(alpha_true: complex, alpha_est):
     """Squared coherent overlap exp(-|true - est|^2) of the reconstruction.
 
@@ -189,21 +171,24 @@ def _run_trials(run: FidelityRun, clone_scale: float, sd: float) -> FidelitySamp
 
     Each measured copy carries alpha_true / clone_scale, so its quadrature
     samples have mean sqrt(2) * that component and standard deviation ``sd``.
-    Batch b draws from ``trial_rng(seed, b)``: ``stop - start`` consecutive
-    per-trial blocks of position samples, then the same for momentum.  The
-    estimate clone_scale * (y + iz) / sqrt(2) undoes the scale.
+    A trial averages k = ``measurements_per_quadrature`` such samples per
+    quadrature.  The mean of k i.i.d. N(mu, sd^2) draws is exactly
+    N(mu, sd^2/k), so each trial's quadrature means are drawn directly, one
+    normal each, and the cost does not grow with k.  Batch b draws from
+    ``trial_rng(seed, b)``: ``stop - start`` position means, then as many
+    momentum means.  The estimate clone_scale * (y + iz) / sqrt(2) undoes
+    the scale.
     """
     clone = run.alpha_true / clone_scale
     mean_y, mean_z = _SQRT2 * clone.real, _SQRT2 * clone.imag
-    per_quadrature = run.measurements_per_quadrature
+    mean_sd = sd / math.sqrt(run.measurements_per_quadrature)
     y = np.empty(run.trials)
     z = np.empty(run.trials)
     for index, start in enumerate(range(0, run.trials, TRIAL_BATCH)):
         stop = min(start + TRIAL_BATCH, run.trials)
         rng = trial_rng(run.seed, index)
-        shape = (stop - start, per_quadrature)
-        y[start:stop] = rng.normal(mean_y, sd, shape).mean(axis=1)
-        z[start:stop] = rng.normal(mean_z, sd, shape).mean(axis=1)
+        y[start:stop] = rng.normal(mean_y, mean_sd, stop - start)
+        z[start:stop] = rng.normal(mean_z, mean_sd, stop - start)
     factor = clone_scale / _SQRT2
     estimates = factor * y + 1j * (factor * z)
     return FidelitySamples(estimates, measurement_fidelity(run.alpha_true, estimates))
@@ -212,9 +197,10 @@ def _run_trials(run: FidelityRun, clone_scale: float, sd: float) -> FidelitySamp
 def run_info_trials(run: FidelityRun) -> FidelitySamples:
     """Monte Carlo fidelity samples for the information-cloning scheme.
 
-    Every clone carries alpha/sqrt(copies); per trial, sources*copies/2
-    position and momentum samples of variance 1/2 are averaged and the
-    source parameter is reconstructed as in :func:`estimate_alpha`.
+    Every clone carries alpha/sqrt(copies); per trial, the means of
+    sources*copies/2 position and momentum samples of variance 1/2 are
+    drawn, and the source parameter is reconstructed as
+    sqrt(copies) * (y + iz) / sqrt(2).
     """
     if run.scheme != INFO_SCHEME:
         raise ValueError(f"run scheme is {run.scheme!r}; expected {INFO_SCHEME!r}")

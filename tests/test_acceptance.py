@@ -2,6 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report.  Statistical gates use fixed seeds; tolerances are pinned in-line.
+Monte Carlo KS asserts hold at the 1e-6 level (see ``ks_helpers``), so that
+a change of the random stream does not trip them by a 5% false alarm.
 """
 
 import math
@@ -29,7 +31,6 @@ from infoclone.measurement import (
     FidelityRun,
     fidelity_values,
     info_cdf,
-    ks_critical,
     ks_statistic,
     run_info_trials,
 )
@@ -43,9 +44,11 @@ from infoclone.phase_space import (
     information_clone,
     unitarity_deviation,
 )
-from two_sample import ks_critical_two_sample, ks_two_sample
+from ks_helpers import ks_critical_1e6, ks_critical_two_sample_1e6, ks_two_sample
 
-MC_TRIALS = 100_000
+# four times the 100k trials of a 5% gate: the 1e-6 threshold 2.6934/sqrt(4n)
+# is still tighter than 1.3581/sqrt(n)
+MC_TRIALS = 400_000
 MC_MEAN_TOL = 0.005
 
 
@@ -158,10 +161,10 @@ def test_criterion_6_uniform_fidelity_law():
         mean = values.mean()
         statistic = ks_statistic(values, info_cdf(1))
         assert abs(mean - 0.5) < MC_MEAN_TOL
-        assert statistic < ks_critical(MC_TRIALS)
+        assert statistic < ks_critical_1e6(MC_TRIALS)
         runs[copies] = values
     distance = ks_two_sample(runs[2], runs[8])
-    critical = ks_critical_two_sample(MC_TRIALS, MC_TRIALS)
+    critical = ks_critical_two_sample_1e6(MC_TRIALS, MC_TRIALS)
     assert distance < critical
     _report(6, f"M=1 means within {MC_MEAN_TOL} of 1/2, one-sample KS passed, "
                f"N=2 vs N=8 two-sample KS {distance:.4f} < {critical:.4f}")
@@ -175,9 +178,9 @@ def test_criterion_7_source_count_law(sources, copies, seed):
     mean = values.mean()
     statistic = ks_statistic(values, info_cdf(sources))
     assert abs(mean - target) < MC_MEAN_TOL
-    assert statistic < ks_critical(MC_TRIALS)
+    assert statistic < ks_critical_1e6(MC_TRIALS)
     _report(7, f"(M,N)=({sources},{copies}): mean {mean:.4f} ~ {target:.4f}, "
-               f"KS {statistic:.4f} < {ks_critical(MC_TRIALS):.4f}")
+               f"KS {statistic:.4f} < {ks_critical_1e6(MC_TRIALS):.4f}")
 
 
 def test_criterion_8_gaussian_cloner_means():
@@ -194,7 +197,7 @@ def test_criterion_8_gaussian_cloner_means():
                           seed=seeds[(sources, copies)], scheme=GAUSS_SCHEME)
         values = fidelity_values(run_gauss_trials(run))
         assert abs(values.mean() - float(target)) < MC_MEAN_TOL
-        assert ks_statistic(values, gauss_cdf(sources, copies)) < ks_critical(MC_TRIALS)
+        assert ks_statistic(values, gauss_cdf(sources, copies)) < ks_critical_1e6(MC_TRIALS)
     _report(8, "Monte Carlo means match 1/3, 4/9, 4/7, 16/23 within 0.005; "
                "closed forms reproduce them exactly as rationals")
 

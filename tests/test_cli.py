@@ -374,7 +374,7 @@ class TestMonteCarlo:
         )
         assert code in (EXIT_OK, EXIT_GATE)
         payload = json.loads(out)
-        assert payload["schema_version"] == SCHEMA_VERSION == 2
+        assert payload["schema_version"] == SCHEMA_VERSION == 3
         assert "workers" not in payload
         code, _, _ = run_cli(
             capsys, "mc-info", "--sources", "1", "--copies", "2", "--workers", "2"

@@ -146,6 +146,26 @@ class TestCoherentVector:
     def test_required_levels_monotone(self):
         assert required_levels(1.0, 1e-10) < required_levels(4.0, 1e-10)
 
+    def test_required_levels_is_the_linear_search(self):
+        def linear(mean, bound):
+            levels = 2
+            while poisson_tail(mean, levels) > bound:
+                levels += 1
+            return levels
+
+        for mean in (0.0, 1e-6, 0.01, 0.3, 1.0, 2.5, 4.0, 9.0, 17.3, 40.0, 81.0, 150.0, 400.0):
+            for bound in (0.5, 1e-2, 1e-4, 5e-7, 1e-8, 1e-10, 1e-13, 1e-16, 1e-300):
+                assert required_levels(mean, bound) == linear(mean, bound), (mean, bound)
+
+    def test_required_levels_for_a_large_excitation_is_fast(self):
+        # |alpha| = 141: a total mean occupation of 19,881; the one-level
+        # search took about a second to name the count
+        start = time.perf_counter()
+        with pytest.raises(TruncationError, match="need at least 20576 levels for gate 1e-06"):
+            check_truncation([141.0, 0.0], 8, 1e-6)
+        assert time.perf_counter() - start < 0.05
+        assert poisson_tail(141.0**2, 20576) <= 1e-6 / 2 < poisson_tail(141.0**2, 20575)
+
     def test_poisson_tail_matches_scipy_survival_function(self):
         # the lgamma start term carries a few ulp of its log, about 1.4e-13
         # relative at the largest terms of this grid

@@ -29,6 +29,7 @@ from infoclone.measurement import (
     _run_trials,
     summarize,
 )
+from ks_helpers import ks_critical_1e6
 
 
 class TestAmplification:
@@ -130,11 +131,11 @@ class TestGaussTrials:
 
     def test_law_is_power_of_uniform(self):
         # F**c should be uniform
-        run = FidelityRun(0.5, 2, 2, 50_000, seed=71, scheme=GAUSS_SCHEME)
+        run = FidelityRun(0.5, 2, 2, 200_000, seed=71, scheme=GAUSS_SCHEME)
         values = fidelity_values(run_gauss_trials(run))
         exponent = gauss_exponent(2, 2)
         statistic = ks_statistic(values**exponent, lambda f: f)
-        assert statistic < ks_critical(run.trials)
+        assert statistic < ks_critical_1e6(run.trials)
 
     def test_noise_model_sets_the_exponent(self):
         # the single-copy marginal (A+2)/(2A) gives F**(2c); the driver's

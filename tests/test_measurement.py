@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 from scipy.special import kolmogi
 from scipy.stats import kstwobign
 
+from infoclone import measurement
 from infoclone.fock_oracle import coherent_state_vector, overlap
 from infoclone.gaussian_cloner import gauss_cdf, run_gauss_trials
 from infoclone.measurement import (
@@ -18,7 +20,6 @@ from infoclone.measurement import (
     TRIAL_BATCH,
     FidelityRun,
     FidelitySamples,
-    estimate_alpha,
     fidelity_values,
     info_cdf,
     info_mean_fidelity,
@@ -28,11 +29,80 @@ from infoclone.measurement import (
     ks_statistic,
     measurement_fidelity,
     run_info_trials,
-    sample_quadrature,
     summarize,
     trial_rng,
 )
-from two_sample import ks_critical_two_sample, ks_two_sample
+from ks_helpers import (
+    KS_1E6,
+    ks_critical_1e6,
+    ks_critical_two_sample,
+    ks_critical_two_sample_1e6,
+    ks_two_sample,
+)
+
+_SQRT2 = math.sqrt(2.0)
+
+
+# Per-copy reference sampler.  The driver draws each trial's quadrature means
+# directly; this draws every measured copy's sample and averages, which is
+# the physics the driver stands for (and the stream of contract version 2).
+
+
+def sample_quadrature(clone_component: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Quadrature samples for a clone whose parameter component is given.
+
+    i.i.d. normal with mean sqrt(2)*component and variance 1/2 (for a clone
+    carrying alpha/sqrt(n) the position mean is sqrt(2/n)*Re alpha).
+    """
+    if count < 1:
+        raise ValueError("count must be positive")
+    return rng.normal(_SQRT2 * clone_component, QUADRATURE_SD, count)
+
+
+def estimate_alpha(y_mean, z_mean, copies: int):
+    """Source-parameter estimate sqrt(copies) * (y + iz) / sqrt(2) from the
+    quadrature means of 1/sqrt(copies) clones; elementwise for arrays."""
+    factor = math.sqrt(copies) / _SQRT2
+    return factor * y_mean + 1j * (factor * z_mean)
+
+
+def per_copy_info_trials(run: FidelityRun) -> FidelitySamples:
+    """Information-scheme run built from single copies: batch b draws, from
+    ``trial_rng(seed, b)``, the k position samples of each of its trials in
+    turn, then the momentum samples, and every trial averages its own k."""
+    clone = run.alpha_true / math.sqrt(run.copies)
+    k = run.measurements_per_quadrature
+    estimates = np.empty(run.trials, dtype=complex)
+    for index, start in enumerate(range(0, run.trials, TRIAL_BATCH)):
+        count = min(TRIAL_BATCH, run.trials - start)
+        rng = trial_rng(run.seed, index)
+        y = sample_quadrature(clone.real, count * k, rng).reshape(count, k).mean(axis=1)
+        z = sample_quadrature(clone.imag, count * k, rng).reshape(count, k).mean(axis=1)
+        estimates[start:start + count] = estimate_alpha(y, z, run.copies)
+    return FidelitySamples(estimates, measurement_fidelity(run.alpha_true, estimates))
+
+
+class _CountingGenerator:
+    """Generator proxy that records the shape of each ``normal`` draw.  It has
+    no other method, so a draw by any other route fails."""
+
+    def __init__(self, rng, shapes):
+        self._rng, self._shapes = rng, shapes
+
+    def normal(self, *args, **kwargs):
+        values = self._rng.normal(*args, **kwargs)
+        self._shapes.append(np.shape(values))
+        return values
+
+
+def rejection_bound(runs: int, level: Fraction, false_alarm: Fraction) -> int:
+    """Least b with P(Binomial(runs, level) > b) <= false_alarm, in exact
+    rational arithmetic."""
+    pmf = [math.comb(runs, j) * level**j * (1 - level) ** (runs - j) for j in range(runs + 1)]
+    bound = 0
+    while sum(pmf[bound + 1:]) > false_alarm:
+        bound += 1
+    return bound
 
 
 class TestRunConfig:
@@ -152,11 +222,11 @@ class TestFidelity:
 
 class TestInfoTrials:
     def test_uniform_law_for_single_source(self):
-        run = FidelityRun(0.9 + 0.5j, sources=1, copies=8, trials=100_000, seed=7)
+        run = FidelityRun(0.9 + 0.5j, sources=1, copies=8, trials=400_000, seed=7)
         samples = run_info_trials(run)
         summary = summarize(samples, info_cdf(1))
         assert abs(summary.mean - 0.5) < 0.005
-        assert summary.ks_statistic < ks_critical(run.trials)
+        assert summary.ks_statistic < ks_critical_1e6(run.trials)
 
     def test_three_sources_mean(self):
         run = FidelityRun(1.0, sources=3, copies=2, trials=100_000, seed=11)
@@ -193,11 +263,11 @@ class TestInfoTrials:
 
     def test_log_law_is_chi_squared(self):
         # -2M ln F has CDF 1 - exp(-x/2)
-        run = FidelityRun(1.0, sources=4, copies=2, trials=50_000, seed=29)
+        run = FidelityRun(1.0, sources=4, copies=2, trials=200_000, seed=29)
         values = fidelity_values(run_info_trials(run))
         transformed = -2.0 * run.sources * np.log(values)
         statistic = ks_statistic(transformed, lambda x: 1.0 - np.exp(-x / 2.0))
-        assert statistic < ks_critical(run.trials)
+        assert statistic < ks_critical_1e6(run.trials)
 
     def test_deterministic_for_seed(self):
         run = FidelityRun(0.6, sources=1, copies=4, trials=10_000, seed=31)
@@ -222,34 +292,58 @@ class TestInfoTrials:
         assert np.array_equal(short.fidelity, longer.fidelity[:trials])
 
     def test_copies_do_not_change_fidelity_law(self):
-        trials = 50_000
+        trials = 200_000
         narrow = run_info_trials(FidelityRun(1.0, sources=2, copies=2, trials=trials, seed=37))
         wide = run_info_trials(FidelityRun(1.0, sources=2, copies=8, trials=trials, seed=41))
         distance = ks_two_sample(narrow, wide)
-        assert distance < ks_critical_two_sample(trials, trials)
+        assert distance < ks_critical_two_sample_1e6(trials, trials)
 
     def test_scheme_mismatch_rejected(self):
         run = FidelityRun(1.0, sources=1, copies=2, trials=10, seed=0, scheme=GAUSS_SCHEME)
         with pytest.raises(ValueError):
             run_info_trials(run)
 
-    def test_block_draw_matches_per_trial_stream(self):
-        # the batched pipeline consumes the stream exactly like per-trial
-        # sample_quadrature calls: position block first, then momentum
-        run = FidelityRun(0.7 + 0.2j, sources=2, copies=2, trials=50, seed=43)
+    def test_single_pair_draw_is_the_per_copy_stream(self):
+        # k = 1: a trial's mean is its one sample, so the driver consumes the
+        # stream exactly like the per-copy reference, bit for bit: one stream
+        # per batch, position block first, then momentum
+        run = FidelityRun(0.7 + 0.2j, sources=1, copies=2, trials=2 * TRIAL_BATCH + 50, seed=43)
         samples = run_info_trials(run)
-        clone = run.alpha_true / math.sqrt(run.copies)
-        rng = trial_rng(run.seed, 0)
-        ys = [
-            sample_quadrature(clone.real, run.measurements_per_quadrature, rng).mean()
-            for _ in range(run.trials)
-        ]
-        zs = [
-            sample_quadrature(clone.imag, run.measurements_per_quadrature, rng).mean()
-            for _ in range(run.trials)
-        ]
-        manual = [estimate_alpha(y, z, run.copies) for y, z in zip(ys, zs)]
-        assert np.array_equal(np.array(manual), samples.estimates)
+        reference = per_copy_info_trials(run)
+        assert np.array_equal(samples.estimates, reference.estimates)
+        assert np.array_equal(samples.fidelity, reference.fidelity)
+
+    @pytest.mark.parametrize("sources,copies,seed", [(1, 4, 47), (2, 8, 53), (8, 32, 59)])
+    def test_mean_draw_has_the_per_copy_law(self, sources, copies, seed):
+        # k = 2, 8 and 128: one normal of variance s^2/k per quadrature has the
+        # law of the mean of k per-copy samples; the streams differ, so the
+        # two are compared by two-sample KS at the 1e-6 level
+        trials = 50_000
+        driver = run_info_trials(FidelityRun(0.7 + 0.2j, sources, copies, trials, seed=seed))
+        reference = per_copy_info_trials(
+            FidelityRun(0.7 + 0.2j, sources, copies, trials, seed=seed + 1)
+        )
+        assert ks_two_sample(driver, reference) < ks_critical_two_sample_1e6(trials, trials)
+
+    @pytest.mark.parametrize("scheme", [INFO_SCHEME, GAUSS_SCHEME])
+    @pytest.mark.parametrize("trials", [2, TRIAL_BATCH, TRIAL_BATCH + 1, 10_000])
+    def test_one_stream_and_two_normals_per_batch(self, monkeypatch, scheme, trials):
+        # the traced benchmark counts trial_rng calls against the batch count;
+        # each batch draws its position means, then its momentum means
+        batches = []
+
+        def counting_trial_rng(seed, batch_index):
+            shapes = []
+            batches.append((batch_index, shapes))
+            return _CountingGenerator(trial_rng(seed, batch_index), shapes)
+
+        monkeypatch.setattr(measurement, "trial_rng", counting_trial_rng)
+        run = FidelityRun(0.3 - 1.1j, sources=4, copies=8, trials=trials, seed=5, scheme=scheme)
+        (run_info_trials if scheme == INFO_SCHEME else run_gauss_trials)(run)
+        assert [index for index, _ in batches] == list(range(-(-trials // TRIAL_BATCH)))
+        for index, shapes in batches:
+            length = min(TRIAL_BATCH, trials - index * TRIAL_BATCH)
+            assert shapes == [(length,), (length,)]
 
 
 class TestClosedForms:
@@ -337,6 +431,11 @@ class TestSummaries:
     def test_kolmogorov_constant_is_scipy_quantile_bitwise(self):
         assert KS_5PCT == kolmogi(0.05) == kstwobign.isf(0.05)
 
+    def test_strict_kolmogorov_constant_is_scipy_quantile(self):
+        assert KS_1E6 == pytest.approx(kstwobign.isf(1e-6), rel=1e-15, abs=0.0)
+        assert ks_critical_1e6(40_000) == KS_1E6 / 200.0
+        assert ks_critical_two_sample_1e6(100, 100) == KS_1E6 * math.sqrt(0.02)
+
     @pytest.mark.parametrize("count", [2, 100, 3000, 10_000, 1_000_000, 12_345_679])
     def test_critical_values_match_scipy_bitwise(self, count):
         quantile = kstwobign.isf(0.05)
@@ -344,3 +443,37 @@ class TestSummaries:
         assert ks_critical_two_sample(count, 7) == float(
             quantile * math.sqrt((count + 7) / (count * 7))
         )
+
+
+class TestGateCalibration:
+    """The CLI's 5% one-sample KS gate over many seeds.
+
+    Each case counts the seeds whose run the gate rejects.  The count is
+    Binomial(200, 0.05) when the gate holds its level; it exceeds 27 with
+    probability at most 1e-6.  The two cases take disjoint seeds: the stream
+    at a seed gives the same standard normals in every case, so the
+    information-scheme statistic there barely depends on (M, N), and in
+    both schemes F**exponent is the same function of those normals.
+    """
+
+    RUNS = 200
+    TRIALS = 100_000
+
+    def test_rejection_bound(self):
+        assert rejection_bound(self.RUNS, Fraction(1, 20), Fraction(1, 10**6)) == 27
+
+    @pytest.mark.parametrize(
+        "scheme,sources,copies,first_seed",
+        [(INFO_SCHEME, 8, 32, 1000), (GAUSS_SCHEME, 2, 4, 2000)],
+    )
+    def test_gate_rejects_at_its_level(self, scheme, sources, copies, first_seed):
+        if scheme == INFO_SCHEME:
+            run_trials, reference = run_info_trials, info_cdf(sources)
+        else:
+            run_trials, reference = run_gauss_trials, gauss_cdf(sources, copies)
+        critical = ks_critical(self.TRIALS)
+        rejections = 0
+        for seed in range(first_seed, first_seed + self.RUNS):
+            run = FidelityRun(1.0, sources, copies, self.TRIALS, seed=seed, scheme=scheme)
+            rejections += not ks_statistic(run_trials(run), reference) < critical
+        assert rejections <= rejection_bound(self.RUNS, Fraction(1, 20), Fraction(1, 10**6))
