@@ -15,11 +15,19 @@ excitation is at most d - 1 (the simplex), which the network maps into
 itself.  It exits 2 when the Poisson tail T of the input's total excitation
 exceeds max(--gate, 1e-4), since the infidelity is then the truncation loss
 2T - T**2 rather than a test of the network, and when (d - 1) times the
-rotation angle, the radius of its Chebyshev-Bessel series, exceeds 1e6.
+rotation angle, the radius of its Chebyshev-Bessel series, exceeds 1e6
+(the series itself runs at the angle reduced modulo 2*pi).
+
+Unwritable ``--output`` and ``--dump`` paths exit 2, and the Monte Carlo
+commands open their samples CSV before drawing any trial.  The parser is
+built once per process, on first use.
 
 File schemas (version 3):
   samples CSV   header ``trial,re_est,im_est,F``, one row per trial, floats
                 rendered with 17 significant digits for lossless round-trips.
+                The samples, density and dump CSVs are rendered by
+                ``_csvwrite`` in array chunks, byte for byte Python's ``%d``
+                and ``%.17g`` of each field.
   summary JSON  single object with ``schema_version``, run configuration,
                 ``mean``, ``variance``, ``ks_statistic``, ``ks_critical_5pct``,
                 ``ks_pass`` and a 50-bin histogram; strict JSON (no NaN).
@@ -34,14 +42,15 @@ File schemas (version 3):
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
-from . import fock_oracle, gaussian_cloner, measurement, phase_space
+from . import _csvwrite, fock_oracle, gaussian_cloner, measurement, phase_space
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -111,15 +120,21 @@ def _resolve_output(path: str | None) -> str | None:
 
 @contextmanager
 def _open_output(path: str | None):
+    """The file at ``path`` for writing, or stdout for None; a path that
+    cannot be opened raises ``ValueError`` (exit 2) naming it."""
     resolved = _resolve_output(path)
     if resolved is None:
         yield sys.stdout
-    else:
+        return
+    try:
         parent = os.path.dirname(resolved)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        with open(resolved, "w", encoding="utf-8", newline="") as handle:
-            yield handle
+        handle = open(resolved, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot write {resolved!r}: {exc.strerror or exc}") from None
+    with handle:
+        yield handle
 
 
 def _network_from_args(args) -> phase_space.CloneNetworkConfig:
@@ -201,12 +216,11 @@ def cmd_clone(args) -> int:
 
 def _write_amplitude_dump(path, state: fock_oracle.FockVector):
     occupations = fock_oracle.mode_occupations(state.mode_count, state.levels)
+    amplitudes = state.amplitudes
+    header = ",".join(["index"] + [f"n_{m}" for m in range(state.mode_count)] + ["re", "im"])
     with _open_output(path) as out:
-        header = ",".join(f"n_{m}" for m in range(state.mode_count))
-        out.write(f"index,{header},re,im\n")
-        for index, amp in enumerate(state.amplitudes):
-            occ = ",".join(str(n) for n in occupations[index])
-            out.write(f"{index},{occ},{amp.real:.17g},{amp.imag:.17g}\n")
+        _csvwrite.write_csv(out, header, [range(amplitudes.size), *occupations.T,
+                                          amplitudes.real, amplitudes.imag])
 
 
 def cmd_fock_verify(args) -> int:
@@ -252,19 +266,10 @@ def cmd_fock_verify(args) -> int:
 
 
 def _write_samples_csv(handle, samples: measurement.FidelitySamples):
-    """One row per trial, formatted one ``TRIAL_BATCH`` chunk at a time."""
-    handle.write("trial,re_est,im_est,F\n")
+    """One row per trial."""
     estimates, fidelity = samples.estimates, samples.fidelity
-    batch = measurement.TRIAL_BATCH
-    for start in range(0, fidelity.size, batch):
-        stop = start + batch
-        rows = zip(
-            range(start, stop),
-            estimates.real[start:stop].tolist(),
-            estimates.imag[start:stop].tolist(),
-            fidelity[start:stop].tolist(),
-        )
-        handle.write("".join(["%d,%.17g,%.17g,%.17g\n" % row for row in rows]))
+    _csvwrite.write_csv(handle, "trial,re_est,im_est,F",
+                        [range(fidelity.size), estimates.real, estimates.imag, fidelity])
 
 
 def _run_mc(args, scheme: str) -> int:
@@ -276,21 +281,21 @@ def _run_mc(args, scheme: str) -> int:
         seed=args.seed,
         scheme=scheme,
     )
-    if scheme == measurement.INFO_SCHEME:
-        samples = measurement.run_info_trials(run)
-        reference = measurement.info_cdf(run.sources)
-        exponent = float(run.sources)
-    else:
-        samples = gaussian_cloner.run_gauss_trials(run)
-        reference = gaussian_cloner.gauss_cdf(run.sources, run.copies)
-        exponent = gaussian_cloner.gauss_exponent(run.sources, run.copies)
-    summary = measurement.summarize(samples, reference)
-    critical = measurement.ks_critical(run.trials)
-    ks_pass = summary.ks_statistic < critical
-
-    if args.output:
-        with _open_output(args.output) as out:
-            _write_samples_csv(out, samples)
+    # the CSV opens first, so an unwritable path fails before any trial is drawn
+    with _open_output(args.output) if args.output else nullcontext() as csv_out:
+        if scheme == measurement.INFO_SCHEME:
+            samples = measurement.run_info_trials(run)
+            reference = measurement.info_cdf(run.sources)
+            exponent = float(run.sources)
+        else:
+            samples = gaussian_cloner.run_gauss_trials(run)
+            reference = gaussian_cloner.gauss_cdf(run.sources, run.copies)
+            exponent = gaussian_cloner.gauss_exponent(run.sources, run.copies)
+        summary = measurement.summarize(samples, reference)
+        critical = measurement.ks_critical(run.trials)
+        ks_pass = summary.ks_statistic < critical
+        if csv_out is not None:
+            _write_samples_csv(csv_out, samples)
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -336,9 +341,7 @@ def cmd_pdf(args) -> int:
     grid = np.geomspace(PDF_GRID_FLOOR, 1.0, args.grid)
     values = np.asarray(density(grid), dtype=float)
     with _open_output(args.output) as out:
-        out.write("F,p\n")
-        for f, p in zip(grid, values):
-            out.write(f"{f:.17g},{p:.17g}\n")
+        _csvwrite.write_csv(out, "F,p", [grid, values])
     return EXIT_OK
 
 
@@ -456,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     pdf.set_defaults(func=cmd_pdf)
 
     table = sub.add_parser("table", help="scheme-comparison table of mean fidelities")
-    table.add_argument("--cases", type=_parse_cases, default=_parse_cases(DEFAULT_TABLE_CASES),
+    # a string default is parsed afresh on every call, so no list is shared
+    table.add_argument("--cases", type=_parse_cases, default=DEFAULT_TABLE_CASES,
                        help="semicolon-separated 'M,N' pairs")
     _add_output_flags(table)
     table.set_defaults(func=cmd_table)
@@ -464,10 +468,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the life of the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:

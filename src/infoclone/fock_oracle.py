@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -302,9 +302,12 @@ def evolve_product_state(params: CoherentParams, config: CloneNetworkConfig, lev
 
     The generator maps each total-number sector of the simplex into itself,
     so every retained sector evolves exactly.  One excitation sees
-    eigenvalues 0 and +-i*theta, theta = |time| * sqrt(sum r_j**2), and n
+    eigenvalues 0 and +-i*theta, theta = time * sqrt(sum r_j**2), and n
     excitations sums of n of them, so the series radius is exactly
-    rho = (levels - 1) * theta; above ``SERIES_RADIUS_LIMIT`` it is refused.
+    rho = (levels - 1) * |theta|; above ``SERIES_RADIUS_LIMIT`` it is refused.
+    Those eigenvalues are integer multiples of i*theta, so the evolution is
+    2*pi-periodic in theta: an angle beyond +-pi runs the series at
+    ``math.remainder(theta, 2*pi)``, a radius of at most (levels - 1) * pi.
     """
     if len(params) != config.n_targets + 1:
         raise ValueError("parameter count must match the network size")
@@ -316,6 +319,10 @@ def evolve_product_state(params: CoherentParams, config: CloneNetworkConfig, lev
     initial = product_coherent_state(params, levels)
     if config.time == 0:
         return initial
+    theta = config.time * math.hypot(*config.magnitudes)
+    if abs(theta) > math.pi:
+        config = replace(config, time=config.time * (math.remainder(theta, 2.0 * math.pi) / theta))
+        rho = (levels - 1) * abs(config.time) * math.hypot(*config.magnitudes)
     evolved = _propagate(_coupling_generator(config, levels), max(rho, 1.0), initial.amplitudes)
     return FockVector(len(params), levels, evolved)
 

@@ -1,11 +1,12 @@
 import json
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from infoclone import fock_oracle, phase_space
+from infoclone import cli, fock_oracle, measurement, phase_space
 from infoclone.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, SCHEMA_VERSION, main
 from infoclone.gaussian_cloner import run_gauss_trials
 from infoclone.measurement import GAUSS_SCHEME, FidelityRun
@@ -236,6 +237,19 @@ class TestFockVerify:
         info = fock_oracle.mode_occupations.cache_info()
         assert (info.misses, info.hits) == (1, 3)
 
+    def test_long_time_runs_at_the_reduced_angle(self, capsys):
+        # rotation angle 100 * sqrt(2): a series radius of 5515 unreduced,
+        # at most 39 * pi once reduced modulo 2*pi
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "fock-verify", "--r", "1,1", "--time", "100", "--alpha", "0.6,0",
+            "--truncation", "40", "--format", "json",
+        )
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_OK
+        assert json.loads(out)["infidelity"] < 1e-12
+        assert elapsed < 1.0
+
     def test_non_finite_time_is_usage_error(self, capsys):
         code, out, err = run_cli(
             capsys, "fock-verify", "--copies", "2", "--alpha=0.5,0", "--time", "inf"
@@ -344,7 +358,7 @@ class TestMonteCarlo:
         assert header == "trial,re_est,im_est,F"
 
     def test_samples_csv_parses_back_bitwise(self, capsys, tmp_path):
-        # 5000 trials span two formatting chunks of TRIAL_BATCH rows
+        # 5000 trials span two Monte Carlo batches of TRIAL_BATCH trials
         path = tmp_path / "samples.csv"
         code, _, _ = run_cli(
             capsys,
@@ -546,6 +560,57 @@ class TestTable:
         lines = out.strip().splitlines()
         assert lines[0] == "mode,re,im"
         assert len(lines) == 4
+
+
+class TestUnwritableOutput:
+    def test_samples_csv_fails_before_any_trial(self, capsys, tmp_path, monkeypatch):
+        def no_trials(run):
+            raise AssertionError("trials were drawn before the output was opened")
+
+        monkeypatch.setattr(measurement, "run_info_trials", no_trials)
+        code, out, err = run_cli(
+            capsys, "mc-info", "--sources", "1", "--copies", "2", "--trials", "1000000",
+            "--output", str(tmp_path),
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert str(tmp_path) in err
+
+    def test_density_csv(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "pdf", "--scheme", "info", "--sources", "1", "--output", str(tmp_path)
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert str(tmp_path) in err
+
+    def test_amplitude_dump(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "fock-verify", "--copies", "2", "--alpha", "0.3,0", "--truncation", "6",
+            "--dump", str(tmp_path),
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert str(tmp_path) in err
+
+
+class TestParser:
+    def test_built_once_per_process(self, capsys, monkeypatch):
+        original, builds = cli.build_parser, []
+
+        def counting():
+            builds.append(1)
+            return original()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting)
+        try:
+            outputs = [run_cli(capsys, "table", "--format", "json") for _ in range(3)]
+        finally:
+            cli._parser.cache_clear()
+        assert builds == [1]
+        assert outputs[0][0] == EXIT_OK
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestUsage:

@@ -1,0 +1,157 @@
+import io
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from infoclone import _csvwrite, cli, fock_oracle, gaussian_cloner, measurement
+from infoclone.cli import EXIT_OK, main
+from infoclone.phase_space import CloneNetworkConfig, CoherentParams
+
+
+def rendered(columns) -> list[list[str]]:
+    """The fields of every row ``write_csv`` writes for ``columns``."""
+    buffer = io.StringIO()
+    _csvwrite.write_csv(buffer, "h", columns)
+    text = buffer.getvalue()
+    assert text.startswith("h\n") and text.endswith("\n")
+    return [line.split(",") for line in text[2:-1].split("\n")] if text != "h\n" else []
+
+
+def assert_floats_render_as_percent_g(values):
+    values = np.asarray(values, dtype=np.float64)
+    got = [row[0] for row in rendered([values])]
+    assert got == ["%.17g" % v for v in values.tolist()]
+
+
+def edge_values() -> list[float]:
+    values = []
+    for p in range(-20, 21):
+        v = 10.0**p
+        values += [v, np.nextafter(v, 0.0), np.nextafter(v, np.inf)]
+    # dyadic values, exact in 17 digits or ties at the 18th
+    values += [k * 2.0**-n for n in range(80) for k in (1, 3, 5, 7, 9, 11, 13, 15, 99, 12345)]
+    # the exact window [1e-11, 1e17) and its neighbours
+    for edge in (1e-11, 1e17, 99999999999999999.0, 9.9999999999999995e-12, 1e-4, 1e-5):
+        values += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]
+    values += [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.5, 1.5, 2.5]
+    values += [9.9999999999999999e-5, 0.099999999999999992, 999999999999999.88, 1234.5, 1000.0]
+    return values + [-v for v in values] + [math.inf, -math.inf, math.nan]
+
+
+class TestFloatDigits:
+    def test_edge_values(self):
+        assert_floats_render_as_percent_g(edge_values())
+
+    def test_tie_rounds_half_to_even(self):
+        # 2**-25 = 2.98023223876953125e-08 has 18 significant digits
+        (row,) = rendered([np.array([2.0**-25])])
+        assert row == ["2.9802322387695312e-08"]
+
+    def test_every_layout(self):
+        # fixed form with 0 to 16 integer digits and below 1, scientific
+        # form, with and without trailing zeros and a point
+        rng = np.random.default_rng(3)
+        mantissas = np.concatenate([rng.uniform(1.0, 10.0, 200), np.arange(1.0, 10.0, 0.25)])
+        values = np.concatenate([mantissas * 10.0**p for p in range(-13, 19)])
+        assert_floats_render_as_percent_g(np.concatenate([values, -values]))
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(11)
+        bits = rng.integers(0, 2**63, 20000, dtype=np.int64).view(np.float64)
+        normals = rng.normal(size=20000) * 10.0 ** rng.integers(-12, 18, 20000)
+        assert_floats_render_as_percent_g(np.concatenate([bits, -bits, normals]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=40))
+    @example([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072009e-308])
+    def test_matches_percent_g(self, values):
+        assert_floats_render_as_percent_g(values)
+
+
+class TestIntegers:
+    @pytest.mark.parametrize("values", [
+        [0, 1, 9, 10, 99, 100, 12345678, 99999999],
+        [100000000, 0, 7, 1234567890123456, 9999999999999999],
+        [10**16, 0, 2**62, 2**63 - 1],
+        [-1, 0, 5, -(2**63), -99999999],
+    ])
+    def test_match_percent_d(self, values):
+        rows = rendered([np.array(values, dtype=np.int64)])
+        assert [row[0] for row in rows] == ["%d" % v for v in values]
+
+    def test_range_column(self):
+        rows = rendered([range(5, 9), np.arange(4.0)])
+        assert rows == [["5", "0"], ["6", "1"], ["7", "2"], ["8", "3"]]
+
+    def test_no_rows(self):
+        assert rendered([np.zeros(0, dtype=np.int64), np.zeros(0)]) == []
+
+
+def reference_samples_csv(samples) -> str:
+    rows = ["trial,re_est,im_est,F\n"]
+    for trial, (estimate, fidelity) in enumerate(
+        zip(samples.estimates.tolist(), samples.fidelity.tolist())
+    ):
+        rows.append(f"{trial},{estimate.real:.17g},{estimate.imag:.17g},{fidelity:.17g}\n")
+    return "".join(rows)
+
+
+def reference_density_csv(grid, values) -> str:
+    return "F,p\n" + "".join(f"{f:.17g},{p:.17g}\n" for f, p in zip(grid, values))
+
+
+def reference_dump_csv(state) -> str:
+    occupations = fock_oracle.mode_occupations(state.mode_count, state.levels)
+    header = ",".join(f"n_{m}" for m in range(state.mode_count))
+    rows = [f"index,{header},re,im\n"]
+    for index, amp in enumerate(state.amplitudes):
+        occ = ",".join(str(n) for n in occupations[index])
+        rows.append(f"{index},{occ},{amp.real:.17g},{amp.imag:.17g}\n")
+    return "".join(rows)
+
+
+class TestCliFilesAreTheReferenceBytes:
+    @pytest.mark.parametrize("command,scheme,sources", [
+        ("mc-info", measurement.INFO_SCHEME, 1),
+        ("mc-gauss", measurement.GAUSS_SCHEME, 2),
+    ])
+    def test_samples_csv(self, capsys, tmp_path, command, scheme, sources):
+        # two full writer chunks and a partial one
+        trials = 2 * _csvwrite.CHUNK_ROWS + 1234
+        path = tmp_path / "samples.csv"
+        code = main([command, f"--sources={sources}", "--copies=2", f"--trials={trials}",
+                     "--seed=8", "--alpha=0.3,-1.1", f"--output={path}"])
+        capsys.readouterr()
+        assert code in (EXIT_OK, cli.EXIT_GATE)
+        run = measurement.FidelityRun(complex(0.3, -1.1), sources, 2, trials, seed=8,
+                                      scheme=scheme)
+        if scheme == measurement.INFO_SCHEME:
+            samples = measurement.run_info_trials(run)
+        else:
+            samples = gaussian_cloner.run_gauss_trials(run)
+        assert path.read_text() == reference_samples_csv(samples)
+
+    @pytest.mark.parametrize("grid", [2, 3, 10000])
+    @pytest.mark.parametrize("scheme", ["info", "gauss"])
+    def test_density_csv(self, capsys, scheme, grid):
+        code = main(["pdf", f"--scheme={scheme}", "--sources=2", "--copies=3", f"--grid={grid}"])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        if scheme == "info":
+            density = measurement.info_pdf(2)
+        else:
+            density = gaussian_cloner.gauss_pdf(2, 3)
+        points = np.geomspace(cli.PDF_GRID_FLOOR, 1.0, grid)
+        assert out == reference_density_csv(points, np.asarray(density(points), dtype=float))
+
+    def test_dump_csv(self, tmp_path):
+        config = CloneNetworkConfig([1.0, 0.6], [0.3, -1.0], 1.1)
+        params = CoherentParams([0.7 - 0.2j, 0.1j, -0.3])
+        state = fock_oracle.evolve_product_state(params, config, 12)
+        path = tmp_path / "dump.csv"
+        cli._write_amplitude_dump(str(path), state)
+        assert path.read_text() == reference_dump_csv(state)

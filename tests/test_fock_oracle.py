@@ -287,6 +287,39 @@ class TestChebyshevPropagator:
         initial = product_coherent_state(params, levels).amplitudes
         np.testing.assert_allclose(evolved.amplitudes, unitary @ initial, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("turns", [0, 1, -1])
+    def test_angle_is_reduced_modulo_two_pi(self, turns):
+        # the spectrum is i * theta times integers, so exp(G) is 2*pi-periodic
+        # in theta; the series runs at the reduced angle for |theta| > pi
+        rng = np.random.default_rng(43)
+        magnitudes, phases = rng.uniform(0.5, 1.5, 2), rng.uniform(-np.pi, np.pi, 2)
+        coupling = math.hypot(*magnitudes)
+        base = CloneNetworkConfig(magnitudes, phases, 2.0 / coupling)
+        config = CloneNetworkConfig(magnitudes, phases, (2.0 + 2.0 * math.pi * turns) / coupling)
+        levels = 10
+        unitary = expm(dense_generator(config, levels))
+        np.testing.assert_allclose(unitary, expm(dense_generator(base, levels)),
+                                   rtol=0, atol=1e-13)
+        vector = rng.normal(size=unitary.shape[0]) + 1j * rng.normal(size=unitary.shape[0])
+        vector /= np.linalg.norm(vector)
+        rho = (levels - 1) * abs(config.rotation_angle)
+        propagated = _propagate(_coupling_generator(config, levels), rho, vector)
+        np.testing.assert_allclose(propagated, unitary @ vector, rtol=0, atol=1e-13)
+        params = CoherentParams([0.6 - 0.1j, 0.2j, -0.3])
+        evolved = evolve_product_state(params, config, levels)
+        initial = product_coherent_state(params, levels).amplitudes
+        np.testing.assert_allclose(evolved.amplitudes, unitary @ initial, rtol=0, atol=1e-13)
+
+    def test_angle_within_pi_is_not_reduced(self):
+        config = CloneNetworkConfig([1.0, 0.5], [0.2, -0.4], -3.0 / math.hypot(1.0, 0.5))
+        assert abs(config.rotation_angle) <= math.pi
+        params, levels = CoherentParams([0.5, 0.1, -0.2j]), 12
+        rho = (levels - 1) * abs(config.time) * math.hypot(1.0, 0.5)
+        expected = _propagate(_coupling_generator(config, levels), rho,
+                              product_coherent_state(params, levels).amplitudes)
+        evolved = evolve_product_state(params, config, levels)
+        assert np.array_equal(evolved.amplitudes, expected)
+
     def test_series_radius_limit(self):
         config = CloneNetworkConfig([1.0], [0.0], 1e6)
         with pytest.raises(ValueError, match="periodic"):
