@@ -456,6 +456,39 @@ class TestMonteCarlo:
         assert (tmp_path / "samples.csv").exists()
 
 
+class TestPinnedStream:
+    """Literal ``%.17g`` estimates of the first and last trial, and the
+    reported exponent, for fixed seeds: any change to the draw, the
+    quadrature standard deviation or the rescaling shows here.  (2, 4) is a
+    Gaussian case whose standard deviation differs in its last bit when it
+    is computed as sqrt(float((A+2)/A)) instead of from float(A).  The F
+    column is left out: it goes through numpy's vectorised ``exp``."""
+
+    @pytest.mark.parametrize("command,sources,copies,seed,first,last,exponent", [
+        ("mc-info", 1, 2, 11, ("1.111648806928023", "-1.6360953499161879"),
+         ("1.1573310472207023", "-1.3497546618750209"), "1"),
+        ("mc-info", 4, 16, 12, ("1.0013809605049007", "-0.89531552916469292"),
+         ("0.51620489227612198", "-1.2493531270572653"), "4"),
+        ("mc-gauss", 2, 2, 13, ("0.072388019476313931", "-1.8388784620881486"),
+         ("0.78189895335103798", "-1.6072708440695906"), "1.3333333333333333"),
+        ("mc-gauss", 2, 4, 14, ("0.62032418582742643", "-0.44258519782091643"),
+         ("0.01133456565590984", "-1.0854083202620233"), "2.2857142857142856"),
+    ], ids=["info-1-2", "info-4-16", "gauss-2-2", "gauss-2-4"])
+    def test_first_and_last_estimates(self, capsys, tmp_path, command, sources, copies,
+                                      seed, first, last, exponent):
+        path = tmp_path / "samples.csv"
+        code, out, _ = run_cli(
+            capsys, command, f"--sources={sources}", f"--copies={copies}", "--trials=5000",
+            f"--seed={seed}", "--alpha=0.3,-1.1", f"--output={path}",
+        )
+        assert code == EXIT_OK
+        rows = path.read_text().splitlines()
+        assert len(rows) == 5001
+        assert tuple(rows[1].split(",")[1:3]) == first
+        assert tuple(rows[-1].split(",")[1:3]) == last
+        assert "%.17g" % json.loads(out)["reference_cdf_exponent"] == exponent
+
+
 class TestPdf:
     @pytest.mark.parametrize("grid", ["0", "1", "-5"])
     def test_grid_below_two_is_usage_error(self, capsys, grid):
