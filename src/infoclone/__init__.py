@@ -1,9 +1,9 @@
 """Information cloning of oscillator coherent states.
 
 Parameter-level network algebra (``phase_space``), an independent
-truncated number-basis verifier (``fock_oracle``), Monte Carlo
-measurement-fidelity experiments (``measurement``), and the optimal
-Gaussian copier's reference statistics (``gaussian_cloner``).  The package
+truncated number-basis verifier (``fock_oracle``), the measurement-fidelity
+law F**c and its Monte Carlo for both schemes (``measurement``), and the
+optimal Gaussian copier's closed forms (``gaussian_cloner``).  The package
 needs numpy alone; scipy is a reference for the tests only.
 """
 
@@ -25,19 +25,19 @@ from .measurement import (
     FidelityRun,
     FidelitySamples,
     DistributionSummary,
-    info_mean_fidelity,
-    info_pdf,
+    comparison_table,
+    fidelity_cdf,
+    fidelity_exponent,
+    fidelity_pdf,
+    mean_fidelity,
     measurement_fidelity,
-    run_info_trials,
+    run_trials,
     summarize,
 )
 from .gaussian_cloner import (
-    amplification_A,
-    comparison_table,
-    gauss_mean_fidelity,
-    gauss_pdf,
+    amplification_fraction,
+    gauss_exponent_fraction,
     overlap_fidelity_gaussian,
-    run_gauss_trials,
 )
 from .fock_oracle import (
     DimensionBudgetError,

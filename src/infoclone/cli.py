@@ -3,6 +3,8 @@
 Subcommands build transfer matrices, report clone parameters, run the
 truncated-basis verifier, drive Monte Carlo fidelity experiments, emit the
 closed-form fidelity densities, and print the scheme-comparison table.
+``mc-info`` and ``mc-gauss`` run the same code and differ only by the scheme
+their parser sets; ``pdf --scheme`` picks the law F**c the same way.
 
 Exit codes: 0 when every internal gate passes, 2 for invalid configuration,
 3 when a numeric or statistical gate fails.  All output is deterministic for
@@ -16,10 +18,13 @@ itself.  It exits 2 when the Poisson tail T of the input's total excitation
 exceeds max(--gate, 1e-4), since the infidelity is then the truncation loss
 2T - T**2 rather than a test of the network, and when (d - 1) times the
 rotation angle, the radius of its Chebyshev-Bessel series, exceeds 1e6
-(the series itself runs at the angle reduced modulo 2*pi).
+(the series itself runs at the angle reduced modulo 2*pi).  A
+``--truncation`` below 2 or a ``--budget`` below 1 exits 2, and so does
+``--delta`` without ``--r`` in ``transfer`` and ``fock-verify``.
 
-Unwritable ``--output`` and ``--dump`` paths exit 2, and the Monte Carlo
-commands open their samples CSV before drawing any trial.  The parser is
+Unwritable ``--output`` and ``--dump`` paths exit 2.  The Monte Carlo
+commands check the whole run, the scheme's law included, before they open
+their samples CSV, and open it before drawing any trial.  The parser is
 built once per process, on first use.
 
 File schemas (version 3):
@@ -50,7 +55,7 @@ from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
-from . import _csvwrite, fock_oracle, gaussian_cloner, measurement, phase_space
+from . import _csvwrite, fock_oracle, measurement, phase_space
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -59,6 +64,7 @@ SCHEMA_VERSION = 3
 OUTPUT_DIR_ENV = "INFOCLONE_OUTPUT_DIR"
 PDF_GRID_FLOOR = 1e-12
 DEFAULT_TABLE_CASES = "1,2;1,4;2,2;2,4"
+PDF_SCHEMES = {"info": measurement.INFO_SCHEME, "gauss": measurement.GAUSS_SCHEME}
 
 
 def _parse_complex(text: str) -> complex:
@@ -141,6 +147,8 @@ def _network_from_args(args) -> phase_space.CloneNetworkConfig:
     """Build the coupling network from --copies or --r/--delta/--time flags."""
     if args.copies is not None and args.r is not None:
         raise ValueError("give either --copies or --r, not both")
+    if args.delta is not None and args.r is None:
+        raise ValueError("--delta sets the phases of the --r couplings; give --r with it")
     if args.copies is not None:
         if args.copies < 1:
             raise ValueError("--copies must be positive")
@@ -272,26 +280,20 @@ def _write_samples_csv(handle, samples: measurement.FidelitySamples):
                         [range(fidelity.size), estimates.real, estimates.imag, fidelity])
 
 
-def _run_mc(args, scheme: str) -> int:
+def _run_mc(args) -> int:
     run = measurement.FidelityRun(
         alpha_true=args.alpha,
         sources=args.sources,
         copies=args.copies,
         trials=args.trials,
         seed=args.seed,
-        scheme=scheme,
+        scheme=args.scheme,
     )
+    exponent = measurement.fidelity_exponent(run.scheme, run.sources, run.copies)
     # the CSV opens first, so an unwritable path fails before any trial is drawn
     with _open_output(args.output) if args.output else nullcontext() as csv_out:
-        if scheme == measurement.INFO_SCHEME:
-            samples = measurement.run_info_trials(run)
-            reference = measurement.info_cdf(run.sources)
-            exponent = float(run.sources)
-        else:
-            samples = gaussian_cloner.run_gauss_trials(run)
-            reference = gaussian_cloner.gauss_cdf(run.sources, run.copies)
-            exponent = gaussian_cloner.gauss_exponent(run.sources, run.copies)
-        summary = measurement.summarize(samples, reference)
+        samples = measurement.run_trials(run)
+        summary = measurement.summarize(samples.fidelity, measurement.fidelity_cdf(exponent))
         critical = measurement.ks_critical(run.trials)
         ks_pass = summary.ks_statistic < critical
         if csv_out is not None:
@@ -299,13 +301,13 @@ def _run_mc(args, scheme: str) -> int:
 
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "scheme": scheme,
+        "scheme": run.scheme,
         "alpha_true": [run.alpha_true.real, run.alpha_true.imag],
         "sources": run.sources,
         "copies": run.copies,
         "trials": run.trials,
         "seed": run.seed,
-        "reference_cdf_exponent": exponent,
+        "reference_cdf_exponent": float(exponent),
         "mean": summary.mean,
         "variance": summary.variance,
         "ks_statistic": summary.ks_statistic,
@@ -320,33 +322,20 @@ def _run_mc(args, scheme: str) -> int:
     return EXIT_OK if ks_pass else EXIT_GATE
 
 
-def cmd_mc_info(args) -> int:
-    return _run_mc(args, measurement.INFO_SCHEME)
-
-
-def cmd_mc_gauss(args) -> int:
-    return _run_mc(args, measurement.GAUSS_SCHEME)
-
-
 def cmd_pdf(args) -> int:
-    if args.scheme == "info":
-        density = measurement.info_pdf(args.sources)
-    else:
-        if args.copies is None:
-            raise ValueError("--copies is required for the gaussian scheme")
-        density = gaussian_cloner.gauss_pdf(args.sources, args.copies)
+    exponent = measurement.fidelity_exponent(PDF_SCHEMES[args.scheme], args.sources, args.copies)
     if args.grid < 2:
         raise ValueError(f"--grid must be at least 2 points, got {args.grid}")
     # log-spaced grid keeps trapezoidal mass accurate for the singular c<1 laws
     grid = np.geomspace(PDF_GRID_FLOOR, 1.0, args.grid)
-    values = np.asarray(density(grid), dtype=float)
+    values = np.asarray(measurement.fidelity_pdf(exponent)(grid), dtype=float)
     with _open_output(args.output) as out:
         _csvwrite.write_csv(out, "F,p", [grid, values])
     return EXIT_OK
 
 
 def cmd_table(args) -> int:
-    rows = gaussian_cloner.comparison_table(args.cases)
+    rows = measurement.comparison_table(args.cases)
     with _open_output(args.output) as out:
         if args.format == "json":
             payload = {
@@ -444,14 +433,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     mc_info = sub.add_parser("mc-info", help="Monte Carlo fidelities, information cloning")
     _add_mc_flags(mc_info)
-    mc_info.set_defaults(func=cmd_mc_info)
+    mc_info.set_defaults(func=_run_mc, scheme=measurement.INFO_SCHEME)
 
     mc_gauss = sub.add_parser("mc-gauss", help="Monte Carlo fidelities, Gaussian copier")
     _add_mc_flags(mc_gauss)
-    mc_gauss.set_defaults(func=cmd_mc_gauss)
+    mc_gauss.set_defaults(func=_run_mc, scheme=measurement.GAUSS_SCHEME)
 
     pdf = sub.add_parser("pdf", help="emit the closed-form fidelity density as CSV")
-    pdf.add_argument("--scheme", choices=("info", "gauss"), required=True)
+    pdf.add_argument("--scheme", choices=PDF_SCHEMES, required=True)
     pdf.add_argument("--sources", type=int, required=True)
     pdf.add_argument("--copies", type=int, default=None)
     pdf.add_argument("--grid", type=int, default=10000, help="number of grid points, at least 2")

@@ -157,8 +157,14 @@ def check_truncation(entries, levels: int, gate: float,
     between ``gate`` and the limit passes: the gate is then out of reach at
     this truncation, and the infidelity says by how much.  A total mean
     occupation of ``dim_budget`` or more raises :class:`DimensionBudgetError`,
-    since it alone needs more levels than the budget allows.
+    since it alone needs more levels than the budget allows.  Fewer than two
+    levels, or a budget below one state, raise ``ValueError`` naming the
+    ``fock-verify`` flag.
     """
+    if levels < 2:
+        raise ValueError(f"--truncation must be at least 2 levels, got {levels}")
+    if dim_budget < 1:
+        raise ValueError(f"--budget must be at least 1, got {dim_budget}")
     if not gate > 0:
         raise ValueError(f"gate must be positive, got {gate}")
     moduli = [abs(complex(z)) for z in entries]

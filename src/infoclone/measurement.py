@@ -1,4 +1,4 @@
-"""Monte Carlo quadrature measurements on information clones.
+"""Measurement-fidelity law and Monte Carlo for both cloning schemes.
 
 Each trial measures half of the available copies in position and half in
 momentum, averages, reconstructs the source parameter, and scores the
@@ -7,6 +7,13 @@ For Gaussian quadrature statistics the sample means are exactly Gaussian, so
 the closed-form fidelity laws hold without any asymptotic caveat, and a run
 draws each trial's two quadrature means directly instead of the individual
 samples: one normal per quadrature per trial, at any number of copies.
+
+Both schemes share one law, the CDF F**c on [0, 1], with density
+c * F**(c-1) and mean c/(c+1).  The scheme decides only the exponent c
+(:func:`fidelity_exponent`): c = M for information cloning of M sources,
+whatever the number of copies, and the copier's
+c = M^2 N^2 / (2(MN + 2N - 2)) from ``gaussian_cloner`` for the Gaussian
+scheme.  :func:`run_trials` runs either scheme.
 
 A run returns its results as columns (:class:`FidelitySamples`): a complex
 array of estimates and a float array of fidelities, the latter computed by
@@ -29,6 +36,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .gaussian_cloner import _positive_int, gauss_exponent_fraction, gauss_quadrature_sd
+
 __all__ = [
     "INFO_SCHEME",
     "GAUSS_SCHEME",
@@ -41,15 +50,16 @@ __all__ = [
     "DistributionSummary",
     "trial_rng",
     "measurement_fidelity",
-    "run_info_trials",
-    "info_pdf",
-    "info_cdf",
-    "info_mean_fraction",
-    "info_mean_fidelity",
-    "fidelity_values",
+    "run_trials",
+    "fidelity_exponent",
+    "fidelity_pdf",
+    "fidelity_cdf",
+    "mean_fidelity",
     "summarize",
     "ks_statistic",
     "ks_critical",
+    "ComparisonRow",
+    "comparison_table",
 ]
 
 INFO_SCHEME = "info_cloning"
@@ -69,7 +79,8 @@ class FidelityRun:
 
     ``sources * copies`` clones are available per trial; half are measured in
     position and half in momentum, so the product must be even (and >= 2).
-    A run needs at least two trials for its summary.
+    A run needs at least two trials for its summary, and its scheme must
+    have a fidelity law at this case (the Gaussian copier needs copies >= 2).
 
     ``|alpha_true|`` is bounded so that rounding cannot shape the fidelity
     law.  Each estimate component scatters around alpha_true with a
@@ -96,8 +107,6 @@ class FidelityRun:
     scheme: str = INFO_SCHEME
 
     def __post_init__(self):
-        if self.scheme not in (INFO_SCHEME, GAUSS_SCHEME):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.sources < 1 or self.copies < 1:
             raise ValueError("sources and copies must be positive")
         total = self.sources * self.copies
@@ -121,6 +130,7 @@ class FidelityRun:
                 f"2**-20 of the per-trial estimate noise floor {noise:.3g}"
             )
         object.__setattr__(self, "alpha_true", alpha)
+        fidelity_exponent(self.scheme, self.sources, self.copies)
 
     @property
     def measurements_per_quadrature(self) -> int:
@@ -194,67 +204,63 @@ def _run_trials(run: FidelityRun, clone_scale: float, sd: float) -> FidelitySamp
     return FidelitySamples(estimates, measurement_fidelity(run.alpha_true, estimates))
 
 
-def run_info_trials(run: FidelityRun) -> FidelitySamples:
-    """Monte Carlo fidelity samples for the information-cloning scheme.
+def run_trials(run: FidelityRun) -> FidelitySamples:
+    """Monte Carlo fidelity samples of ``run`` under its scheme.
 
-    Every clone carries alpha/sqrt(copies); per trial, the means of
-    sources*copies/2 position and momentum samples of variance 1/2 are
-    drawn, and the source parameter is reconstructed as
-    sqrt(copies) * (y + iz) / sqrt(2).
+    Information clones carry alpha/sqrt(copies) and every quadrature
+    measurement has variance 1/2; the estimate sqrt(copies) * (y + iz) /
+    sqrt(2) undoes the scale.  Gaussian copies carry the full source
+    parameter, measured with the standard deviation of
+    :func:`~infoclone.gaussian_cloner.gauss_quadrature_sd`.
     """
-    if run.scheme != INFO_SCHEME:
-        raise ValueError(f"run scheme is {run.scheme!r}; expected {INFO_SCHEME!r}")
-    return _run_trials(run, math.sqrt(run.copies), QUADRATURE_SD)
+    if run.scheme == INFO_SCHEME:
+        return _run_trials(run, math.sqrt(run.copies), QUADRATURE_SD)
+    return _run_trials(run, 1.0, gauss_quadrature_sd(run.sources, run.copies))
 
 
-def _positive_int(value, name) -> int:
-    number = int(value)
-    if number < 1 or number != value:
-        raise ValueError(f"{name} must be a positive integer")
-    return number
+def fidelity_exponent(scheme: str, sources: int, copies: int | None) -> Fraction:
+    """Exact exponent c of the scheme's measurement-fidelity law F**c.
+
+    Information cloning gives c = M, and ignores ``copies``; the Gaussian
+    copier gives c = M^2 N^2 / (2(MN + 2N - 2)) and needs copies >= 2.
+    """
+    if scheme == INFO_SCHEME:
+        return Fraction(_positive_int(sources, "sources"))
+    if scheme != GAUSS_SCHEME:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if copies is None:
+        raise ValueError("--copies is required for the gaussian scheme")
+    return gauss_exponent_fraction(sources, copies)
 
 
-def info_pdf(sources: int):
-    """Density of the information-scheme fidelity law: M * F**(M-1) on [0, 1]."""
-    m = _positive_int(sources, "sources")
+def fidelity_pdf(exponent: Fraction):
+    """Density c * F**(c-1) of the law F**c on [0, 1]."""
+    c = float(exponent)
 
     def density(f):
-        return m * np.asarray(f, dtype=float) ** (m - 1)
+        return c * np.asarray(f, dtype=float) ** (c - 1.0)
 
     return density
 
 
-def info_cdf(sources: int):
-    """CDF of the information-scheme fidelity law: F**M."""
-    m = _positive_int(sources, "sources")
+def fidelity_cdf(exponent: Fraction):
+    """CDF F**c of the measurement-fidelity law."""
+    c = float(exponent)
 
     def cdf(f):
-        return np.asarray(f, dtype=float) ** m
+        return np.asarray(f, dtype=float) ** c
 
     return cdf
 
 
-def info_mean_fraction(sources: int) -> Fraction:
-    """Mean fidelity M/(M+1), independent of the number of copies."""
-    m = _positive_int(sources, "sources")
-    return Fraction(m, m + 1)
+def mean_fidelity(exponent: Fraction) -> Fraction:
+    """Exact mean c/(c+1) of the law F**c, as one fraction p/(p+q) of c = p/q."""
+    return Fraction(exponent.numerator, exponent.numerator + exponent.denominator)
 
 
-def info_mean_fidelity(sources: int) -> float:
-    return float(info_mean_fraction(sources))
-
-
-def fidelity_values(samples) -> np.ndarray:
-    """Fidelity column of a run's samples; an array or sequence of
-    fidelities passes through as a float array (a float ndarray as it is)."""
-    if isinstance(samples, FidelitySamples):
-        return samples.fidelity
-    return np.asarray(samples, dtype=float)
-
-
-def ks_statistic(samples, reference_cdf) -> float:
-    """One-sample Kolmogorov-Smirnov distance against a CDF callable."""
-    values = np.sort(fidelity_values(samples))
+def ks_statistic(values, reference_cdf) -> float:
+    """One-sample Kolmogorov-Smirnov distance of ``values`` against a CDF callable."""
+    values = np.sort(values)
     n = values.size
     if n < 1:
         raise ValueError("need at least one sample")
@@ -268,14 +274,13 @@ def ks_critical(count: int) -> float:
     return KS_5PCT / math.sqrt(count)
 
 
-
-def summarize(samples, reference_cdf, bins: int = 50) -> DistributionSummary:
-    """Mean/variance/histogram of fidelity samples plus the KS distance.
+def summarize(values, reference_cdf, bins: int = 50) -> DistributionSummary:
+    """Mean/variance/histogram of fidelity values plus the KS distance.
 
     The histogram uses uniform bins on [0, 1]; counts always sum to the
     sample count since fidelities live in (0, 1].
     """
-    values = fidelity_values(samples)
+    values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise ValueError("need at least two samples")
     edges = np.linspace(0.0, 1.0, bins + 1)
@@ -288,3 +293,29 @@ def summarize(samples, reference_cdf, bins: int = 50) -> DistributionSummary:
         counts=counts,
         ks_statistic=ks_statistic(values, reference_cdf),
     )
+
+
+@dataclass(frozen=True)
+class ComparisonRow:
+    """Mean measurement fidelities of both schemes for one (sources, copies) case."""
+
+    sources: int
+    copies: int
+    gauss_mean: Fraction
+    info_mean: Fraction
+
+
+def comparison_table(cases) -> list[ComparisonRow]:
+    """Gaussian-copier vs information-cloning mean fidelities, exact rationals.
+
+    The information column depends on the source count only.
+    """
+    return [
+        ComparisonRow(
+            sources=int(sources),
+            copies=int(copies),
+            gauss_mean=mean_fidelity(fidelity_exponent(GAUSS_SCHEME, sources, copies)),
+            info_mean=mean_fidelity(fidelity_exponent(INFO_SCHEME, sources, copies)),
+        )
+        for sources, copies in cases
+    ]

@@ -11,7 +11,7 @@ import math
 
 from scipy.stats import ks_2samp
 
-from infoclone.measurement import KS_5PCT, fidelity_values
+from infoclone.measurement import KS_5PCT
 
 # Asymptotic 1e-6 point of the Kolmogorov distribution: the first term of its
 # survival series, 2*exp(-2x^2) = 1e-6 (the next term is below 1e-24).
@@ -19,8 +19,8 @@ KS_1E6 = math.sqrt(math.log(2e6) / 2)
 
 
 def ks_two_sample(first, second) -> float:
-    """Two-sample KS distance between fidelity sample sets."""
-    return float(ks_2samp(fidelity_values(first), fidelity_values(second)).statistic)
+    """Two-sample KS distance between two arrays of fidelities."""
+    return float(ks_2samp(first, second).statistic)
 
 
 def ks_critical_two_sample(n_first: int, n_second: int) -> float:

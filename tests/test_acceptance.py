@@ -20,19 +20,18 @@ from infoclone.fock_oracle import (
 )
 from infoclone.gaussian_cloner import (
     amplification_fraction,
-    gauss_cdf,
     gauss_exponent_fraction,
-    gauss_mean_fraction,
     overlap_fidelity_gaussian,
-    run_gauss_trials,
 )
 from infoclone.measurement import (
     GAUSS_SCHEME,
+    INFO_SCHEME,
     FidelityRun,
-    fidelity_values,
-    info_cdf,
+    fidelity_cdf,
+    fidelity_exponent,
     ks_statistic,
-    run_info_trials,
+    mean_fidelity,
+    run_trials,
 )
 from infoclone.phase_space import (
     CloneNetworkConfig,
@@ -157,9 +156,9 @@ def test_criterion_6_uniform_fidelity_law():
     runs = {}
     for copies, seed in ((2, 7), (8, 17)):
         run = FidelityRun(1.0 + 0.5j, sources=1, copies=copies, trials=MC_TRIALS, seed=seed)
-        values = fidelity_values(run_info_trials(run))
+        values = run_trials(run).fidelity
         mean = values.mean()
-        statistic = ks_statistic(values, info_cdf(1))
+        statistic = ks_statistic(values, fidelity_cdf(fidelity_exponent(INFO_SCHEME, 1, copies)))
         assert abs(mean - 0.5) < MC_MEAN_TOL
         assert statistic < ks_critical_1e6(MC_TRIALS)
         runs[copies] = values
@@ -173,10 +172,10 @@ def test_criterion_6_uniform_fidelity_law():
 @pytest.mark.parametrize("sources,copies,seed", [(2, 2, 23), (3, 2, 29), (5, 4, 31)])
 def test_criterion_7_source_count_law(sources, copies, seed):
     run = FidelityRun(0.7 - 0.4j, sources=sources, copies=copies, trials=MC_TRIALS, seed=seed)
-    values = fidelity_values(run_info_trials(run))
+    values = run_trials(run).fidelity
     target = sources / (sources + 1.0)
     mean = values.mean()
-    statistic = ks_statistic(values, info_cdf(sources))
+    statistic = ks_statistic(values, fidelity_cdf(fidelity_exponent(INFO_SCHEME, sources, copies)))
     assert abs(mean - target) < MC_MEAN_TOL
     assert statistic < ks_critical_1e6(MC_TRIALS)
     _report(7, f"(M,N)=({sources},{copies}): mean {mean:.4f} ~ {target:.4f}, "
@@ -192,12 +191,13 @@ def test_criterion_8_gaussian_cloner_means():
     }
     seeds = {(1, 2): 38, (1, 4): 38, (2, 2): 38, (2, 4): 37}
     for (sources, copies), target in expected.items():
-        assert gauss_mean_fraction(sources, copies) == target
+        exponent = fidelity_exponent(GAUSS_SCHEME, sources, copies)
+        assert mean_fidelity(exponent) == target
         run = FidelityRun(1.0, sources=sources, copies=copies, trials=MC_TRIALS,
                           seed=seeds[(sources, copies)], scheme=GAUSS_SCHEME)
-        values = fidelity_values(run_gauss_trials(run))
+        values = run_trials(run).fidelity
         assert abs(values.mean() - float(target)) < MC_MEAN_TOL
-        assert ks_statistic(values, gauss_cdf(sources, copies)) < ks_critical_1e6(MC_TRIALS)
+        assert ks_statistic(values, fidelity_cdf(exponent)) < ks_critical_1e6(MC_TRIALS)
     _report(8, "Monte Carlo means match 1/3, 4/9, 4/7, 16/23 within 0.005; "
                "closed forms reproduce them exactly as rationals")
 

@@ -8,8 +8,7 @@ import pytest
 
 from infoclone import cli, fock_oracle, measurement, phase_space
 from infoclone.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, SCHEMA_VERSION, main
-from infoclone.gaussian_cloner import run_gauss_trials
-from infoclone.measurement import GAUSS_SCHEME, FidelityRun
+from infoclone.measurement import GAUSS_SCHEME, FidelityRun, run_trials
 from infoclone.phase_space import CoherentParams, info_overlap_fidelity
 
 
@@ -49,6 +48,12 @@ class TestTransfer:
         code, out, _ = run_cli(capsys, "transfer", "--copies", "3")
         assert code == EXIT_OK
         assert "max unitarity deviation" in out
+
+    def test_delta_without_r_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "transfer", "--copies", "2", "--delta", "0.5,0.5")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--delta" in err
 
 
 class TestClone:
@@ -250,6 +255,33 @@ class TestFockVerify:
         assert json.loads(out)["infidelity"] < 1e-12
         assert elapsed < 1.0
 
+    def test_delta_without_r_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "fock-verify", "--alpha", "0.3,0", "--copies", "2", "--delta", "0.5,0.5"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--delta" in err
+
+    @pytest.mark.parametrize("truncation", ["0", "1", "-3"])
+    def test_truncation_below_two_is_usage_error(self, capsys, truncation):
+        code, out, err = run_cli(
+            capsys, "fock-verify", "--alpha", "0,0", "--copies", "2",
+            f"--truncation={truncation}",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--truncation" in err
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_is_usage_error(self, capsys, budget):
+        code, out, err = run_cli(
+            capsys, "fock-verify", "--alpha", "0.1,0", "--copies", "2", f"--budget={budget}"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--budget" in err
+
     def test_non_finite_time_is_usage_error(self, capsys):
         code, out, err = run_cli(
             capsys, "fock-verify", "--copies", "2", "--alpha=0.5,0", "--time", "inf"
@@ -374,7 +406,7 @@ class TestMonteCarlo:
         lines = path.read_text().splitlines()
         assert lines[0] == "trial,re_est,im_est,F"
         table = np.array([line.split(",") for line in lines[1:]], dtype=float)
-        samples = run_gauss_trials(
+        samples = run_trials(
             FidelityRun(complex(-0.4, 1.3), 2, 2, 5000, seed=12, scheme=GAUSS_SCHEME)
         )
         assert np.array_equal(table[:, 0], np.arange(5000))
@@ -433,6 +465,17 @@ class TestMonteCarlo:
         )
         assert code == EXIT_OK
         assert json.loads(out)["ks_pass"]
+
+    def test_gauss_single_copy_leaves_no_csv(self, capsys, tmp_path):
+        path = tmp_path / "f.csv"
+        code, out, err = run_cli(
+            capsys, "mc-gauss", "--sources", "2", "--copies", "1", "--trials", "100",
+            "--output", str(path),
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "copies must be at least 2" in err
+        assert not path.exists()
 
     def test_odd_split_is_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -600,7 +643,7 @@ class TestUnwritableOutput:
         def no_trials(run):
             raise AssertionError("trials were drawn before the output was opened")
 
-        monkeypatch.setattr(measurement, "run_info_trials", no_trials)
+        monkeypatch.setattr(measurement, "run_trials", no_trials)
         code, out, err = run_cli(
             capsys, "mc-info", "--sources", "1", "--copies", "2", "--trials", "1000000",
             "--output", str(tmp_path),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from infoclone import _csvwrite, cli, fock_oracle, gaussian_cloner, measurement
+from infoclone import _csvwrite, cli, fock_oracle, measurement
 from infoclone.cli import EXIT_OK, main
 from infoclone.phase_space import CloneNetworkConfig, CoherentParams
 
@@ -129,11 +129,7 @@ class TestCliFilesAreTheReferenceBytes:
         assert code in (EXIT_OK, cli.EXIT_GATE)
         run = measurement.FidelityRun(complex(0.3, -1.1), sources, 2, trials, seed=8,
                                       scheme=scheme)
-        if scheme == measurement.INFO_SCHEME:
-            samples = measurement.run_info_trials(run)
-        else:
-            samples = gaussian_cloner.run_gauss_trials(run)
-        assert path.read_text() == reference_samples_csv(samples)
+        assert path.read_text() == reference_samples_csv(measurement.run_trials(run))
 
     @pytest.mark.parametrize("grid", [2, 3, 10000])
     @pytest.mark.parametrize("scheme", ["info", "gauss"])
@@ -141,10 +137,8 @@ class TestCliFilesAreTheReferenceBytes:
         code = main(["pdf", f"--scheme={scheme}", "--sources=2", "--copies=3", f"--grid={grid}"])
         out = capsys.readouterr().out
         assert code == EXIT_OK
-        if scheme == "info":
-            density = measurement.info_pdf(2)
-        else:
-            density = gaussian_cloner.gauss_pdf(2, 3)
+        exponent = measurement.fidelity_exponent(cli.PDF_SCHEMES[scheme], 2, 3)
+        density = measurement.fidelity_pdf(exponent)
         points = np.geomspace(cli.PDF_GRID_FLOOR, 1.0, grid)
         assert out == reference_density_csv(points, np.asarray(density(points), dtype=float))
 

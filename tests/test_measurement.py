@@ -11,7 +11,6 @@ from scipy.stats import kstwobign
 
 from infoclone import measurement
 from infoclone.fock_oracle import coherent_state_vector, overlap
-from infoclone.gaussian_cloner import gauss_cdf, run_gauss_trials
 from infoclone.measurement import (
     GAUSS_SCHEME,
     INFO_SCHEME,
@@ -20,15 +19,14 @@ from infoclone.measurement import (
     TRIAL_BATCH,
     FidelityRun,
     FidelitySamples,
-    fidelity_values,
-    info_cdf,
-    info_mean_fidelity,
-    info_mean_fraction,
-    info_pdf,
+    fidelity_cdf,
+    fidelity_exponent,
+    fidelity_pdf,
     ks_critical,
     ks_statistic,
+    mean_fidelity,
     measurement_fidelity,
-    run_info_trials,
+    run_trials,
     summarize,
     trial_rng,
 )
@@ -41,6 +39,19 @@ from ks_helpers import (
 )
 
 _SQRT2 = math.sqrt(2.0)
+
+
+def law_cdf(scheme, sources, copies=2):
+    """CDF of the scheme's fidelity law F**c."""
+    return fidelity_cdf(fidelity_exponent(scheme, sources, copies))
+
+
+def info_pdf(sources):
+    return fidelity_pdf(fidelity_exponent(INFO_SCHEME, sources, None))
+
+
+def info_mean(sources) -> Fraction:
+    return mean_fidelity(fidelity_exponent(INFO_SCHEME, sources, None))
 
 
 # Per-copy reference sampler.  The driver draws each trial's quadrature means
@@ -152,9 +163,9 @@ class TestRunConfig:
     def test_law_holds_just_below_alpha_bound(self, scheme):
         run = FidelityRun(complex(2.1e9, -2.1e9), sources=1, copies=2, trials=50_000,
                           seed=3, scheme=scheme)
-        samples = run_info_trials(run) if scheme == INFO_SCHEME else run_gauss_trials(run)
-        reference = info_cdf(1) if scheme == INFO_SCHEME else gauss_cdf(1, 2)
-        assert ks_statistic(samples, reference) < ks_critical(run.trials)
+        samples = run_trials(run)
+        reference = law_cdf(scheme, 1, 2)
+        assert ks_statistic(samples.fidelity, reference) < ks_critical(run.trials)
 
     def test_measurement_split(self):
         run = FidelityRun(1.0, sources=3, copies=4, trials=10, seed=0)
@@ -223,20 +234,20 @@ class TestFidelity:
 class TestInfoTrials:
     def test_uniform_law_for_single_source(self):
         run = FidelityRun(0.9 + 0.5j, sources=1, copies=8, trials=400_000, seed=7)
-        samples = run_info_trials(run)
-        summary = summarize(samples, info_cdf(1))
+        samples = run_trials(run)
+        summary = summarize(samples.fidelity, law_cdf(INFO_SCHEME, 1))
         assert abs(summary.mean - 0.5) < 0.005
         assert summary.ks_statistic < ks_critical_1e6(run.trials)
 
     def test_three_sources_mean(self):
         run = FidelityRun(1.0, sources=3, copies=2, trials=100_000, seed=11)
-        samples = run_info_trials(run)
-        mean = fidelity_values(samples).mean()
+        samples = run_trials(run)
+        mean = samples.fidelity.mean()
         assert abs(mean - 0.75) < 0.005
 
     def test_estimator_unbiased(self):
         run = FidelityRun(0.8 - 0.3j, sources=2, copies=4, trials=100_000, seed=13)
-        estimates = run_info_trials(run).estimates
+        estimates = run_trials(run).estimates
         standard_error = math.sqrt(1.0 / (2.0 * run.sources)) / math.sqrt(run.trials)
         assert abs(estimates.real.mean() - 0.8) < 5.0 * standard_error
         assert abs(estimates.imag.mean() + 0.3) < 5.0 * standard_error
@@ -245,7 +256,7 @@ class TestInfoTrials:
         # Var(Re est) = Var(Im est) = 1/(2M), independent of copies
         for copies, seed in ((2, 17), (8, 19)):
             run = FidelityRun(0.5, sources=2, copies=copies, trials=100_000, seed=seed)
-            estimates = run_info_trials(run).estimates
+            estimates = run_trials(run).estimates
             target = 1.0 / (2.0 * run.sources)
             tolerance = 5.0 * target * math.sqrt(2.0 / run.trials)
             assert abs(estimates.real.var() - target) < tolerance
@@ -256,7 +267,7 @@ class TestInfoTrials:
         # to the last bit (a scalar ** 2 instead of np.square breaks this on
         # about 0.1% of rows)
         run = FidelityRun(0.4 + 0.1j, sources=1, copies=2, trials=50_000, seed=23)
-        samples = run_info_trials(run)
+        samples = run_trials(run)
         assert samples.fidelity.shape == samples.estimates.shape == (run.trials,)
         for i in range(run.trials):
             assert samples.fidelity[i] == measurement_fidelity(run.alpha_true, samples.estimates[i])
@@ -264,15 +275,15 @@ class TestInfoTrials:
     def test_log_law_is_chi_squared(self):
         # -2M ln F has CDF 1 - exp(-x/2)
         run = FidelityRun(1.0, sources=4, copies=2, trials=200_000, seed=29)
-        values = fidelity_values(run_info_trials(run))
+        values = run_trials(run).fidelity
         transformed = -2.0 * run.sources * np.log(values)
         statistic = ks_statistic(transformed, lambda x: 1.0 - np.exp(-x / 2.0))
         assert statistic < ks_critical_1e6(run.trials)
 
     def test_deterministic_for_seed(self):
         run = FidelityRun(0.6, sources=1, copies=4, trials=10_000, seed=31)
-        first = fidelity_values(run_info_trials(run))
-        second = fidelity_values(run_info_trials(run))
+        first = run_trials(run).fidelity
+        second = run_trials(run).fidelity
         assert np.array_equal(first, second)
 
     @settings(max_examples=15, deadline=None)
@@ -286,29 +297,23 @@ class TestInfoTrials:
         trials = batches * TRIAL_BATCH
         runs = [FidelityRun(0.3 - 1.1j, sources=2, copies=2, trials=count, seed=seed,
                             scheme=scheme) for count in (trials, trials + extra)]
-        run_trials = run_info_trials if scheme == INFO_SCHEME else run_gauss_trials
         short, longer = (run_trials(run) for run in runs)
         assert np.array_equal(short.estimates, longer.estimates[:trials])
         assert np.array_equal(short.fidelity, longer.fidelity[:trials])
 
     def test_copies_do_not_change_fidelity_law(self):
         trials = 200_000
-        narrow = run_info_trials(FidelityRun(1.0, sources=2, copies=2, trials=trials, seed=37))
-        wide = run_info_trials(FidelityRun(1.0, sources=2, copies=8, trials=trials, seed=41))
-        distance = ks_two_sample(narrow, wide)
+        narrow = run_trials(FidelityRun(1.0, sources=2, copies=2, trials=trials, seed=37))
+        wide = run_trials(FidelityRun(1.0, sources=2, copies=8, trials=trials, seed=41))
+        distance = ks_two_sample(narrow.fidelity, wide.fidelity)
         assert distance < ks_critical_two_sample_1e6(trials, trials)
-
-    def test_scheme_mismatch_rejected(self):
-        run = FidelityRun(1.0, sources=1, copies=2, trials=10, seed=0, scheme=GAUSS_SCHEME)
-        with pytest.raises(ValueError):
-            run_info_trials(run)
 
     def test_single_pair_draw_is_the_per_copy_stream(self):
         # k = 1: a trial's mean is its one sample, so the driver consumes the
         # stream exactly like the per-copy reference, bit for bit: one stream
         # per batch, position block first, then momentum
         run = FidelityRun(0.7 + 0.2j, sources=1, copies=2, trials=2 * TRIAL_BATCH + 50, seed=43)
-        samples = run_info_trials(run)
+        samples = run_trials(run)
         reference = per_copy_info_trials(run)
         assert np.array_equal(samples.estimates, reference.estimates)
         assert np.array_equal(samples.fidelity, reference.fidelity)
@@ -319,11 +324,12 @@ class TestInfoTrials:
         # law of the mean of k per-copy samples; the streams differ, so the
         # two are compared by two-sample KS at the 1e-6 level
         trials = 50_000
-        driver = run_info_trials(FidelityRun(0.7 + 0.2j, sources, copies, trials, seed=seed))
+        driver = run_trials(FidelityRun(0.7 + 0.2j, sources, copies, trials, seed=seed))
         reference = per_copy_info_trials(
             FidelityRun(0.7 + 0.2j, sources, copies, trials, seed=seed + 1)
         )
-        assert ks_two_sample(driver, reference) < ks_critical_two_sample_1e6(trials, trials)
+        assert ks_two_sample(driver.fidelity, reference.fidelity) < ks_critical_two_sample_1e6(
+            trials, trials)
 
     @pytest.mark.parametrize("scheme", [INFO_SCHEME, GAUSS_SCHEME])
     @pytest.mark.parametrize("trials", [2, TRIAL_BATCH, TRIAL_BATCH + 1, 10_000])
@@ -339,7 +345,7 @@ class TestInfoTrials:
 
         monkeypatch.setattr(measurement, "trial_rng", counting_trial_rng)
         run = FidelityRun(0.3 - 1.1j, sources=4, copies=8, trials=trials, seed=5, scheme=scheme)
-        (run_info_trials if scheme == INFO_SCHEME else run_gauss_trials)(run)
+        run_trials(run)
         assert [index for index, _ in batches] == list(range(-(-trials // TRIAL_BATCH)))
         for index, shapes in batches:
             length = min(TRIAL_BATCH, trials - index * TRIAL_BATCH)
@@ -364,49 +370,52 @@ class TestClosedForms:
     def test_mean_matches_quadrature(self, sources):
         density = info_pdf(sources)
         mean, _ = quad(lambda f: f * density(f), 0.0, 1.0)
-        assert abs(mean - info_mean_fidelity(sources)) < 1e-10
+        assert abs(mean - float(info_mean(sources))) < 1e-10
 
     def test_mean_values(self):
-        assert info_mean_fidelity(1) == 0.5
-        assert info_mean_fraction(2) == pytest.approx(2.0 / 3.0)
-        assert str(info_mean_fraction(2)) == "2/3"
+        assert float(info_mean(1)) == 0.5
+        assert info_mean(2) == pytest.approx(2.0 / 3.0)
+        assert str(info_mean(2)) == "2/3"
 
     def test_cdf_is_power(self):
-        cdf = info_cdf(3)
+        cdf = law_cdf(INFO_SCHEME, 3)
         assert cdf(0.5) == 0.125
 
     def test_rejects_nonpositive_sources(self):
         with pytest.raises(ValueError):
             info_pdf(0)
 
+    @pytest.mark.parametrize("sources", range(1, 40))
+    def test_integer_exponent_matches_the_integer_power_bitwise(self, sources):
+        # the law takes float(c); for c = M it must equal the integer power
+        # bit for bit, so the density CSV and the KS statistic do not move
+        grid = np.concatenate([np.geomspace(1e-12, 1.0, 3000), trial_rng(sources, 0).random(3000)])
+        c = fidelity_exponent(INFO_SCHEME, sources, None)
+        assert np.array_equal(fidelity_cdf(c)(grid), grid**sources)
+        assert np.array_equal(fidelity_pdf(c)(grid), sources * grid ** (sources - 1))
+
 
 class TestSummaries:
     def test_constant_samples_have_zero_variance(self):
-        summary = summarize([0.5] * 100, info_cdf(1))
+        summary = summarize([0.5] * 100, law_cdf(INFO_SCHEME, 1))
         assert summary.variance == 0.0
         assert summary.mean == 0.5
 
     def test_histogram_counts_sum_to_sample_count(self):
         rng = trial_rng(5, 0)
         values = rng.uniform(0.0, 1.0, 12345)
-        summary = summarize(values, info_cdf(1))
+        summary = summarize(values, law_cdf(INFO_SCHEME, 1))
         assert summary.counts.sum() == 12345
         assert summary.bin_edges.size == 51
 
     def test_accepts_fidelity_samples(self):
         samples = FidelitySamples(np.array([0.1 + 0j, 0.2 + 0j]), np.array([0.25, 0.75]))
-        summary = summarize(samples, info_cdf(1))
+        summary = summarize(samples.fidelity, law_cdf(INFO_SCHEME, 1))
         assert summary.mean == 0.5
-
-    def test_fidelity_values_returns_arrays_as_they_are(self):
-        fidelity = np.array([0.25, 0.75])
-        assert fidelity_values(FidelitySamples(np.zeros(2, dtype=complex), fidelity)) is fidelity
-        assert fidelity_values(fidelity) is fidelity
-        assert np.array_equal(fidelity_values([0.25, 0.75]), fidelity)
 
     def test_rejects_single_sample(self):
         with pytest.raises(ValueError):
-            summarize([0.5], info_cdf(1))
+            summarize([0.5], law_cdf(INFO_SCHEME, 1))
 
     def test_ks_calibration(self):
         # samples drawn from the reference pass the 5% gate ~95% of the time
@@ -422,7 +431,7 @@ class TestSummaries:
     def test_ks_statistic_detects_wrong_reference(self):
         rng = trial_rng(10, 0)
         values = rng.uniform(0.0, 1.0, 5000)
-        assert ks_statistic(values, info_cdf(3)) > 10 * ks_critical(5000)
+        assert ks_statistic(values, law_cdf(INFO_SCHEME, 3)) > 10 * ks_critical(5000)
 
     def test_critical_value_constant(self):
         # asymptotic 5% constant is 1.358 / sqrt(n)
@@ -467,13 +476,10 @@ class TestGateCalibration:
         [(INFO_SCHEME, 8, 32, 1000), (GAUSS_SCHEME, 2, 4, 2000)],
     )
     def test_gate_rejects_at_its_level(self, scheme, sources, copies, first_seed):
-        if scheme == INFO_SCHEME:
-            run_trials, reference = run_info_trials, info_cdf(sources)
-        else:
-            run_trials, reference = run_gauss_trials, gauss_cdf(sources, copies)
+        reference = law_cdf(scheme, sources, copies)
         critical = ks_critical(self.TRIALS)
         rejections = 0
         for seed in range(first_seed, first_seed + self.RUNS):
             run = FidelityRun(1.0, sources, copies, self.TRIALS, seed=seed, scheme=scheme)
-            rejections += not ks_statistic(run_trials(run), reference) < critical
+            rejections += not ks_statistic(run_trials(run).fidelity, reference) < critical
         assert rejections <= rejection_bound(self.RUNS, Fraction(1, 20), Fraction(1, 10**6))
