@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -530,6 +531,53 @@ class TestPinnedStream:
         assert tuple(rows[1].split(",")[1:3]) == first
         assert tuple(rows[-1].split(",")[1:3]) == last
         assert "%.17g" % json.loads(out)["reference_cdf_exponent"] == exponent
+
+
+class TestPinnedOracle:
+    """Literal ``fock-verify`` JSON for one, two and three targets, and the
+    sha256 of one amplitude dump: any change to the generator, the order in
+    which the propagator adds its products, or the angle reduction shows
+    here.  The three-target network turns by 3*sqrt(2.74), about 4.97 > pi,
+    so it runs at the reduced angle."""
+
+    NETWORKS = {
+        "one-target": ["--r=0.8", "--delta=0.3", "--time=1.1", "--alpha=0.5,-0.3",
+                       "--beta=0.2,0.1", "--truncation=14"],
+        "two-targets": ["--copies=2", "--alpha=0.6,0.2", "--truncation=16"],
+        "three-targets": ["--r=0.9,1.2,0.7", "--delta=0.4,-1.0,2.0", "--time=3.0",
+                          "--alpha=0.4,0.1", "--beta=0,0.1;-0.1,0", "--truncation=10"],
+    }
+
+    @pytest.mark.parametrize("network,stdout", [
+        ("one-target", '{"schema_version": 3, "truncation": 14, "dim": 105, '
+         '"infidelity": 8.881784197001252e-16, "gate": 1e-06, "predicted": '
+         '[[0.4886154582966947, -0.16306762835440983], '
+         '[-0.3090579322925032, 0.1707251504127658]]}\n'),
+        ("two-targets", '{"schema_version": 3, "truncation": 16, "dim": 816, '
+         '"infidelity": 8.881784197001252e-16, "gate": 1e-06, "predicted": '
+         '[[-1.1021821192326178e-16, -3.6739403974420595e-17], '
+         '[0.42426406871192845, 0.1414213562373095], '
+         '[0.42426406871192845, 0.1414213562373095]]}\n'),
+        ("three-targets", '{"schema_version": 3, "truncation": 10, "dim": 715, '
+         '"infidelity": 2.842170943040401e-14, "gate": 1e-06, "predicted": '
+         '[[0.11773622211428879, 0.03565290897618696], '
+         '[0.17843715689673673, 0.23741726588949863], '
+         '[0.12099501508205224, -0.2033125706871958], '
+         '[-0.11088696214358267, 0.13560443035675737]]}\n'),
+    ])
+    def test_json_stdout(self, capsys, network, stdout):
+        code, out, _ = run_cli(capsys, "fock-verify", *self.NETWORKS[network], "--format=json")
+        assert code == EXIT_OK
+        assert out == stdout
+
+    def test_dump_digest(self, capsys, tmp_path):
+        path = tmp_path / "amplitudes.csv"
+        code, _, _ = run_cli(capsys, "fock-verify", *self.NETWORKS["three-targets"],
+                             f"--dump={path}")
+        assert code == EXIT_OK
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "9dae285c2897ddb25251a271dc851d4a45147d5db053281d26561af6f66598f7"
+        )
 
 
 class TestPdf:
