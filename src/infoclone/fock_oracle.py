@@ -9,8 +9,8 @@ evolves exactly there, so the only truncation loss is the Poisson tail T of
 the input's total excitation above d - 1: a product coherent state is scored
 at infidelity 2T - T**2 (see :func:`check_truncation`).
 
-The generator is built entry by entry from the occupations, and its
-exponential is applied to a state by the Chebyshev-Bessel series (numpy
+The generator is a table of gather slots built once from the occupations, and
+its exponential is applied to a state by the Chebyshev-Bessel series (numpy
 only, no random step, so bit-reproducible), never formed as a dense unitary.
 Nothing here assumes the parameter-level algebra of ``phase_space``, which
 is exactly what makes :func:`verify_disentanglement` an independent
@@ -201,37 +201,40 @@ def coherent_state_vector(alpha: complex, levels: int) -> FockVector:
     return FockVector(1, levels, amps)
 
 
-def _coupling_generator(config: CloneNetworkConfig, levels: int) -> list:
-    """Anti-Hermitian generator G on the simplex, one ``(rows, cols, values)``
-    triple per coupling.
+def _coupling_generator(config: CloneNetworkConfig, levels: int) -> tuple:
+    """Anti-Hermitian generator G on the simplex as 2k gather slots (index,
+    weight), both (2k, dim): (G v)[i] = sum_s weight[s, i] * v[index[s, i]].
 
     The configured phase enters as coupling kappa_j = r_j * exp(-1j*delta_j),
     the convention under which ``build_transfer`` is the exact parameter map
-    of the exponentiated generator.  The term kappa_j a_0^dag a_j moves one
-    excitation from target j to the source with amplitude
-    sqrt((n_0+1) n_j), G[rows, cols] = values; it keeps the total, so its
-    image lies in the simplex, and it maps basis states one to one.  The
-    Hermitian-conjugate term is G[cols, rows] = -conj(values).
+    of the exponentiated generator.  Slot 2j-2 holds kappa_j a_0^dag a_j: it
+    moves one excitation from target j to the source, one to one within the
+    simplex, G[rows, cols] = values = kappa_j sqrt((n_0+1) n_j).  Slot 2j-1
+    holds the adjoint G[cols, rows] = -conj(values).  Unreached rows weigh 0.
     """
     occupations = mode_occupations(config.n_targets + 1, levels)
     kappa = config.time * config.magnitudes * np.exp(-1j * config.phases)
-    terms = []
+    unit = np.eye(kappa.size + 1, dtype=np.int64)
+    index = np.zeros((2 * kappa.size, occupations.shape[0]), dtype=np.int64)
+    weight = np.zeros(index.shape, dtype=complex)
     for j, coupling in enumerate(kappa, start=1):
-        (source,) = np.nonzero(occupations[:, j])
-        moved = occupations[source].copy()
-        moved[:, 0] += 1
-        moved[:, j] -= 1
-        values = coupling * np.sqrt(moved[:, 0] * occupations[source, j])
-        terms.append((_simplex_index(moved, levels), source, values))
-    return terms
+        (cols,) = np.nonzero(occupations[:, j])
+        moved = occupations[cols] + unit[0] - unit[j]
+        values = coupling * np.sqrt(moved[:, 0] * occupations[cols, j])
+        rows = _simplex_index(moved, levels)
+        index[2 * j - 2, rows], weight[2 * j - 2, rows] = cols, values
+        index[2 * j - 1, cols], weight[2 * j - 1, cols] = rows, -values.conj()
+    return index, weight
 
 
-def _apply_generator(terms: list, vector: np.ndarray) -> np.ndarray:
-    """G @ vector; no term repeats an index, so fancy indexing is exact."""
-    out = np.zeros_like(vector)
-    for rows, cols, values in terms:
-        out[rows] += values * vector[cols]
-        out[cols] -= values.conj() * vector[rows]
+def _apply_generator(slots: tuple, vector: np.ndarray) -> np.ndarray:
+    """G @ vector by gathers alone.  Each row adds its products in slot order,
+    the order of the per-term scatter out[rows] += values * v[cols], out[cols]
+    -= conj(values) * v[rows], so its sum rounds alike; weight 0 adds zeros."""
+    index, weight = slots
+    out = weight[0] * vector[index[0]]
+    for s in range(1, index.shape[0]):
+        out += weight[s] * vector[index[s]]
     return out
 
 
@@ -256,7 +259,7 @@ def _bessel_coefficients(radius: float) -> np.ndarray:
     return values[:stop]
 
 
-def _propagate(terms: list, radius: float, vector: np.ndarray) -> np.ndarray:
+def _propagate(slots: tuple, radius: float, vector: np.ndarray) -> np.ndarray:
     """exp(G) @ vector for ``radius >= max(1, ||G||_2)``, by the Chebyshev-Bessel
     series of Tal-Ezer and Kosloff (J. Chem. Phys. 81, 3967 (1984)):
     exp(G) = J_0 + 2 sum_k i^k J_k(radius) T_k(-iG/radius).  The vectors
@@ -264,22 +267,13 @@ def _propagate(terms: list, radius: float, vector: np.ndarray) -> np.ndarray:
     Q_1 = G Q_0 / radius and Q_{k+1} = (2/radius) G Q_k + Q_{k-1}.
     """
     coefficients = _bessel_coefficients(radius)
-    doubled = [(rows, cols, (2.0 / radius) * values) for rows, cols, values in terms]
+    doubled = (slots[0], (2.0 / radius) * slots[1])
     previous, current = vector, 0.5 * _apply_generator(doubled, vector)
     result = coefficients[0] * previous + (2.0 * coefficients[1]) * current
     for coefficient in 2.0 * coefficients[2:]:
         previous, current = current, _apply_generator(doubled, current) + previous
         result += coefficient * current
     return result
-
-
-def _check_budget(config: CloneNetworkConfig, levels: int, dim_budget: int) -> int:
-    dim = _simplex_dimension(config.n_targets + 1, levels)
-    if dim > dim_budget:
-        raise DimensionBudgetError(
-            f"total dimension {dim} exceeds the budget {dim_budget}"
-        )
-    return dim
 
 
 def product_coherent_state(params: CoherentParams, levels: int) -> FockVector:
@@ -317,7 +311,9 @@ def evolve_product_state(params: CoherentParams, config: CloneNetworkConfig, lev
     """
     if len(params) != config.n_targets + 1:
         raise ValueError("parameter count must match the network size")
-    _check_budget(config, levels, dim_budget)
+    dim = _simplex_dimension(config.n_targets + 1, levels)
+    if dim > dim_budget:
+        raise DimensionBudgetError(f"total dimension {dim} exceeds the budget {dim_budget}")
     rho = (levels - 1) * abs(config.time) * math.hypot(*config.magnitudes)
     if not rho <= SERIES_RADIUS_LIMIT:
         raise ValueError(f"(levels - 1) * rotation angle = {rho:.3g} exceeds "

@@ -221,10 +221,13 @@ def run_trials(run: FidelityRun) -> FidelitySamples:
 def fidelity_exponent(scheme: str, sources: int, copies: int | None) -> Fraction:
     """Exact exponent c of the scheme's measurement-fidelity law F**c.
 
-    Information cloning gives c = M, and ignores ``copies``; the Gaussian
-    copier gives c = M^2 N^2 / (2(MN + 2N - 2)) and needs copies >= 2.
+    Information cloning gives c = M whatever the copy count, which may be
+    None but otherwise must be positive; the Gaussian copier gives
+    c = M^2 N^2 / (2(MN + 2N - 2)) and needs copies >= 2.
     """
     if scheme == INFO_SCHEME:
+        if copies is not None:
+            _positive_int(copies, "copies")
         return Fraction(_positive_int(sources, "sources"))
     if scheme != GAUSS_SCHEME:
         raise ValueError(f"unknown scheme {scheme!r}")

@@ -590,6 +590,17 @@ class TestPdf:
         assert out == ""
         assert "--grid" in err
 
+    @pytest.mark.parametrize("copies", ["0", "-4"])
+    def test_non_positive_copies_is_usage_error(self, capsys, copies):
+        # the info law ignores the copy count, but a given one must be valid,
+        # as for mc-info
+        code, out, err = run_cli(
+            capsys, "pdf", "--scheme=info", "--sources=2", f"--copies={copies}", "--grid=5"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "copies must be a positive integer" in err
+
     def test_info_single_source_is_flat(self, capsys):
         code, out, _ = run_cli(capsys, "pdf", "--scheme", "info", "--sources", "1")
         assert code == EXIT_OK

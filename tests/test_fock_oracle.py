@@ -61,10 +61,52 @@ def ladder_matrices(levels):
 
 
 def dense_generator(config, levels):
-    """G as a dense matrix: the gather/scatter product on identity columns."""
-    terms = _coupling_generator(config, levels)
-    identity = np.eye(math.comb(levels + config.n_targets, config.n_targets + 1), dtype=complex)
-    return np.column_stack([_apply_generator(terms, column) for column in identity.T])
+    """G as a dense matrix read off the gather slots: G[i, index[s, i]] += weight[s, i]."""
+    index, weight = _coupling_generator(config, levels)
+    dim = index.shape[1]
+    assert dim == math.comb(levels + config.n_targets, config.n_targets + 1)
+    generator = np.zeros((dim, dim), dtype=complex)
+    np.add.at(generator, (np.broadcast_to(np.arange(dim), index.shape), index), weight)
+    return generator
+
+
+def reference_terms(config, levels):
+    """G as one ``(rows, cols, values)`` triple per coupling: the term
+    kappa_j a_0^dag a_j is G[rows, cols] = values, its adjoint
+    G[cols, rows] = -conj(values)."""
+    occupations = mode_occupations(config.n_targets + 1, levels)
+    kappa = config.time * config.magnitudes * np.exp(-1j * config.phases)
+    terms = []
+    for j, coupling in enumerate(kappa, start=1):
+        (source,) = np.nonzero(occupations[:, j])
+        moved = occupations[source].copy()
+        moved[:, 0] += 1
+        moved[:, j] -= 1
+        values = coupling * np.sqrt(moved[:, 0] * occupations[source, j])
+        terms.append((_simplex_index(moved, levels), source, values))
+    return terms
+
+
+def reference_apply(terms, vector):
+    """G @ vector by a per-term scatter; no term repeats an index, so fancy
+    indexing is exact."""
+    out = np.zeros_like(vector)
+    for rows, cols, values in terms:
+        out[rows] += values * vector[cols]
+        out[cols] -= values.conj() * vector[rows]
+    return out
+
+
+def reference_propagate(terms, radius, vector):
+    """The Chebyshev-Bessel recurrence of ``_propagate`` over the scatter product."""
+    coefficients = _bessel_coefficients(radius)
+    doubled = [(rows, cols, (2.0 / radius) * values) for rows, cols, values in terms]
+    previous, current = vector, 0.5 * reference_apply(doubled, vector)
+    result = coefficients[0] * previous + (2.0 * coefficients[1]) * current
+    for coefficient in 2.0 * coefficients[2:]:
+        previous, current = current, reference_apply(doubled, current) + previous
+        result += coefficient * current
+    return result
 
 
 class TestLadders:
@@ -286,6 +328,48 @@ class TestChebyshevPropagator:
         evolved = evolve_product_state(params, config, levels)
         initial = product_coherent_state(params, levels).amplitudes
         np.testing.assert_allclose(evolved.amplitudes, unitary @ initial, rtol=0, atol=1e-13)
+
+    def test_gather_product_is_the_scatter_product(self):
+        config = CloneNetworkConfig([0.8, 0.5, 1.3], [0.4, -1.0, 2.2], 0.7)
+        dim = math.comb(7 + 3, 4)
+        rng = np.random.default_rng(8)
+        vector = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        gathered = _apply_generator(_coupling_generator(config, 7), vector)
+        scattered = reference_apply(reference_terms(config, 7), vector)
+        # the vacuum row, which no slot reaches, sums zeros and may differ in
+        # the sign of a zero (the scatter starts from +0); every other row
+        # adds the same products in the same order
+        assert np.array_equal(gathered, scattered)
+        assert gathered[1:].tobytes() == scattered[1:].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        targets=st.integers(1, 4),
+        levels=st.integers(2, 7),
+        seed=st.integers(0, 2**32 - 1),
+        product=st.booleans(),
+    )
+    def test_matches_the_scatter_reference_bit_for_bit(self, targets, levels, seed, product):
+        # the gather slots add each row's products in the scatter's order, so
+        # every amplitude rounds alike, signed zeros included (the vacuum
+        # row's zero product meets a nonzero amplitude); product inputs with
+        # vacuum targets start with exact zeros
+        rng = np.random.default_rng(seed)
+        config = CloneNetworkConfig(
+            rng.uniform(0.2, 1.5, targets), rng.uniform(-np.pi, np.pi, targets),
+            rng.uniform(-3.0, 3.0),
+        )
+        dim = math.comb(levels + targets, targets + 1)
+        if product:
+            entries = np.zeros(targets + 1, dtype=complex)
+            entries[0] = complex(*rng.normal(size=2))
+            vector = product_coherent_state(CoherentParams(entries), levels).amplitudes
+        else:
+            vector = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        radius = max((levels - 1) * abs(config.rotation_angle), 1.0)
+        propagated = _propagate(_coupling_generator(config, levels), radius, vector)
+        expected = reference_propagate(reference_terms(config, levels), radius, vector)
+        assert propagated.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("turns", [0, 1, -1])
     def test_angle_is_reduced_modulo_two_pi(self, turns):
