@@ -533,6 +533,53 @@ class TestPinnedStream:
         assert "%.17g" % json.loads(out)["reference_cdf_exponent"] == exponent
 
 
+class TestPinnedRun:
+    """Literal summary stdout and the sha256 of the whole samples CSV of one
+    run per scheme.  3*TRIAL_BATCH + 5 trials cover several full batches and
+    a partial last one, so a change to how the driver fills its columns, or
+    to how the summary sorts, bins and scans the fidelities, shows here in
+    every byte, the F column included."""
+
+    @pytest.mark.parametrize("argv,stdout,digest", [
+        (["mc-info", "--sources=1", "--copies=2", "--seed=2024", "--alpha=0.7,-0.4"],
+         '{"schema_version": 3, "scheme": "info_cloning", "alpha_true": [0.7, -0.4], '
+         '"sources": 1, "copies": 2, "trials": 12293, "seed": 2024, '
+         '"reference_cdf_exponent": 1.0, "mean": 0.5003184790612104, "variance": '
+         '0.08438703568534416, "ks_statistic": 0.006396613890401109, "ks_critical_5pct": '
+         '0.012249049037407506, "ks_pass": true, "histogram": {"bin_edges": [0.0, 0.02, '
+         '0.04, 0.06, 0.08, 0.1, 0.12, 0.14, 0.16, 0.18, 0.2, 0.22, 0.24, 0.26, 0.28, 0.3, '
+         '0.32, 0.34, 0.36, 0.38, 0.4, 0.42, 0.44, 0.46, 0.48, 0.5, 0.52, 0.54, 0.56, 0.58, '
+         '0.6, 0.62, 0.64, 0.66, 0.68, 0.7000000000000001, 0.72, 0.74, 0.76, 0.78, 0.8, '
+         '0.8200000000000001, 0.84, 0.86, 0.88, 0.9, 0.92, 0.9400000000000001, 0.96, 0.98, '
+         '1.0], "counts": [256, 224, 253, 269, 257, 255, 264, 250, 230, 266, 221, 242, 229, '
+         '228, 252, 237, 263, 227, 240, 247, 211, 281, 244, 237, 276, 259, 228, 249, 249, '
+         '245, 229, 259, 247, 227, 241, 217, 230, 236, 264, 250, 258, 233, 275, 219, 236, '
+         '257, 258, 254, 257, 257]}}\n',
+         "7b19cc6fa4834b12eeaf33c141698e0c0c1f8701a033dfe5214225f201ffff67"),
+        (["mc-gauss", "--sources=2", "--copies=4", "--seed=2025", "--alpha=-1.2,0.3"],
+         '{"schema_version": 3, "scheme": "gaussian", "alpha_true": [-1.2, 0.3], "sources": '
+         '2, "copies": 4, "trials": 12293, "seed": 2025, "reference_cdf_exponent": '
+         '2.2857142857142856, "mean": 0.6969164190910108, "variance": 0.05039129402333876, '
+         '"ks_statistic": 0.01178027886947497, "ks_critical_5pct": 0.012249049037407506, '
+         '"ks_pass": true, "histogram": {"bin_edges": [0.0, 0.02, 0.04, 0.06, 0.08, 0.1, '
+         '0.12, 0.14, 0.16, 0.18, 0.2, 0.22, 0.24, 0.26, 0.28, 0.3, 0.32, 0.34, 0.36, 0.38, '
+         '0.4, 0.42, 0.44, 0.46, 0.48, 0.5, 0.52, 0.54, 0.56, 0.58, 0.6, 0.62, 0.64, 0.66, '
+         '0.68, 0.7000000000000001, 0.72, 0.74, 0.76, 0.78, 0.8, 0.8200000000000001, 0.84, '
+         '0.86, 0.88, 0.9, 0.92, 0.9400000000000001, 0.96, 0.98, 1.0], "counts": [2, 11, '
+         '12, 18, 24, 31, 41, 36, 57, 87, 72, 96, 104, 106, 110, 116, 158, 140, 158, 167, '
+         '167, 188, 204, 228, 235, 231, 240, 233, 268, 281, 282, 294, 359, 332, 316, 359, '
+         '326, 364, 420, 376, 475, 452, 441, 485, 503, 484, 495, 562, 546, 601]}}\n',
+         "cb51601c60ae5797aded3e6b707d48e29cf110ac972e2feb888f4e840ec86ddc"),
+    ], ids=["info-1-2", "gauss-2-4"])
+    def test_stdout_and_samples_digest(self, capsys, tmp_path, argv, stdout, digest):
+        assert 3 * measurement.TRIAL_BATCH + 5 == 12293
+        path = tmp_path / "samples.csv"
+        code, out, _ = run_cli(capsys, *argv, "--trials=12293", f"--output={path}")
+        assert code == EXIT_OK
+        assert out == stdout
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 class TestPinnedOracle:
     """Literal ``fock-verify`` JSON for one, two and three targets, and the
     sha256 of one amplitude dump: any change to the generator, the order in
