@@ -22,10 +22,12 @@ rotation angle, the radius of its Chebyshev-Bessel series, exceeds 1e6
 ``--truncation`` below 2 or a ``--budget`` below 1 exits 2, and so does
 ``--delta`` without ``--r`` in ``transfer`` and ``fock-verify``.
 
-Unwritable ``--output`` and ``--dump`` paths exit 2.  The Monte Carlo
-commands check the whole run, the scheme's law included, before they open
-their samples CSV, and open it before drawing any trial.  The parser is
-built once per process, on first use.
+Unwritable ``--output`` and ``--dump`` paths exit 2, and a command that
+fails after opening an output file removes it.  The Monte Carlo commands
+check the whole run, the scheme's law included, before they open their
+samples CSV, and open it before drawing any trial.  A ``--trials`` count
+whose columns cannot be allocated exits 2 with the bytes it needs.  The
+parser is built once per process, on first use.
 
 File schemas (version 3):
   samples CSV   header ``trial,re_est,im_est,F``, one row per trial, floats
@@ -51,7 +53,7 @@ import functools
 import json
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 
 import numpy as np
 
@@ -127,7 +129,8 @@ def _resolve_output(path: str | None) -> str | None:
 @contextmanager
 def _open_output(path: str | None):
     """The file at ``path`` for writing, or stdout for None; a path that
-    cannot be opened raises ``ValueError`` (exit 2) naming it."""
+    cannot be opened raises ``ValueError`` (exit 2) naming it.  A file whose
+    writer raises is removed, so a failed command leaves no partial output."""
     resolved = _resolve_output(path)
     if resolved is None:
         yield sys.stdout
@@ -140,7 +143,13 @@ def _open_output(path: str | None):
     except OSError as exc:
         raise ValueError(f"cannot write {resolved!r}: {exc.strerror or exc}") from None
     with handle:
-        yield handle
+        try:
+            yield handle
+        except BaseException:
+            handle.close()
+            with suppress(OSError):
+                os.remove(resolved)
+            raise
 
 
 def _network_from_args(args) -> phase_space.CloneNetworkConfig:
@@ -292,8 +301,15 @@ def _run_mc(args) -> int:
     exponent = measurement.fidelity_exponent(run.scheme, run.sources, run.copies)
     # the CSV opens first, so an unwritable path fails before any trial is drawn
     with _open_output(args.output) if args.output else nullcontext() as csv_out:
-        samples = measurement.run_trials(run)
-        summary = measurement.summarize(samples.fidelity, measurement.fidelity_cdf(exponent))
+        try:
+            samples = measurement.run_trials(run)
+            summary = measurement.summarize(samples.fidelity, measurement.fidelity_cdf(exponent))
+        except MemoryError:
+            raise ValueError(
+                f"--trials {run.trials} needs {run.trials * measurement.BYTES_PER_TRIAL} bytes "
+                f"of memory ({measurement.BYTES_PER_TRIAL} per trial), more than could be "
+                "allocated"
+            ) from None
         critical = measurement.ks_critical(run.trials)
         ks_pass = summary.ks_statistic < critical
         if csv_out is not None:

@@ -42,6 +42,7 @@ __all__ = [
     "INFO_SCHEME",
     "GAUSS_SCHEME",
     "TRIAL_BATCH",
+    "BYTES_PER_TRIAL",
     "QUADRATURE_SD",
     "KS_5PCT",
     "ALPHA_ULP_FRACTION",
@@ -65,6 +66,10 @@ __all__ = [
 INFO_SCHEME = "info_cloning"
 GAUSS_SCHEME = "gaussian"
 TRIAL_BATCH = 4096
+# Peak memory per trial of run_trials followed by summarize: the estimate and
+# fidelity columns (16 + 8 bytes) and one 8-byte column of scratch, first
+# var's temporary and then the sorted copy.
+BYTES_PER_TRIAL = 32
 QUADRATURE_SD = math.sqrt(0.5)
 _SQRT2 = math.sqrt(2.0)
 # Asymptotic 5% point of the Kolmogorov distribution, scipy.special.kolmogi(0.05);
@@ -188,20 +193,29 @@ def _run_trials(run: FidelityRun, clone_scale: float, sd: float) -> FidelitySamp
     ``trial_rng(seed, b)``: ``stop - start`` position means, then as many
     momentum means.  The estimate clone_scale * (y + iz) / sqrt(2) undoes
     the scale.
+
+    The two result columns, 16 bytes of estimate and 8 of fidelity per
+    trial, are allocated once and filled batch by batch: the draws go
+    straight into the estimate block's real and imaginary parts, are scaled
+    there, and the block is scored into its slice of the fidelity column.
+    No other scratch grows with the trial count.
     """
     clone = run.alpha_true / clone_scale
     mean_y, mean_z = _SQRT2 * clone.real, _SQRT2 * clone.imag
     mean_sd = sd / math.sqrt(run.measurements_per_quadrature)
-    y = np.empty(run.trials)
-    z = np.empty(run.trials)
+    factor = clone_scale / _SQRT2
+    estimates = np.empty(run.trials, dtype=complex)
+    fidelity = np.empty(run.trials)
     for index, start in enumerate(range(0, run.trials, TRIAL_BATCH)):
         stop = min(start + TRIAL_BATCH, run.trials)
         rng = trial_rng(run.seed, index)
-        y[start:stop] = rng.normal(mean_y, mean_sd, stop - start)
-        z[start:stop] = rng.normal(mean_z, mean_sd, stop - start)
-    factor = clone_scale / _SQRT2
-    estimates = factor * y + 1j * (factor * z)
-    return FidelitySamples(estimates, measurement_fidelity(run.alpha_true, estimates))
+        block = estimates[start:stop]
+        block.real = rng.normal(mean_y, mean_sd, stop - start)
+        block.imag = rng.normal(mean_z, mean_sd, stop - start)
+        block.real *= factor
+        block.imag *= factor
+        fidelity[start:stop] = measurement_fidelity(run.alpha_true, block)
+    return FidelitySamples(estimates, fidelity)
 
 
 def run_trials(run: FidelityRun) -> FidelitySamples:
@@ -264,12 +278,25 @@ def mean_fidelity(exponent: Fraction) -> Fraction:
 def ks_statistic(values, reference_cdf) -> float:
     """One-sample Kolmogorov-Smirnov distance of ``values`` against a CDF callable."""
     values = np.sort(values)
-    n = values.size
-    if n < 1:
+    if values.size < 1:
         raise ValueError("need at least one sample")
-    reference = np.asarray(reference_cdf(values), dtype=float)
-    steps = np.arange(n + 1) / n
-    return float(max(np.max(steps[1:] - reference), np.max(reference - steps[:-1])))
+    return _ks_sorted(values, reference_cdf)
+
+
+def _ks_sorted(values: np.ndarray, reference_cdf) -> float:
+    """KS distance of sorted ``values``: the largest gap between the
+    empirical steps k/n and ``reference_cdf``, scanned ``TRIAL_BATCH`` values
+    at a time so that the scratch does not grow with n.  Each gap is the
+    same elementwise expression as over the whole array, so the maximum is
+    exactly that of the one-shot scan."""
+    n = values.size
+    distance = -math.inf
+    for start in range(0, n, TRIAL_BATCH):
+        stop = min(start + TRIAL_BATCH, n)
+        reference = np.asarray(reference_cdf(values[start:stop]), dtype=float)
+        steps = np.arange(start, stop + 1) / n
+        distance = max(distance, np.max(steps[1:] - reference), np.max(reference - steps[:-1]))
+    return float(distance)
 
 
 def ks_critical(count: int) -> float:
@@ -281,20 +308,27 @@ def summarize(values, reference_cdf, bins: int = 50) -> DistributionSummary:
     """Mean/variance/histogram of fidelity values plus the KS distance.
 
     The histogram uses uniform bins on [0, 1]; counts always sum to the
-    sample count since fidelities live in (0, 1].
+    sample count since fidelities live in (0, 1].  Mean and variance are
+    taken first, in the given order (their rounding depends on it, and
+    ``var``'s temporary is freed before the sort).  One sorted copy then
+    serves both the histogram and the KS distance: the counts follow
+    ``np.histogram``'s rule, half-open bins with the last one closed.
     """
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise ValueError("need at least two samples")
+    mean, variance = float(values.mean()), float(values.var())
+    ordered = np.sort(values)
     edges = np.linspace(0.0, 1.0, bins + 1)
-    counts, _ = np.histogram(values, bins=edges)
+    below = np.concatenate([ordered.searchsorted(edges[:-1], "left"),
+                            ordered.searchsorted(edges[-1:], "right")])
     return DistributionSummary(
         count=int(values.size),
-        mean=float(values.mean()),
-        variance=float(values.var()),
+        mean=mean,
+        variance=variance,
         bin_edges=edges,
-        counts=counts,
-        ks_statistic=ks_statistic(values, reference_cdf),
+        counts=np.diff(below),
+        ks_statistic=_ks_sorted(ordered, reference_cdf),
     )
 
 

@@ -478,6 +478,24 @@ class TestMonteCarlo:
         assert "copies must be at least 2" in err
         assert not path.exists()
 
+    def test_oversized_trials_is_usage_error_and_leaves_no_csv(self, capsys, tmp_path):
+        # the columns of 2**58 trials need 2**62 bytes, more than any address
+        # space holds, so the allocation fails at once under every overcommit
+        # policy (10**11 trials fail the same way on a machine without
+        # 1.6 TB to spare)
+        path = tmp_path / "f.csv"
+        trials = 2**58
+        code, out, err = run_cli(
+            capsys, "mc-info", "--sources", "1", "--copies", "2", f"--trials={trials}",
+            "--output", str(path),
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--trials" in err
+        assert f"{trials * measurement.BYTES_PER_TRIAL} bytes" in err
+        assert "Traceback" not in err
+        assert not path.exists()
+
     def test_odd_split_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "mc-info", "--sources", "1", "--copies", "3", "--trials", "100"

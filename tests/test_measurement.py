@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import kolmogi
@@ -12,6 +13,7 @@ from scipy.stats import kstwobign
 from infoclone import measurement
 from infoclone.fock_oracle import coherent_state_vector, overlap
 from infoclone.measurement import (
+    BYTES_PER_TRIAL,
     GAUSS_SCHEME,
     INFO_SCHEME,
     KS_5PCT,
@@ -91,6 +93,16 @@ def per_copy_info_trials(run: FidelityRun) -> FidelitySamples:
         z = sample_quadrature(clone.imag, count * k, rng).reshape(count, k).mean(axis=1)
         estimates[start:start + count] = estimate_alpha(y, z, run.copies)
     return FidelitySamples(estimates, measurement_fidelity(run.alpha_true, estimates))
+
+
+def one_shot_ks(values, reference_cdf) -> float:
+    """KS distance from one pass over the whole sorted array: the reference
+    for the chunked scan in ``ks_statistic``."""
+    values = np.sort(values)
+    n = values.size
+    reference = np.asarray(reference_cdf(values), dtype=float)
+    steps = np.arange(n + 1) / n
+    return float(max(np.max(steps[1:] - reference), np.max(reference - steps[:-1])))
 
 
 class _CountingGenerator:
@@ -417,6 +429,42 @@ class TestSummaries:
         with pytest.raises(ValueError):
             summarize([0.5], law_cdf(INFO_SCHEME, 1))
 
+    @pytest.mark.parametrize("values", [
+        trial_rng(6, 0).uniform(0.0, 1.0, 12345),
+        np.linspace(0.0, 1.0, 51),
+        np.concatenate([np.linspace(0.0, 1.0, 51)] * 3
+                       + [np.nextafter(np.linspace(0.0, 1.0, 51), 2.0)]
+                       + [np.nextafter(np.linspace(0.0, 1.0, 51), -1.0)]),
+        np.ones(7),
+        np.array([1.0, 0.98, 1.0, 0.5, np.nextafter(1.0, 0.0)]),
+    ], ids=["uniform", "edges", "edge-neighbours", "ones", "near-one"])
+    def test_histogram_counts_are_numpys(self, values):
+        # the counts come from the sorted copy; a value on an inner edge
+        # opens its bin, and 1.0 belongs to the last bin
+        summary = summarize(values, law_cdf(INFO_SCHEME, 1))
+        counts, edges = np.histogram(values, bins=np.linspace(0.0, 1.0, 51))
+        assert np.array_equal(summary.counts, counts)
+        assert np.array_equal(summary.bin_edges, edges)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(1, 5 * TRIAL_BATCH),
+        seed=st.integers(0, 2**64 - 1),
+        exponent=st.sampled_from([Fraction(1), Fraction(3), Fraction(16, 7), Fraction(2, 5)]),
+    )
+    @example(n=1, seed=0, exponent=Fraction(1))
+    @example(n=2, seed=1, exponent=Fraction(3))
+    @example(n=TRIAL_BATCH - 1, seed=2, exponent=Fraction(16, 7))
+    @example(n=TRIAL_BATCH, seed=3, exponent=Fraction(1))
+    @example(n=TRIAL_BATCH + 1, seed=4, exponent=Fraction(2, 5))
+    @example(n=3 * TRIAL_BATCH + 5, seed=5, exponent=Fraction(3))
+    def test_chunked_ks_is_the_one_shot_scan(self, n, seed, exponent):
+        values = trial_rng(seed, 0).random(n)
+        reference = fidelity_cdf(exponent)
+        assert ks_statistic(values, reference) == one_shot_ks(values, reference)
+        if n >= 2:
+            assert summarize(values, reference).ks_statistic == one_shot_ks(values, reference)
+
     def test_ks_calibration(self):
         # samples drawn from the reference pass the 5% gate ~95% of the time
         rng = trial_rng(9, 0)
@@ -452,6 +500,27 @@ class TestSummaries:
         assert ks_critical_two_sample(count, 7) == float(
             quantile * math.sqrt((count + 7) / (count * 7))
         )
+
+
+class TestMemory:
+    @pytest.mark.parametrize("scheme", [INFO_SCHEME, GAUSS_SCHEME])
+    def test_run_and_summary_peak_within_bytes_per_trial(self, scheme):
+        # the two result columns and one column of scratch, 32 bytes per
+        # trial; the 1 MiB allowance covers the per-batch and per-chunk
+        # arrays, which do not grow with the trial count
+        assert BYTES_PER_TRIAL == 32
+        run = FidelityRun(0.7 - 0.2j, sources=2, copies=2, trials=100_000, seed=3,
+                          scheme=scheme)
+        reference = law_cdf(scheme, 2, 2)
+        run_trials(run)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            summarize(run_trials(run).fidelity, reference)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= BYTES_PER_TRIAL * run.trials + 2**20
 
 
 class TestGateCalibration:
