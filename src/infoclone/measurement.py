@@ -16,8 +16,12 @@ c = M^2 N^2 / (2(MN + 2N - 2)) from ``gaussian_cloner`` for the Gaussian
 scheme.  :func:`run_trials` runs either scheme.
 
 A run returns its results as columns (:class:`FidelitySamples`): a complex
-array of estimates and a float array of fidelities, the latter computed by
-one array call to :func:`measurement_fidelity`.
+array of estimates and a float array of fidelities, 24 bytes per trial,
+filled one batch at a time by :func:`measurement_fidelity`.  The exact KS
+distance needs every fidelity sorted, so :func:`summarize` adds one sorted
+copy, 8 bytes per trial, which also yields the histogram; a run and its
+summary peak at ``BYTES_PER_TRIAL`` = 32 bytes per trial, and the rest of
+their scratch is bounded by the batch size.
 
 Determinism contract (stream version 3): trials are partitioned into fixed
 batches of ``TRIAL_BATCH`` with independent counter-based streams keyed by
