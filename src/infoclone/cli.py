@@ -142,14 +142,13 @@ def _open_output(path: str | None):
         handle = open(resolved, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise ValueError(f"cannot write {resolved!r}: {exc.strerror or exc}") from None
-    with handle:
-        try:
+    try:
+        with handle:
             yield handle
-        except BaseException:
-            handle.close()
-            with suppress(OSError):
-                os.remove(resolved)
-            raise
+    except BaseException:
+        with suppress(OSError):
+            os.remove(resolved)
+        raise
 
 
 def _network_from_args(args) -> phase_space.CloneNetworkConfig:
