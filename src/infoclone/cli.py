@@ -129,8 +129,10 @@ def _resolve_output(path: str | None) -> str | None:
 @contextmanager
 def _open_output(path: str | None):
     """The file at ``path`` for writing, or stdout for None; a path that
-    cannot be opened raises ``ValueError`` (exit 2) naming it.  A file whose
-    writer raises is removed, so a failed command leaves no partial output."""
+    cannot be opened raises ``ValueError`` (exit 2) naming it.  A file that
+    this call created is removed if its writer raises, so a failed command
+    leaves no partial output; a path that already existed (a file, a
+    symlink, a device, a FIFO) is never removed."""
     resolved = _resolve_output(path)
     if resolved is None:
         yield sys.stdout
@@ -139,15 +141,19 @@ def _open_output(path: str | None):
         parent = os.path.dirname(resolved)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        handle = open(resolved, "w", encoding="utf-8", newline="")
+        try:
+            handle, created = open(resolved, "x", encoding="utf-8", newline=""), True
+        except FileExistsError:
+            handle, created = open(resolved, "w", encoding="utf-8", newline=""), False
     except OSError as exc:
         raise ValueError(f"cannot write {resolved!r}: {exc.strerror or exc}") from None
     try:
         with handle:
             yield handle
     except BaseException:
-        with suppress(OSError):
-            os.remove(resolved)
+        if created:
+            with suppress(OSError):
+                os.remove(resolved)
         raise
 
 

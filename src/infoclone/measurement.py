@@ -19,9 +19,9 @@ A run returns its results as columns (:class:`FidelitySamples`): a complex
 array of estimates and a float array of fidelities, 24 bytes per trial,
 filled one batch at a time by :func:`measurement_fidelity`.  The exact KS
 distance needs every fidelity sorted, so :func:`summarize` adds one sorted
-copy, 8 bytes per trial, which also yields the histogram; a run and its
-summary peak at ``BYTES_PER_TRIAL`` = 32 bytes per trial, and the rest of
-their scratch is bounded by the batch size.
+copy, 8 bytes per trial; a run and its summary peak at ``BYTES_PER_TRIAL``
+= 32 bytes per trial, and the rest of their scratch does not grow with the
+trial count.
 
 Determinism contract (stream version 3): trials are partitioned into fixed
 batches of ``TRIAL_BATCH`` with independent counter-based streams keyed by
@@ -280,20 +280,18 @@ def mean_fidelity(exponent: Fraction) -> Fraction:
 
 
 def ks_statistic(values, reference_cdf) -> float:
-    """One-sample Kolmogorov-Smirnov distance of ``values`` against a CDF callable."""
+    """One-sample Kolmogorov-Smirnov distance of ``values`` against a CDF callable.
+
+    After one sort, the largest gap between the empirical steps k/n and
+    ``reference_cdf`` is scanned ``TRIAL_BATCH`` values at a time, so that
+    the scratch beyond the sorted copy does not grow with n.  Each gap is
+    the same elementwise expression as over the whole array, so the maximum
+    is exactly that of the one-shot scan.
+    """
     values = np.sort(values)
-    if values.size < 1:
-        raise ValueError("need at least one sample")
-    return _ks_sorted(values, reference_cdf)
-
-
-def _ks_sorted(values: np.ndarray, reference_cdf) -> float:
-    """KS distance of sorted ``values``: the largest gap between the
-    empirical steps k/n and ``reference_cdf``, scanned ``TRIAL_BATCH`` values
-    at a time so that the scratch does not grow with n.  Each gap is the
-    same elementwise expression as over the whole array, so the maximum is
-    exactly that of the one-shot scan."""
     n = values.size
+    if n < 1:
+        raise ValueError("need at least one sample")
     distance = -math.inf
     for start in range(0, n, TRIAL_BATCH):
         stop = min(start + TRIAL_BATCH, n)
@@ -312,27 +310,23 @@ def summarize(values, reference_cdf, bins: int = 50) -> DistributionSummary:
     """Mean/variance/histogram of fidelity values plus the KS distance.
 
     The histogram uses uniform bins on [0, 1]; counts always sum to the
-    sample count since fidelities live in (0, 1].  Mean and variance are
-    taken first, in the given order (their rounding depends on it, and
-    ``var``'s temporary is freed before the sort).  One sorted copy then
-    serves both the histogram and the KS distance: the counts follow
-    ``np.histogram``'s rule, half-open bins with the last one closed.
+    sample count since fidelities live in (0, 1].  Mean, variance and the
+    histogram are taken first, in the given order, so that their
+    temporaries are freed before :func:`ks_statistic` makes its sorted copy.
     """
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise ValueError("need at least two samples")
     mean, variance = float(values.mean()), float(values.var())
-    ordered = np.sort(values)
     edges = np.linspace(0.0, 1.0, bins + 1)
-    below = np.concatenate([ordered.searchsorted(edges[:-1], "left"),
-                            ordered.searchsorted(edges[-1:], "right")])
+    counts, _ = np.histogram(values, bins=edges)
     return DistributionSummary(
         count=int(values.size),
         mean=mean,
         variance=variance,
         bin_edges=edges,
-        counts=np.diff(below),
-        ks_statistic=_ks_sorted(ordered, reference_cdf),
+        counts=counts,
+        ks_statistic=ks_statistic(values, reference_cdf),
     )
 
 

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import stat
 import time
 import warnings
 
@@ -495,6 +497,40 @@ class TestMonteCarlo:
         assert f"{trials * measurement.BYTES_PER_TRIAL} bytes" in err
         assert "Traceback" not in err
         assert not path.exists()
+
+    @pytest.mark.parametrize("kind", ["file", "symlink", "fifo"])
+    def test_failed_run_leaves_an_existing_output_path(self, capsys, tmp_path, kind):
+        # only a file the command created is removed when it fails; a path
+        # that was there before (a device such as /dev/null, say) stays
+        path, target = tmp_path / "out", tmp_path / "target.csv"
+        reader = None
+        if kind == "file":
+            path.write_text("kept\n")
+        elif kind == "symlink":
+            target.write_text("kept\n")
+            path.symlink_to(target)
+        else:
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("no FIFOs on this platform")
+            os.mkfifo(path)
+            # a reader lets the command open the FIFO for writing at once
+            reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, out, err = run_cli(
+                capsys, "mc-info", "--sources", "1", "--copies", "2", f"--trials={2**58}",
+                "--output", str(path),
+            )
+        finally:
+            if reader is not None:
+                os.close(reader)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--trials" in err
+        assert os.path.lexists(path)
+        if kind == "symlink":
+            assert path.is_symlink() and target.exists()
+        if kind == "fifo":
+            assert stat.S_ISFIFO(os.lstat(path).st_mode)
 
     def test_odd_split_is_usage_error(self, capsys):
         code, _, err = run_cli(
