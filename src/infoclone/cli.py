@@ -22,12 +22,12 @@ rotation angle, the radius of its Chebyshev-Bessel series, exceeds 1e6
 ``--truncation`` below 2 or a ``--budget`` below 1 exits 2, and so does
 ``--delta`` without ``--r`` in ``transfer`` and ``fock-verify``.
 
-Unwritable ``--output`` and ``--dump`` paths exit 2, and a command that
-fails after opening an output file removes it.  The Monte Carlo commands
-check the whole run, the scheme's law included, before they open their
-samples CSV, and open it before drawing any trial.  A ``--trials`` count
-whose columns cannot be allocated exits 2 with the bytes it needs.  The
-parser is built once per process, on first use.
+Unwritable ``--output`` and ``--dump`` paths exit 2.  A command that fails
+removes an output file it created, never a path that existed before.  The
+Monte Carlo commands check the whole run, the scheme's law included, before
+they open their samples CSV, and open it before drawing any trial.  A
+``--trials`` count whose columns cannot be allocated exits 2 with the bytes
+it needs.  The parser is built once per process, on first use.
 
 File schemas (version 3):
   samples CSV   header ``trial,re_est,im_est,F``, one row per trial, floats
@@ -255,12 +255,10 @@ def cmd_fock_verify(args) -> int:
     entries[1 : 1 + len(betas)] = betas
     params = phase_space.CoherentParams(entries)
 
-    predicted = phase_space.apply_transfer(phase_space.build_transfer(config), params)
     fock_oracle.check_truncation(params.entries, args.truncation, args.gate, args.budget)
-    evolved = fock_oracle.evolve_product_state(
-        params, config, args.truncation, dim_budget=args.budget
+    predicted, evolved, infidelity = fock_oracle.verify_disentanglement(
+        params, config, args.truncation, args.budget
     )
-    infidelity = fock_oracle.disentanglement_infidelity(predicted, evolved)
     if args.dump:
         _write_amplitude_dump(args.dump, evolved)
 

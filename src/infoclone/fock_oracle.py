@@ -314,17 +314,18 @@ def evolve_product_state(params: CoherentParams, config: CloneNetworkConfig, lev
     dim = _simplex_dimension(config.n_targets + 1, levels)
     if dim > dim_budget:
         raise DimensionBudgetError(f"total dimension {dim} exceeds the budget {dim_budget}")
-    rho = (levels - 1) * abs(config.time) * math.hypot(*config.magnitudes)
+    total = math.hypot(*config.magnitudes)
+    rho = (levels - 1) * abs(config.time) * total
     if not rho <= SERIES_RADIUS_LIMIT:
         raise ValueError(f"(levels - 1) * rotation angle = {rho:.3g} exceeds "
                          f"{SERIES_RADIUS_LIMIT:g}; the network is 2*pi-periodic in the angle")
     initial = product_coherent_state(params, levels)
     if config.time == 0:
         return initial
-    theta = config.time * math.hypot(*config.magnitudes)
+    theta = config.time * total
     if abs(theta) > math.pi:
         config = replace(config, time=config.time * (math.remainder(theta, 2.0 * math.pi) / theta))
-        rho = (levels - 1) * abs(config.time) * math.hypot(*config.magnitudes)
+        rho = (levels - 1) * abs(config.time) * total
     evolved = _propagate(_coupling_generator(config, levels), max(rho, 1.0), initial.amplitudes)
     return FockVector(len(params), levels, evolved)
 
@@ -337,18 +338,18 @@ def disentanglement_infidelity(predicted: CoherentParams, evolved: FockVector) -
 
 
 def verify_disentanglement(params: CoherentParams, config: CloneNetworkConfig, levels: int,
-                           dim_budget: int = DEFAULT_DIM_BUDGET) -> float:
-    """Infidelity between brute-force evolution and the parameter-map prediction.
-
-    The input product state is evolved numerically and scored by
-    :func:`disentanglement_infidelity` against the parameters predicted by
-    ``apply_transfer(build_transfer(config))``.  This is the end-to-end check
-    that the network output stays a disentangled set of coherent states with
-    exactly the predicted parameters.
+                           dim_budget: int = DEFAULT_DIM_BUDGET
+                           ) -> tuple[CoherentParams, FockVector, float]:
+    """``(predicted, evolved, infidelity)``: the input product state evolved
+    once by brute force, scored by :func:`disentanglement_infidelity` against
+    the parameters predicted by ``apply_transfer(build_transfer(config))``.
+    This is the end-to-end check, the one ``fock-verify`` runs, that the
+    network output stays a disentangled set of coherent states with exactly
+    the predicted parameters.
     """
     evolved = evolve_product_state(params, config, levels, dim_budget)
     predicted = apply_transfer(build_transfer(config), params)
-    return disentanglement_infidelity(predicted, evolved)
+    return predicted, evolved, disentanglement_infidelity(predicted, evolved)
 
 
 def _simplex_dimension(mode_count: int, levels: int) -> int:

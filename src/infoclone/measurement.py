@@ -47,6 +47,7 @@ __all__ = [
     "GAUSS_SCHEME",
     "TRIAL_BATCH",
     "BYTES_PER_TRIAL",
+    "HISTOGRAM_BINS",
     "QUADRATURE_SD",
     "KS_5PCT",
     "ALPHA_ULP_FRACTION",
@@ -74,6 +75,7 @@ TRIAL_BATCH = 4096
 # fidelity columns (16 + 8 bytes) and one 8-byte column of scratch, first
 # var's temporary and then the sorted copy.
 BYTES_PER_TRIAL = 32
+HISTOGRAM_BINS = 50  # uniform bins on [0, 1]; the summary JSON schema fixes 50
 QUADRATURE_SD = math.sqrt(0.5)
 _SQRT2 = math.sqrt(2.0)
 # Asymptotic 5% point of the Kolmogorov distribution, scipy.special.kolmogi(0.05);
@@ -159,7 +161,6 @@ class FidelitySamples:
 class DistributionSummary:
     """Mean, variance, histogram, and KS distance of a fidelity sample set."""
 
-    count: int
     mean: float
     variance: float
     bin_edges: np.ndarray
@@ -306,7 +307,7 @@ def ks_critical(count: int) -> float:
     return KS_5PCT / math.sqrt(count)
 
 
-def summarize(values, reference_cdf, bins: int = 50) -> DistributionSummary:
+def summarize(values, reference_cdf) -> DistributionSummary:
     """Mean/variance/histogram of fidelity values plus the KS distance.
 
     The histogram uses uniform bins on [0, 1]; counts always sum to the
@@ -318,10 +319,9 @@ def summarize(values, reference_cdf, bins: int = 50) -> DistributionSummary:
     if values.size < 2:
         raise ValueError("need at least two samples")
     mean, variance = float(values.mean()), float(values.var())
-    edges = np.linspace(0.0, 1.0, bins + 1)
+    edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
     counts, _ = np.histogram(values, bins=edges)
     return DistributionSummary(
-        count=int(values.size),
         mean=mean,
         variance=variance,
         bin_edges=edges,

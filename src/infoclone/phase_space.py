@@ -49,7 +49,7 @@ class CoherentParams:
     """Coherency parameters of the source mode followed by the target modes.
 
     ``entries[0]`` is the source parameter, ``entries[1:]`` the targets.
-    Instances are immutable and safe to share between workers.
+    Instances are immutable.
     """
 
     entries: np.ndarray

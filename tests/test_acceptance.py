@@ -127,7 +127,7 @@ def test_criterion_4_fock_disentanglement_oracle():
     worst_infidelity, worst_time = 0.0, 0.0
     for params, config in cases:
         start = time.perf_counter()
-        infidelity = verify_disentanglement(params, config, 16)
+        _, _, infidelity = verify_disentanglement(params, config, 16)
         elapsed = time.perf_counter() - start
         assert infidelity < 1e-6
         assert elapsed < 60.0

@@ -671,6 +671,38 @@ class TestPinnedOracle:
         assert code == EXIT_OK
         assert out == stdout
 
+    @pytest.mark.parametrize("network", NETWORKS)
+    def test_json_is_the_verify_disentanglement_tuple(self, capsys, monkeypatch, network):
+        calls = {}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.setdefault(name, []).append(args)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+            return original
+
+        verify = counting(fock_oracle, "verify_disentanglement")
+        for name in ("check_truncation", "evolve_product_state", "disentanglement_infidelity"):
+            counting(fock_oracle, name)
+        # fock_oracle holds its own names for these, so only direct calls count
+        for name in ("build_transfer", "apply_transfer"):
+            counting(phase_space, name)
+        code, out, _ = run_cli(capsys, "fock-verify", *self.NETWORKS[network], "--format=json")
+        assert code == EXIT_OK
+        assert {name: len(args) for name, args in calls.items()} == {
+            "check_truncation": 1, "verify_disentanglement": 1,
+            "evolve_product_state": 1, "disentanglement_infidelity": 1,
+        }
+        predicted, evolved, infidelity = verify(*calls["verify_disentanglement"][0])
+        payload = json.loads(out)
+        assert payload["infidelity"] == infidelity
+        assert payload["dim"] == evolved.amplitudes.size
+        assert payload["predicted"] == [[z.real, z.imag] for z in predicted.entries]
+
     def test_dump_digest(self, capsys, tmp_path):
         path = tmp_path / "amplitudes.csv"
         code, _, _ = run_cli(capsys, "fock-verify", *self.NETWORKS["three-targets"],

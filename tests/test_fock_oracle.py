@@ -488,7 +488,8 @@ class TestDisentanglement:
     def test_zero_time_infidelity_vanishes(self):
         config = CloneNetworkConfig([1.0, 0.5], [0.0, 0.0], 0.0)
         params = CoherentParams([0.5, 0.2j, -0.1])
-        assert verify_disentanglement(params, config, 12) < 1e-12
+        _, _, infidelity = verify_disentanglement(params, config, 12)
+        assert infidelity < 1e-12
 
     def test_single_target_random_complex_config(self):
         rng = np.random.default_rng(101)
@@ -497,7 +498,8 @@ class TestDisentanglement:
             config = CloneNetworkConfig(
                 rng.uniform(0.2, 1.5, 1), rng.uniform(-np.pi, np.pi, 1), rng.uniform(0.2, 2.5)
             )
-            assert verify_disentanglement(params, config, 20) < 1e-6
+            _, _, infidelity = verify_disentanglement(params, config, 20)
+            assert infidelity < 1e-6
 
     def test_symmetric_split_two_targets(self):
         alpha = 0.6
@@ -507,7 +509,10 @@ class TestDisentanglement:
         np.testing.assert_allclose(
             predicted.entries[1:], np.full(2, alpha / math.sqrt(2)), atol=1e-15
         )
-        assert verify_disentanglement(params, config, 16) < 1e-6
+        returned, evolved, infidelity = verify_disentanglement(params, config, 16)
+        np.testing.assert_array_equal(returned.entries, predicted.entries)
+        assert infidelity == disentanglement_infidelity(predicted, evolved)
+        assert infidelity < 1e-6
 
     def test_number_conservation(self):
         # operator-level weight conservation behind the transfer unitarity:
@@ -569,7 +574,7 @@ class TestDisentanglement:
             1j * rng.uniform(-np.pi, np.pi, targets + 1)
         )
         tail = poisson_tail(float(np.sum(np.abs(entries) ** 2)), levels)
-        infidelity = verify_disentanglement(CoherentParams(entries), config, levels)
+        _, _, infidelity = verify_disentanglement(CoherentParams(entries), config, levels)
         assert abs(infidelity - (2.0 * tail - tail * tail)) < 1e-12
 
     def test_five_mode_symmetric_clone_within_budget(self):
@@ -578,7 +583,7 @@ class TestDisentanglement:
         assert math.comb(20, 5) <= DEFAULT_DIM_BUDGET < 16**5
         params = CoherentParams([1.0, 0.0, 0.0, 0.0, 0.0])
         start = time.perf_counter()
-        infidelity = verify_disentanglement(params, symmetric_clone_config(4), 16)
+        _, _, infidelity = verify_disentanglement(params, symmetric_clone_config(4), 16)
         assert time.perf_counter() - start < 60.0
         assert infidelity < 1e-6
 
@@ -642,7 +647,7 @@ class TestTruncationCheck:
         with pytest.raises(TruncationError):
             check_truncation(params.entries, 16, 1e-6)
         tail = poisson_tail(9.0, 16)
-        infidelity = verify_disentanglement(params, config, 16)
+        _, _, infidelity = verify_disentanglement(params, config, 16)
         assert infidelity > 1e-3
         assert abs(infidelity - (2.0 * tail - tail * tail)) < 1e-12
 
