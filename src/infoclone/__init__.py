@@ -12,12 +12,10 @@ from .phase_space import (
     CoherentParams,
     DegenerateCouplingError,
     apply_transfer,
-    build_tilde_transfer,
     build_transfer,
     check_invariants,
     info_overlap_fidelity,
     information_clone,
-    remove_phases,
     symmetric_clone_config,
     unitarity_deviation,
 )

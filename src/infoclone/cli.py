@@ -19,15 +19,21 @@ exceeds max(--gate, 1e-4), since the infidelity is then the truncation loss
 2T - T**2 rather than a test of the network, and when (d - 1) times the
 rotation angle, the radius of its Chebyshev-Bessel series, exceeds 1e6
 (the series itself runs at the angle reduced modulo 2*pi).  A
-``--truncation`` below 2 or a ``--budget`` below 1 exits 2, and so does
-``--delta`` without ``--r`` in ``transfer`` and ``fock-verify``.
+``--truncation`` below 2, a ``--budget`` below 1, or a ``--gate`` that is
+not positive and finite exits 2 before any evolution.  ``transfer`` and
+``fock-verify`` exit 2 on ``--delta`` without ``--r``, and on ``--r``
+magnitudes whose sum of squares is below the smallest normal double
+(``--r 1e-160 --time 1e160``): the network depends only on r_j / r and
+r * t, so scale ``--r`` up and ``--time`` down instead.
 
 Unwritable ``--output`` and ``--dump`` paths exit 2.  A command that fails
 removes an output file it created, never a path that existed before.  The
 Monte Carlo commands check the whole run, the scheme's law included, before
 they open their samples CSV, and open it before drawing any trial.  A
 ``--trials`` count whose columns cannot be allocated exits 2 with the bytes
-it needs.  The parser is built once per process, on first use.
+it needs; any other allocation failure (``pdf --grid 1000000000000000``,
+say) exits 2 with numpy's message.  The parser is built once per process,
+on first use.
 
 File schemas (version 3):
   samples CSV   header ``trial,re_est,im_est,F``, one row per trial, floats
@@ -491,6 +497,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_USAGE
 
 

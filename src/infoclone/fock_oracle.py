@@ -158,15 +158,15 @@ def check_truncation(entries, levels: int, gate: float,
     this truncation, and the infidelity says by how much.  A total mean
     occupation of ``dim_budget`` or more raises :class:`DimensionBudgetError`,
     since it alone needs more levels than the budget allows.  Fewer than two
-    levels, or a budget below one state, raise ``ValueError`` naming the
-    ``fock-verify`` flag.
+    levels, a budget below one state, or a gate that is not positive and
+    finite, raise ``ValueError`` naming the ``fock-verify`` flag.
     """
     if levels < 2:
         raise ValueError(f"--truncation must be at least 2 levels, got {levels}")
     if dim_budget < 1:
         raise ValueError(f"--budget must be at least 1, got {dim_budget}")
-    if not gate > 0:
-        raise ValueError(f"gate must be positive, got {gate}")
+    if not 0 < gate < math.inf:
+        raise ValueError(f"--gate must be positive and finite, got {gate}")
     moduli = [abs(complex(z)) for z in entries]
     total = math.fsum(m * m for m in moduli)  # inf, not OverflowError, past the float range
     if not total < dim_budget:

@@ -16,6 +16,7 @@ maps of the exponentiated coupling (``fock_oracle`` checks this directly).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,14 +26,12 @@ __all__ = [
     "DegenerateCouplingError",
     "CoherentParams",
     "CloneNetworkConfig",
-    "build_tilde_transfer",
     "build_transfer",
     "apply_transfer",
     "unitarity_deviation",
     "check_invariants",
     "symmetric_clone_config",
     "information_clone",
-    "remove_phases",
     "mean_occupation",
     "info_overlap_fidelity",
 ]
@@ -41,7 +40,8 @@ UNITARITY_TOL = 1e-12
 
 
 class DegenerateCouplingError(ValueError):
-    """Raised when every coupling magnitude is zero."""
+    """Raised when the coupling magnitudes are all zero, or so small that
+    their square sum is below the smallest normal double."""
 
 
 @dataclass(frozen=True)
@@ -96,10 +96,14 @@ class CloneNetworkConfig:
             raise ValueError("coupling phases must be finite")
         if not math.isfinite(self.time):
             raise ValueError(f"interaction time must be finite, got {self.time}")
-        if not np.any(mags > 0):
+        with np.errstate(over="ignore"):
+            square_sum = float(np.sum(mags**2))
+        if square_sum < sys.float_info.min:
             raise DegenerateCouplingError(
-                "all coupling magnitudes are zero; the total coupling rate "
-                "appears in denominators and must be positive"
+                f"the coupling magnitudes are zero or too small: sum r_j**2 = {square_sum:.3g} "
+                f"is below the smallest normal double {sys.float_info.min:.3g}; the network "
+                "depends only on r_j / r and r * t, so scale --r up and --time down by the "
+                "same factor"
             )
         mags.flags.writeable = False
         phases.flags.writeable = False
@@ -127,36 +131,13 @@ class CloneNetworkConfig:
         return self.total_coupling * self.time
 
 
-def build_tilde_transfer(config: CloneNetworkConfig) -> np.ndarray:
-    """Real transfer matrix of a phase-free network.
-
-    Row 0 is (cos rt, (r_1/r) sin rt, ..., (r_n/r) sin rt); below, the first
-    column carries -(r_j/r) sin rt and the target block is the identity minus
-    the rank-one correction (r_j r_k / r^2)(1 - cos rt).  The result is
-    orthogonal.  Requires every coupling phase to be zero.
-    """
-    if np.any(config.phases != 0):
-        raise ValueError("the real transfer matrix requires all coupling phases zero")
-    total = config.total_coupling
-    angle = config.rotation_angle
-    s, c = math.sin(angle), math.cos(angle)
-    weights = config.magnitudes / total
-    n = config.n_targets
-    matrix = np.empty((n + 1, n + 1))
-    matrix[0, 0] = c
-    matrix[0, 1:] = weights * s
-    matrix[1:, 0] = -weights * s
-    matrix[1:, 1:] = np.eye(n) - np.outer(weights, weights) * (1.0 - c)
-    return matrix
-
-
 def build_transfer(config: CloneNetworkConfig) -> np.ndarray:
     """Complex transfer matrix for arbitrary coupling phases.
 
     The first row carries e^{-i delta_j} (r_j/r) sin rt off the diagonal, the
     first column -e^{+i delta_j} (r_j/r) sin rt, and the target block is
-    delta_jk - e^{i(delta_j - delta_k)} (r_j r_k / r^2)(1 - cos rt).  Reduces
-    exactly to :func:`build_tilde_transfer` when all phases vanish.
+    delta_jk - e^{i(delta_j - delta_k)} (r_j r_k / r^2)(1 - cos rt).  With
+    every phase zero it is real, its imaginary parts exactly 0, and orthogonal.
     """
     total = config.total_coupling
     angle = config.rotation_angle
@@ -255,24 +236,15 @@ def information_clone(alpha: complex, n_copies: int) -> CoherentParams:
     """Split a source parameter into ``n`` equal information-carrying copies.
 
     Exact algebraic evaluation of the symmetric network at rotation angle
-    3*pi/2 (sin rt = -1, cos rt = 0) followed by removal of the known output
-    phases: the source entry is exactly 0 and every target is exactly
-    ``alpha / sqrt(n)``.  ``n_copies == 1`` degenerates to a swap, returning
-    (0, alpha).
+    3*pi/2 (sin rt = -1, cos rt = 0): the source entry is exactly 0 and every
+    target is exactly ``alpha / sqrt(n)``.  ``n_copies == 1`` degenerates to
+    a swap, returning (0, alpha).
     """
     if n_copies < 1:
         raise ValueError("need at least one copy")
     entries = np.full(int(n_copies) + 1, complex(alpha) / math.sqrt(n_copies), dtype=complex)
     entries[0] = 0.0
     return CoherentParams(entries)
-
-
-def remove_phases(params: CoherentParams, gammas) -> CoherentParams:
-    """Rotate each parameter by e^{i gamma_a}; moduli are unchanged."""
-    gammas = np.asarray(gammas, dtype=float)
-    if gammas.shape != (len(params),):
-        raise ValueError("need one rotation angle per mode")
-    return CoherentParams(np.exp(1j * gammas) * params.entries)
 
 
 def mean_occupation(alpha: complex) -> float:

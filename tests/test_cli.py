@@ -137,14 +137,18 @@ class TestFockVerify:
         assert out == ""
         assert "need at least 130 levels" in err
 
-    @pytest.mark.parametrize("gate", ["0", "-1e-6", "nan"])
-    def test_non_positive_gate_is_usage_error(self, capsys, gate):
+    @pytest.mark.parametrize("gate", ["0", "-1e-6", "nan", "inf"])
+    def test_non_positive_gate_is_usage_error(self, capsys, monkeypatch, gate):
+        # refused before the state is evolved
+        calls = []
+        monkeypatch.setattr(fock_oracle, "_propagate", lambda *args: calls.append(args))
         code, out, err = run_cli(
             capsys, "fock-verify", "--alpha", "0.6,0", "--copies", "2", f"--gate={gate}"
         )
         assert code == EXIT_USAGE
         assert out == ""
-        assert "gate" in err
+        assert "--gate must be positive and finite" in err
+        assert calls == []
 
     def test_zero_time_reports_zero(self, capsys):
         code, out, _ = run_cli(
@@ -312,6 +316,34 @@ class TestStrictInput:
         assert code == EXIT_USAGE
         assert out == ""
         assert "--r" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("transfer", "--r=1e-320", "--time=1"),
+        ("transfer", "--r=1e-160", "--time=1e160", "--format=csv"),
+        ("fock-verify", "--r=1e-320", "--time=1", "--alpha=0.5,0"),
+        ("fock-verify", "--r=1e-160", "--time=1e160", "--alpha=0.5,0"),
+    ])
+    def test_tiny_couplings_are_usage_error(self, capsys, argv):
+        # sum r**2 underflows below the smallest normal double: exit 2 before
+        # a NaN matrix or a wrong unitarity report, with no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "zero" in err and "--r" in err and "--time" in err
+
+    @pytest.mark.parametrize("argv", [
+        # each array needs 7 PiB or more, so its allocation fails at once
+        ("pdf", "--scheme=info", "--sources=1", f"--grid={10**15}"),
+        ("clone", "--alpha=1,0", f"--copies={10**15}"),
+    ])
+    def test_allocation_failure_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: out of memory")
+        assert "Traceback" not in err
 
     def test_overflowing_rotation_angle_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "transfer", "--copies", "4", "--time", "1.7e308")

@@ -628,9 +628,9 @@ class TestTruncationCheck:
         with pytest.raises(DimensionBudgetError):
             check_truncation([amplitude, 0.0], 8, 1e-6)
 
-    @pytest.mark.parametrize("gate", [0.0, -1e-6, math.nan])
+    @pytest.mark.parametrize("gate", [0.0, -1e-6, math.nan, math.inf, -math.inf])
     def test_gate_must_be_positive(self, gate):
-        with pytest.raises(ValueError, match="gate"):
+        with pytest.raises(ValueError, match="--gate must be positive and finite"):
             check_truncation([0.5, 0.0], 8, gate)
 
     def test_predicted_outputs_count(self):

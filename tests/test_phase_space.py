@@ -8,12 +8,10 @@ from infoclone.phase_space import (
     CoherentParams,
     DegenerateCouplingError,
     apply_transfer,
-    build_tilde_transfer,
     build_transfer,
     check_invariants,
     info_overlap_fidelity,
     information_clone,
-    remove_phases,
     symmetric_clone_config,
     unitarity_deviation,
 )
@@ -49,6 +47,17 @@ class TestTypes:
         with pytest.raises(DegenerateCouplingError):
             CloneNetworkConfig([0.0, 0.0], [0.0, 0.0], 1.0)
 
+    @pytest.mark.parametrize("magnitudes", [[1e-320], [1e-160], [1e-160, 1e-160],
+                                            [1.4e-154, 0.0]])
+    def test_config_rejects_square_sum_below_smallest_normal(self, magnitudes):
+        # sum r_j**2 underflows: total_coupling would divide by zero or lose digits
+        with pytest.raises(DegenerateCouplingError, match="zero"):
+            CloneNetworkConfig(magnitudes, np.zeros(len(magnitudes)), 1.0)
+
+    def test_config_accepts_square_sum_at_smallest_normal(self):
+        config = CloneNetworkConfig([1.5e-154, 0.0], [0.0, 0.0], 1e154)
+        assert unitarity_deviation(build_transfer(config)) < TOL
+
     def test_config_rejects_negative_magnitude(self):
         with pytest.raises(ValueError):
             CloneNetworkConfig([1.0, -0.5], [0.0, 0.0], 1.0)
@@ -65,35 +74,37 @@ class TestTypes:
 
 
 class TestTildeTransfer:
+    """The real, phase-free form: build_transfer at zero phases."""
+
     def test_zero_time_gives_identity(self):
         config = CloneNetworkConfig([1.0, 0.7, 0.2], [0, 0, 0], 0.0)
-        assert np.array_equal(build_tilde_transfer(config), np.eye(4))
+        matrix = build_transfer(config)
+        assert np.all(matrix.imag == 0)
+        assert np.array_equal(matrix, np.eye(4))
 
     def test_quarter_period_swap(self):
         # single target, unit coupling, rt = pi/2: pure swap with a sign
         config = CloneNetworkConfig([1.0], [0.0], math.pi / 2)
-        matrix = build_tilde_transfer(config)
+        matrix = build_transfer(config)
+        assert np.all(matrix.imag == 0)
         np.testing.assert_allclose(matrix, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-15)
 
     def test_orthogonality_by_column_products(self):
         # oracle: explicit column inner products, independent of matmul identities
         rng = np.random.default_rng(11)
         config = random_config(rng, 3, complex_phases=False)
-        matrix = build_tilde_transfer(config)
+        matrix = build_transfer(config)
+        assert np.all(matrix.imag == 0)
         for b in range(4):
             for c in range(4):
                 product = sum(matrix[a, b] * matrix[a, c] for a in range(4))
                 assert abs(product - (1.0 if b == c else 0.0)) < TOL
 
-    def test_rejects_nonzero_phases(self):
-        config = CloneNetworkConfig([1.0], [0.3], 1.0)
-        with pytest.raises(ValueError):
-            build_tilde_transfer(config)
-
     def test_row_structure(self):
         rng = np.random.default_rng(5)
         config = random_config(rng, 4, complex_phases=False)
-        matrix = build_tilde_transfer(config)
+        matrix = build_transfer(config)
+        assert np.all(matrix.imag == 0)
         r = config.magnitudes
         total = config.total_coupling
         angle = config.rotation_angle
@@ -108,12 +119,15 @@ class TestTildeTransfer:
 
 
 class TestComplexTransfer:
-    def test_reduces_to_tilde_exactly(self):
+    def test_zero_phases_are_exactly_real(self):
+        # every imaginary part is +0.0, not merely below a tolerance
         rng = np.random.default_rng(2)
-        config = random_config(rng, 3, complex_phases=False)
-        assert np.array_equal(
-            build_transfer(config), build_tilde_transfer(config).astype(complex)
-        )
+        for n_targets in (1, 2, 3, 16):
+            for _ in range(50):
+                config = CloneNetworkConfig(rng.uniform(0.05, 2.0, n_targets),
+                                            np.zeros(n_targets), rng.uniform(-20.0, 20.0))
+                imag = build_transfer(config).imag
+                assert np.all(imag == 0) and not np.any(np.signbit(imag))
 
     def test_single_target_phase_structure(self):
         # sin rt = 1, cos rt ~ 0: off-diagonals e^{-i delta} and -e^{+i delta}
@@ -298,7 +312,6 @@ class TestInformationClone:
         entries[0] = alpha
         config = symmetric_clone_config(n_copies)
         via_matrix = apply_transfer(build_transfer(config), CoherentParams(entries))
-        via_matrix = remove_phases(via_matrix, np.zeros(n_copies + 1))
         np.testing.assert_allclose(
             information_clone(alpha, n_copies).entries, via_matrix.entries, atol=1e-14
         )
@@ -306,29 +319,6 @@ class TestInformationClone:
     def test_rejects_zero_copies(self):
         with pytest.raises(ValueError):
             information_clone(1.0, 0)
-
-
-class TestRemovePhases:
-    def test_zero_angles_are_identity(self):
-        params = CoherentParams([0.2 + 0.1j, -0.5j])
-        out = remove_phases(params, [0.0, 0.0])
-        assert np.array_equal(out.entries, params.entries)
-
-    def test_pi_rotation_flips_sign(self):
-        alpha = 1.2 + 0.3j
-        params = CoherentParams([0.0, -alpha / 2.0])
-        out = remove_phases(params, [0.0, math.pi])
-        np.testing.assert_allclose(out.entries[1], alpha / 2.0, atol=1e-15)
-
-    def test_moduli_preserved(self):
-        rng = np.random.default_rng(43)
-        params = random_params(rng, 4)
-        out = remove_phases(params, rng.uniform(-np.pi, np.pi, 4))
-        np.testing.assert_allclose(np.abs(out.entries), np.abs(params.entries), atol=1e-15)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            remove_phases(CoherentParams([1.0, 0.0]), [0.0])
 
 
 class TestOverlapFidelity:
