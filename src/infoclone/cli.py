@@ -24,7 +24,9 @@ not positive and finite exits 2 before any evolution.  ``transfer`` and
 ``fock-verify`` exit 2 on ``--delta`` without ``--r``, and on ``--r``
 magnitudes whose sum of squares is below the smallest normal double
 (``--r 1e-160 --time 1e160``): the network depends only on r_j / r and
-r * t, so scale ``--r`` up and ``--time`` down instead.
+r * t, so scale ``--r`` up and ``--time`` down instead.  A sum of squares
+that overflows exits 2 the same way (``--r 1e154,1e154 --time 1e-154``,
+where r * t = 1.41): scale ``--r`` down and ``--time`` up.
 
 Unwritable ``--output`` and ``--dump`` paths exit 2.  A command that fails
 removes an output file it created, never a path that existed before.  The

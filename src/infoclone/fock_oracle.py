@@ -9,8 +9,10 @@ evolves exactly there, so the only truncation loss is the Poisson tail T of
 the input's total excitation above d - 1: a product coherent state is scored
 at infidelity 2T - T**2 (see :func:`check_truncation`).
 
-The generator is a table of gather slots built once from the occupations, and
-its exponential is applied to a state by the Chebyshev-Bessel series (numpy
+The generator is a table of gather slots built once from the occupations:
+a term a_0^dag a_j pairs the rows with n_j >= 1 with those with n_0 >= 1 in
+row order, since adding e_0 - e_j to every tuple keeps their order.  Its
+exponential is applied to a state by the Chebyshev-Bessel series (numpy
 only, no random step, so bit-reproducible), never formed as a dense unitary.
 Nothing here assumes the parameter-level algebra of ``phase_space``, which
 is exactly what makes :func:`verify_disentanglement` an independent
@@ -209,19 +211,23 @@ def _coupling_generator(config: CloneNetworkConfig, levels: int) -> tuple:
     the convention under which ``build_transfer`` is the exact parameter map
     of the exponentiated generator.  Slot 2j-2 holds kappa_j a_0^dag a_j: it
     moves one excitation from target j to the source, one to one within the
-    simplex, G[rows, cols] = values = kappa_j sqrt((n_0+1) n_j).  Slot 2j-1
-    holds the adjoint G[cols, rows] = -conj(values).  Unreached rows weigh 0.
+    simplex, G[rows, cols] = values = kappa_j sqrt((n_0+1) n_j), n the
+    column's occupations and n_0 + 1 the row's.  Slot 2j-1 holds the adjoint
+    G[cols, rows] = -conj(values).  Unreached rows weigh 0.
+
+    The rows need no rank: adding the fixed vector e_0 - e_j keeps
+    lexicographic order, so the move maps the rows with n_j >= 1 onto the
+    rows with n_0 >= 1 in the same order, the i-th of one to the i-th of the
+    other.  The same pairing holds for any a_i^dag a_j.
     """
     occupations = mode_occupations(config.n_targets + 1, levels)
     kappa = config.time * config.magnitudes * np.exp(-1j * config.phases)
-    unit = np.eye(kappa.size + 1, dtype=np.int64)
     index = np.zeros((2 * kappa.size, occupations.shape[0]), dtype=np.int64)
     weight = np.zeros(index.shape, dtype=complex)
+    (rows,) = np.nonzero(occupations[:, 0])
     for j, coupling in enumerate(kappa, start=1):
         (cols,) = np.nonzero(occupations[:, j])
-        moved = occupations[cols] + unit[0] - unit[j]
-        values = coupling * np.sqrt(moved[:, 0] * occupations[cols, j])
-        rows = _simplex_index(moved, levels)
+        values = coupling * np.sqrt(occupations[rows, 0] * occupations[cols, j])
         index[2 * j - 2, rows], weight[2 * j - 2, rows] = cols, values
         index[2 * j - 1, cols], weight[2 * j - 1, cols] = rows, -values.conj()
     return index, weight
@@ -376,21 +382,3 @@ def mode_occupations(mode_count: int, levels: int) -> np.ndarray:
     rows.flags.writeable = False
     return rows
 
-
-def _simplex_index(occupations: np.ndarray, levels: int) -> np.ndarray:
-    """Row of each occupation tuple in :func:`mode_occupations`.
-
-    A tuple is preceded by those that agree with it before mode i and put
-    v < n_i at mode i.  With room b left before mode i and r = modes - i,
-    there are C(b + r, r) - C(b - n_i + r, r) of them (hockey-stick sum over
-    v of the simplices of the remaining modes).
-    """
-    modes = occupations.shape[1]
-    room = np.full(occupations.shape[0], levels - 1)
-    index = np.zeros(occupations.shape[0], dtype=np.int64)
-    for i in range(modes):
-        r = modes - i
-        count = np.array([math.comb(b + r, r) for b in range(levels)], dtype=np.int64)
-        index += count[room] - count[room - occupations[:, i]]
-        room -= occupations[:, i]
-    return index

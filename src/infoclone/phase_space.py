@@ -105,16 +105,20 @@ class CloneNetworkConfig:
                 "depends only on r_j / r and r * t, so scale --r up and --time down by the "
                 "same factor"
             )
+        if square_sum == math.inf:
+            raise ValueError(
+                "the coupling magnitudes are too large: sum r_j**2 overflows a double; the "
+                "network depends only on r_j / r and r * t, so scale --r down and --time up "
+                "by the same factor"
+            )
         mags.flags.writeable = False
         phases.flags.writeable = False
         object.__setattr__(self, "magnitudes", mags)
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "time", float(self.time))
-        with np.errstate(over="ignore"):
-            total, angle = self.total_coupling, self.rotation_angle
-        if not (math.isfinite(total) and math.isfinite(angle)):
-            raise ValueError(f"the total coupling sqrt(sum r_j**2) = {total:.3g} (--r) times "
-                             f"the time {self.time:.3g} is not finite")
+        if not math.isfinite(self.rotation_angle):
+            raise ValueError(f"the total coupling sqrt(sum r_j**2) = {self.total_coupling:.3g} "
+                             f"(--r) times the time {self.time:.3g} is not finite")
 
     @property
     def n_targets(self) -> int:

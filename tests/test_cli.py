@@ -309,13 +309,15 @@ class TestStrictInput:
 
     @pytest.mark.parametrize("command", [("transfer",), ("fock-verify", "--alpha=0.1,0")])
     def test_overflowing_total_coupling_is_usage_error(self, capsys, command):
-        # sqrt(sum r**2) overflows: exit 2 naming --r, with no RuntimeWarning
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, *command, "--r", "1e200", "--time", "1")
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert "--r" in err
+        # sum r**2 overflows, though every r is finite (and r * t = 1.41 in the
+        # second case): exit 2 with the rescaling hint, with no RuntimeWarning
+        for r, time in [("1e200", "1"), ("1e154,1e154", "1e-154")]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(capsys, *command, "--r", r, "--time", time)
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert "overflows" in err and "scale --r down and --time up" in err
 
     @pytest.mark.parametrize("argv", [
         ("transfer", "--r=1e-320", "--time=1"),

@@ -20,7 +20,6 @@ from infoclone.fock_oracle import (
     _bessel_coefficients,
     _coupling_generator,
     _propagate,
-    _simplex_index,
     check_truncation,
     coherent_state_vector,
     disentanglement_infidelity,
@@ -73,8 +72,10 @@ def dense_generator(config, levels):
 def reference_terms(config, levels):
     """G as one ``(rows, cols, values)`` triple per coupling: the term
     kappa_j a_0^dag a_j is G[rows, cols] = values, its adjoint
-    G[cols, rows] = -conj(values)."""
+    G[cols, rows] = -conj(values).  Each moved tuple's row is looked up in a
+    dict of the enumeration, independent of the library's row pairing."""
     occupations = mode_occupations(config.n_targets + 1, levels)
+    rank = {tuple(row): i for i, row in enumerate(occupations.tolist())}
     kappa = config.time * config.magnitudes * np.exp(-1j * config.phases)
     terms = []
     for j, coupling in enumerate(kappa, start=1):
@@ -83,7 +84,8 @@ def reference_terms(config, levels):
         moved[:, 0] += 1
         moved[:, j] -= 1
         values = coupling * np.sqrt(moved[:, 0] * occupations[source, j])
-        terms.append((_simplex_index(moved, levels), source, values))
+        rows = np.array([rank[tuple(row)] for row in moved.tolist()], dtype=np.int64)
+        terms.append((rows, source, values))
     return terms
 
 
@@ -675,8 +677,14 @@ class TestIndexing:
         assert occupations.tolist() == [list(t) for t in box]
         assert len(box) == math.comb(levels - 1 + modes, modes)
 
-    def test_simplex_index_inverts_the_enumeration(self):
-        for modes, levels in [(1, 6), (2, 9), (3, 7), (5, 4)]:
-            occupations = mode_occupations(modes, levels)
-            index = _simplex_index(occupations, levels)
-            assert np.array_equal(index, np.arange(len(occupations)))
+    @pytest.mark.parametrize("modes, levels", [(2, 9), (3, 7), (5, 4), (7, 3)])
+    def test_moving_an_excitation_to_the_source_keeps_row_order(self, modes, levels):
+        # the pairing _coupling_generator relies on: a_0^dag a_j maps the
+        # rows with n_j >= 1, in order, onto the rows with n_0 >= 1
+        occupations = mode_occupations(modes, levels)
+        (rows,) = np.nonzero(occupations[:, 0])
+        for j in range(1, modes):
+            (cols,) = np.nonzero(occupations[:, j])
+            shift = np.zeros(modes, dtype=occupations.dtype)
+            shift[0], shift[j] = 1, -1
+            assert np.array_equal(occupations[rows], occupations[cols] + shift)

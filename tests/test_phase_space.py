@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infoclone.phase_space import (
+    UNITARITY_TOL,
     CloneNetworkConfig,
     CoherentParams,
     DegenerateCouplingError,
@@ -73,7 +76,7 @@ class TestTypes:
         assert config.rotation_angle == pytest.approx(2.5, abs=1e-15)
 
 
-class TestTildeTransfer:
+class TestZeroPhaseTransfer:
     """The real, phase-free form: build_transfer at zero phases."""
 
     def test_zero_time_gives_identity(self):
@@ -253,6 +256,35 @@ class TestInvariants:
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):
             check_invariants(CoherentParams([1.0, 0.0]), CoherentParams([1.0, 0.0, 0.0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # each r_j exactly 0, or 1 to 10 times 10**e with |e| <= 150, so a
+        # nonzero square sum of at most 8 terms is a normal double
+        magnitudes=st.lists(
+            st.one_of(st.just(0.0), st.builds(lambda mantissa, exponent: mantissa * 10.0**exponent,
+                                              st.floats(1.0, 10.0), st.integers(-150, 150))),
+            min_size=1, max_size=8,
+        ).filter(any),
+        angle=st.floats(-1e3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_zero_and_widely_scaled_couplings_at_large_angles(self, magnitudes, angle, seed):
+        # the seeded sweeps above draw r_j from [0.05, 2] and angles below 2*pi
+        rng = np.random.default_rng(seed)
+        n = len(magnitudes)
+        total = math.sqrt(math.fsum(r * r for r in magnitudes))
+        config = CloneNetworkConfig(magnitudes, rng.uniform(-np.pi, np.pi, n), angle / total)
+        matrix = build_transfer(config)
+        assert unitarity_deviation(matrix) <= UNITARITY_TOL
+        first, second = random_params(rng, n + 1), random_params(rng, n + 1)
+        deviation = check_invariants(
+            first,
+            apply_transfer(matrix, first),
+            second_pair=(second, apply_transfer(matrix, second)),
+            phases=config.phases,
+        )
+        assert deviation <= TOL
 
 
 class TestSymmetricClone:
