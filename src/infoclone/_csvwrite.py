@@ -9,22 +9,38 @@ byte what Python's ``'%.17g' % v`` gives: Gay's correctly rounded dtoa
 The digits are computed exactly, not estimated.  With |x| = m * 2**e
 (m < 2**53) and X = floor(log10 |x|), the significand
 D = round-half-even(|x| * 10**(16 - X)) is m * 5**k / 2**s with k = 16 - X
-and s = -(e + k), taken from a two-limb product of uint64s (5**k < 2**63 for
-k <= 27).  A log10 estimate of X that is one off leaves the truncated
-quotient outside [1e16, 1e17) and is stepped and recomputed.  Anything
-outside that window (|x| below 1e-11 or from 1e17 up, zero, nan, inf and
-subnormals) is rendered by ``'%.17g' % v`` itself.
+and s = -(e + k).  In the window [1e-11, 1e17) it comes from a two-limb
+product of uint64s (5**k < 2**63 for k <= 27); a log10 estimate of X that
+is one off leaves the truncated quotient outside [1e16, 1e17) and is
+stepped and recomputed.  Below the window, subnormals included, X is found
+exactly in a table of the smallest double at or above each power of ten,
+and m * 5**k (k up to 340) is carried in 32-bit limbs, as Ryu (Adams, PLDI
+2018) carries exact powers of five to every exponent.  There s >= 61, so no
+tie is possible (2**(s - 1) would have to divide m < 2**53), and D is the
+quotient plus bit s - 1 of the product.  Rounding can carry D to 1e17 there
+(at the doubles nearest 1e-79, 1e-174, 1e-176, 1e-243 and 1e-305), which
+is D = 1e16 at X + 1.  Only zero, nan, inf and |x| from 1e17 up are
+rendered by ``'%.17g' % v`` itself, and only negative integers by
+``'%d' % v``.
 
 Layout works on little-endian uint64 words of eight characters, with NUL
 wherever a character is absent, so every row has a fixed width; one
-``bytes.translate(None, b"\\0")`` per chunk squeezes the NULs out.  A float
-field is four words: the sign, the "0.000" of fixed form below 1 and the
-first digit; the other 16 digits with the point inserted; the digit the
-point pushed out, "e-XX" and the separator.  An integer field has room for its
-longest value and the separator.
+``bytearray.translate(None, b"\\0")`` per chunk squeezes the NULs out.  A
+float field is four words: the sign, the "0.000" of fixed form below 1 and
+the first digit; the other 16 digits with the point inserted; the digit the
+point pushed out, "e-XX" or "e-XXX" and the separator.  An integer field has
+room for its longest value and the separator.
+
+Every array is updated in place or dropped once used, so a float column
+holds about a dozen arrays of its length at once, not two dozen: less
+scratch for the allocator to return to the system after each call and to
+fault back in on the next.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -37,6 +53,8 @@ _U64 = np.uint64
 _WORD = np.dtype("<u8")  # byte j of a word is character j of its eight
 _LOW32 = _U64(0xFFFFFFFF)
 _MAX_K = 27
+_MIN_X = -324  # X of the smallest subnormal, 4.9e-324, where k = 340
+_LIMBS = 26  # 5**340 < 2**790 fills 25; the product's limb 25 needs a 26th
 _POW5 = np.array([5**k for k in range(_MAX_K + 1)], dtype=_U64)
 _D_LOW, _D_HIGH = _U64(10**16), _U64(10**17)
 _E8 = _U64(10**8)
@@ -45,7 +63,6 @@ _FLAGS = _U64(0x8080808080808080)
 _ALL = _U64(0xFFFFFFFFFFFFFFFF)
 _DOTS = _U64(0x2E2E2E2E2E2E2E2E)
 _PREFIX = _U64(int.from_bytes(b"\x000.000\x00\x00", "little"))
-_SUFFIX = _U64(int.from_bytes(b"\x00e-00\x00\x00\x00", "little"))
 _FLOAT_WORDS = 4
 
 
@@ -70,7 +87,10 @@ def _chunk(column, start: int, stop: int) -> np.ndarray:
 def _render_rows(parts: list) -> str:
     widths = [_int_words(p) if p.dtype.kind in "iu" else _FLOAT_WORDS for p in parts]
     offsets = np.cumsum([0] + widths)
-    out = np.empty((parts[0].size, offsets[-1]), dtype=_WORD)
+    # the words live in a bytearray, whose translate squeezes out the NULs
+    # without a bytes copy of the whole matrix first
+    text = bytearray(8 * offsets[-1] * parts[0].size)
+    out = np.frombuffer(text, dtype=_WORD).reshape(parts[0].size, offsets[-1])
     for i, part in enumerate(parts):
         field = out[:, offsets[i] : offsets[i + 1]]
         separator = b"\n" if i == len(parts) - 1 else b","
@@ -78,7 +98,9 @@ def _render_rows(parts: list) -> str:
             _render_ints(np.asarray(part, dtype=np.int64), field, separator)
         else:
             _render_floats(np.asarray(part, dtype=np.float64), field, separator)
-    return out.tobytes().translate(None, b"\0").decode("ascii")
+    del out, field
+    text = text.translate(None, b"\0")
+    return text.decode("ascii")
 
 
 def _digit_bytes(values: np.ndarray) -> np.ndarray:
@@ -143,84 +165,244 @@ def _render_ints(values: np.ndarray, field: np.ndarray, separator: bytes) -> Non
     text.append(_U64(separator[0]))
     for j in range(words):
         field[:, j] = (text[j] >> _BYTE) | (text[j + 1] << _U64(56))
-    _fill_fallback(field, values, values < 0, "%d", separator)
+    _fill_fallback(field, values, np.flatnonzero(values < 0), "%d", separator)
 
 
-def _scaled(mantissa: np.ndarray, shift: np.ndarray, k: np.ndarray):
-    """Truncated quotient q = floor(mantissa * 5**k / 2**shift) and whether
-    the discarded part rounds it up, half to even.
+def _scaled(low: np.ndarray, high: np.ndarray, shift: np.ndarray, exponent: np.ndarray):
+    """Truncated quotient q = floor(m * 5**k / 2**shift) of the mantissa
+    m = high * 2**32 + low, with k = 16 - exponent, and whether the discarded
+    part rounds it up, half to even.
 
-    mantissa < 2**53 and 5**k < 2**63 multiply as 32-bit halves into the
-    128-bit (high, low).  Over the window the shift lies in [-4, 62], and a
+    m < 2**53 and 5**k < 2**63 multiply as 32-bit halves into the 128-bit
+    (upper, lower).  Over the window the shift lies in [-7, 62], and a
     negative shift multiplies by 2**-shift a product that fits one limb."""
-    power = _POW5[k]
-    m1, m0 = mantissa >> _U64(32), mantissa & _LOW32
-    p1, p0 = power >> _U64(32), power & _LOW32
-    low = m0 * p0
-    middle = m1 * p0 + m0 * p1  # below 2**53 + 2**63
-    summed = low + (middle << _U64(32))
-    high = m1 * p1 + (middle >> _U64(32)) + (summed < low)
-    right = np.maximum(shift, 0).astype(_U64)
-    left = np.maximum(-shift, 0).astype(_U64)
-    # numpy shifts a word by 64 bits or more to 0, here high when right is 0
-    quotient = ((high << (_U64(64) - right)) | (summed >> right)) << left
+    power = _POW5[16 - exponent]
+    upper = power >> _U64(32)
+    power &= _LOW32
+    lower = low * power
+    middle = high * power
+    middle += np.multiply(low, upper, out=power)  # below 2**53 + 2**63
+    del power
+    upper *= high
+    summed = middle << _U64(32)
+    summed += lower
+    upper += middle >> _U64(32)
+    upper += summed < lower
+    del lower, middle
+    right = np.maximum(shift, 0).view(_U64)
     one = _U64(1) << right
-    twice_rest = (summed & (one - _U64(1))) << _U64(1)
+    twice_rest = one - _U64(1)
+    twice_rest &= summed
+    twice_rest <<= _U64(1)
+    # numpy shifts a word by 64 bits or more to 0, here upper when right is 0
+    upper <<= _U64(64) - right
+    upper |= summed >> right
+    del summed, right
+    quotient = np.left_shift(upper, np.maximum(-shift, 0).view(_U64), out=upper)
     # up above half, or at half with q odd: twice_rest is even, so adding
     # q's low bit carries only a tie past one
-    up = twice_rest + (quotient & _U64(1)) > one
-    return quotient, up
+    twice_rest += quotient & _U64(1)
+    return quotient, twice_rest > one
 
 
 def _significands(values: np.ndarray):
-    """17-digit significand D, decimal exponent X, and whether the value lies
-    in the exact window, where D = round-half-even(|x| * 10**(16 - X)).
-    Outside the window D is 1e16 and X is 0."""
+    """17-digit significand D, decimal exponent X, and the rows left to the
+    fallback, where D = round-half-even(|x| * 10**(16 - X)).  In those rows
+    D is 1e16 and X is 0."""
     magnitude = np.abs(values)
     with np.errstate(divide="ignore", invalid="ignore"):
-        exponent = np.floor(np.log10(magnitude))  # -inf at 0, nan at nan
-    exact = (exponent >= 16 - _MAX_K) & (exponent <= 16)
-    exponent = np.where(exact, exponent, 0.0).astype(np.int64)
-    # |x| = mantissa * 2**binary for a normal double, the only kind in the
-    # window; rows outside it run through meaningless words, and are dropped
+        exponent = np.log10(magnitude)  # -inf at 0, nan at nan
+    np.floor(exponent, out=exponent)
+    # an estimate of 17 may belong to one of the doubles just below 1e17; the
+    # redo below sends the others to the fallback
+    exact = (exponent >= 16 - _MAX_K) & (exponent <= 17)
+    exponent[~exact] = 0.0
+    np.minimum(exponent, 16.0, out=exponent)
+    exponent = exponent.astype(np.int64)
+    # |x| = m * 2**binary for a normal double, the only kind in the window;
+    # rows outside it run through meaningless words, and are dropped.  The
+    # 32-bit halves of m are taken apart from the bits, implicit bit and all.
     bits = magnitude.view(_U64)
-    mantissa = (bits & _U64(2**52 - 1)) | _U64(2**52)
-    binary = (bits >> _U64(52)).astype(np.int64) - 1075
-
-    k = 16 - exponent
-    quotient, up = _scaled(mantissa, -(binary + k), k)
+    low = bits & _LOW32
+    high = bits >> _U64(32)
+    high &= _U64(2**20 - 1)
+    high |= _U64(2**20)
+    shift = (bits >> _U64(52)).view(np.int64)
+    del magnitude, bits
+    # -(binary + k) for binary = biased - 1075 and k = 16 - X
+    np.subtract(exponent, shift, out=shift)
+    shift += 1059
+    quotient, up = _scaled(low, high, shift, exponent)
     # a one-off log10 estimate puts the truncated quotient outside [1e16, 1e17)
     redo = np.flatnonzero((quotient - _D_LOW >= _D_HIGH - _D_LOW) & exact)
     if redo.size:
-        exponent[redo] += np.where(quotient[redo] < _D_LOW, -1, 1)
-        k_redo = 16 - exponent[redo]
-        inside = (k_redo >= 0) & (k_redo <= _MAX_K)
+        step = np.where(quotient[redo] < _D_LOW, -1, 1)
+        exponent[redo] += step
+        guess = exponent[redo]
+        inside = (guess >= 16 - _MAX_K) & (guess <= 16)
         exact[redo[~inside]] = False
-        k_redo = np.where(inside, k_redo, 0)
-        quotient[redo], up[redo] = _scaled(mantissa[redo], -(binary[redo] + k_redo), k_redo)
+        quotient[redo], up[redo] = _scaled(low[redo], high[redo], shift[redo] + step,
+                                           np.where(inside, guess, 16))
+    del low, high, shift
     # No double in the window lies within 5e-18 below a power of ten (the
     # tests render those nearest each), so rounding never carries D to 1e17.
-    return np.where(exact, quotient + up, _D_LOW), np.where(exact, exponent, 0), exact
+    quotient += up
+    del up
+    outside = np.flatnonzero(~exact)
+    del exact
+    quotient[outside] = _D_LOW
+    exponent[outside] = 0
+
+    # X <= -12 exactly for the nonzero |x| up to the double 1e-11, which lies
+    # below 10**-11
+    small = np.abs(values[outside])
+    tiny = (small <= 1e-11) & (small > 0.0)
+    below, outside = outside[tiny], outside[~tiny]
+    if below.size:
+        small = small[tiny]
+        quotient[below], exponent[below] = _below_window(small)
+    return quotient, exponent, outside
+
+
+@functools.cache
+def _exponent_words() -> np.ndarray:
+    """For -X = 0 to -_MIN_X, "e-05" to "e-324" from byte 1 of a word."""
+    return np.array([int.from_bytes(f"\0e-{decade:02d}".encode(), "little")
+                     for decade in range(1 - _MIN_X)], dtype=_U64)
+
+
+@functools.cache
+def _decade_starts() -> np.ndarray:
+    """For X = _MIN_X to -11, the smallest double at or above 10**X, so that a
+    double x has floor(log10 x) >= X exactly where x >= this entry."""
+    starts = []
+    for decade in range(-_MIN_X, 10, -1):
+        nearest = float(f"1e-{decade}")
+        numerator, denominator = nearest.as_integer_ratio()
+        if numerator * 10**decade < denominator:
+            nearest = math.nextafter(nearest, math.inf)
+        starts.append(nearest)
+    return np.array(starts)
+
+
+@functools.cache
+def _pow5_limbs() -> np.ndarray:
+    """5**k for k up to 16 - _MIN_X as _LIMBS little-endian 32-bit limbs in
+    uint64s, limb j of every power in row j."""
+    powers = b"".join((5**k).to_bytes(4 * _LIMBS, "little") for k in range(17 - _MIN_X))
+    limbs = np.frombuffer(powers, dtype="<u4").reshape(-1, _LIMBS)
+    return np.ascontiguousarray(limbs.T, dtype=_U64)
+
+
+def _wide_rounded(low: np.ndarray, high: np.ndarray, point: np.ndarray,
+                  k: np.ndarray) -> np.ndarray:
+    """round(m * 5**k / 2**(point + 1)) for the mantissa m = high * 2**32 +
+    low below 2**53, k from 28 to 340 and point >= 60, where the quotient
+    lies below 2**57; the rows come in ascending order of point.
+
+    The product P (below 2**843) is carried limb by limb in 32-bit limbs:
+    high * 5**k (high < 2**21) with one carry, then its limb j - 1 plus
+    low * (limb j of 5**k) with a second; each partial sum stays below
+    2**64.  A row leaves the loop two limbs above `top`, the limb that holds
+    bit `point`: limbs top to top + 2 hold bits point to point + 63.  The
+    loop allocates nothing, and rows that are done drop off its front.
+
+    No tie is possible: it would need P = (2j + 1) * 2**point, so 2**point
+    would divide P and hence m (5**k is odd), yet m < 2**53 <= 2**point.  So
+    P rounds up exactly where its bit `point` is set."""
+    top = point >> 5
+    last = int(top[-1])
+    starts = np.searchsorted(top, np.arange(last + 2))  # the first row of each top
+    del top
+    table = _pow5_limbs()
+    window = np.empty((3, low.size), dtype=np.uint32)  # limbs top, top + 1, top + 2
+    carry_high, carry, high_limb = np.zeros((3, low.size), dtype=_U64)
+    partial, power = np.empty((2, low.size), dtype=_U64)
+    first = 0  # the rows before it have all three limbs
+    for j in range(last + 3):
+        done = starts[max(j - 2, 0)] - first
+        if done:
+            low, high, k = low[done:], high[done:], k[done:]
+            carry_high, carry, high_limb = carry_high[done:], carry[done:], high_limb[done:]
+            partial, power = partial[done:], power[done:]
+            first += done
+        table[j].take(k, out=power, mode="clip")
+        np.multiply(high, power, out=partial)
+        partial += carry_high
+        np.right_shift(partial, _U64(32), out=carry_high)
+        partial &= _LOW32  # limb j of high * 5**k, for limb j + 1 of P
+        np.multiply(low, power, out=power)
+        power += high_limb
+        power += carry
+        np.right_shift(power, _U64(32), out=carry)
+        power &= _LOW32  # limb j of P
+        high_limb, partial = partial, high_limb
+        for i in range(3):
+            if 0 <= j - i <= last:
+                rows = slice(starts[j - i], starts[j - i + 1])  # top == j - i
+                window[i, rows] = power[rows.start - first : rows.stop - first]
+    del low, high, k, carry_high, carry, high_limb, partial, power
+    bit = (point & 31).view(_U64)  # bit `point` within limb top
+    rounded = window[0] >> bit
+    rounded += _U64(1)
+    rounded >>= _U64(1)
+    rounded += window[1].astype(_U64) << (_U64(31) - bit)
+    rounded += window[2].astype(_U64) << (_U64(63) - bit)
+    return rounded
+
+
+def _below_window(magnitude: np.ndarray):
+    """D and X of nonzero |x| below 1e-11, subnormals included, with X found
+    exactly by a search of _decade_starts.  Past the window, rounding can
+    carry D to 1e17 (at the doubles nearest 1e-79, 1e-174, 1e-176, 1e-243 and
+    1e-305); that is D = 1e16 at X + 1."""
+    exponent = np.searchsorted(_decade_starts(), magnitude, side="right") + (_MIN_X - 1)
+    bits = magnitude.view(_U64)
+    biased = (bits >> _U64(52)).view(np.int64)
+    low = np.minimum(biased, 1).view(_U64) << _U64(52)  # the implicit bit of a normal
+    low |= bits & _U64(2**52 - 1)
+    # the rounding bit of |x| * 10**(16 - X) = m * 2**binary * 5**k * 2**k
+    # is bit -(binary + k) - 1 = 1058 - max(biased, 1) + X of m * 5**k
+    point = np.maximum(biased, 1)
+    del bits, biased
+    point -= exponent
+    np.subtract(1058, point, out=point)
+    order = np.argsort(point, kind="stable")
+    low, point, k = low[order], point[order], 16 - exponent[order]
+    high = low >> _U64(32)
+    low &= _LOW32
+    rounded = _wide_rounded(low, high, point, k)
+    del low, high, point, k
+    significand = np.empty_like(rounded)
+    significand[order] = rounded
+    carried = significand == _D_HIGH
+    significand[carried] = _D_LOW
+    exponent[carried] += 1
+    return significand, exponent
 
 
 def _render_floats(values: np.ndarray, field: np.ndarray, separator: bytes) -> None:
     """``%.17g`` into the four words of ``field``."""
-    significand, exponent, exact = _significands(values)
+    significand, exponent, fallback = _significands(values)
     # D = lead * 1e16 + tail * 1e8 + last: one digit, then two 8-digit words
-    rest, last = np.divmod(significand, _E8)
-    lead = (rest * _U64(720575941)) >> _U64(56)  # rest // 1e8, exact below 1e9
-    tail = _digit_bytes(rest - lead * _E8)
-    last = _digit_bytes(last)
+    tail, last = np.divmod(significand, _E8)
+    del significand
+    lead = (tail * _U64(720575941)) >> _U64(56)  # tail // 1e8, exact below 1e9
+    tail -= lead * _E8
+    tail, last = _digit_bytes(tail), _digit_bytes(last)
 
     # %g: fixed form for -4 <= X < 17, else scientific.  Trailing zeros go,
     # but not those of the integer part: digits 1 to X, the low X bytes of
     # (tail, last), which take `integer` bits (`in_last` of them in last).
     # The masks here rely on numpy shifting a word by 64 bits or more to 0.
-    integer = _BYTE * np.maximum(exponent, 0).astype(_U64)
-    in_last = np.maximum(integer, _U64(64)) - _U64(64)
-    shown_last = _through_highest(_nonzero(last)) | (~(_ALL << in_last) & _FLAGS)
-    shown_tail = (_through_highest(_nonzero(tail)) | (shown_last != 0) * _FLAGS
-                  | (~(_ALL << integer) & _FLAGS))
+    integer = np.maximum(exponent, 0).view(_U64)
+    integer *= _BYTE
+    in_last = np.maximum(integer, _U64(64))
+    in_last -= _U64(64)
+    shown_last = _through_highest(_nonzero(last))
+    shown_last |= ~(_ALL << in_last) & _FLAGS
+    shown_tail = _through_highest(_nonzero(tail))
+    shown_tail |= (shown_last != 0) * _FLAGS | (~(_ALL << integer) & _FLAGS)
     tail |= _as_text(shown_tail)
     last |= _as_text(shown_last)
 
@@ -229,36 +411,54 @@ def _render_floats(values: np.ndarray, field: np.ndarray, separator: bytes) -> N
     # follows it (a shown last implies a fully shown tail).  `start` is its
     # bit, 192 (past both words) for none.
     below_one = (exponent < 0) & (exponent >= -4)
-    follows = ((shown_tail >> integer) | (shown_last >> in_last)) & _U64(0x80)
-    start = np.where((follows != 0) & ~below_one, integer, _U64(192))
+    shown_tail >>= integer
+    shown_last >>= in_last
+    shown_tail |= shown_last
+    del shown_last, in_last
+    start = np.where((shown_tail & _U64(0x80) != 0) & ~below_one, integer, _U64(192))
+    del shown_tail, integer
     pushed = _U64(0)
     for word, digits in enumerate((tail, last)):
         base = _U64(64 * word)
-        ahead = _ALL << (np.maximum(start, base) - base)  # the point and after
-        after = _ALL << (np.maximum(start + _BYTE, base) - base)
-        field[:, 1 + word] = ((digits & ~ahead) | (((digits << _BYTE) | pushed) & after)
-                              | (ahead & ~after & _DOTS))
+        ahead = np.maximum(start, base)
+        ahead -= base
+        np.left_shift(_ALL, ahead, out=ahead)  # the point and after
+        after = np.maximum(start + _BYTE, base)
+        after -= base
+        np.left_shift(_ALL, after, out=after)  # after the point, within ahead
+        text = digits << _BYTE
+        text |= pushed
+        text &= after
+        after ^= ahead
+        after &= _DOTS
+        text |= after
+        np.invert(ahead, out=ahead)
+        ahead &= digits
+        text |= ahead
+        field[:, 1 + word] = text
         pushed = digits >> _U64(56)
+    del tail, last, digits, ahead, after, text
 
     # below 1: "0." and -X - 1 zeros, the low 2 - X bytes of _PREFIX
-    prefix = _PREFIX & ~(_ALL << (_BYTE * np.maximum(2 - exponent, 0).astype(_U64)))
-    field[:, 0] = ((values < 0) * _U64(ord("-")) | (lead + _U64(ord("0"))) << _U64(56)
-                   | prefix * below_one)
-    field[:, 3] = pushed * (start < _U64(128)) | _U64(separator[0]) << _U64(56)
-    scientific = np.flatnonzero(exponent < -4)  # -X is 5 to 11 in the window
+    lead += _U64(ord("0"))
+    lead <<= _U64(56)
+    lead |= (values < 0) * _U64(ord("-"))
+    lead |= (_PREFIX & ~(_ALL << (_BYTE * np.maximum(2 - exponent, 0).astype(_U64)))) * below_one
+    field[:, 0] = lead
+    del lead, below_one
+    pushed *= start < _U64(128)
+    field[:, 3] = pushed | _U64(separator[0]) << _U64(56)
+    del pushed, start
+    scientific = np.flatnonzero(exponent < -4)
     if scientific.size:
-        decade = (-exponent[scientific]).astype(_U64)
-        tens = decade >= 10
-        field[scientific, 3] |= (_SUFFIX | tens.astype(_U64) << _U64(24)
-                                 | (decade - _U64(10) * tens) << _U64(32))
-    _fill_fallback(field, values, ~exact, "%.17g", separator)
+        field[scientific, 3] |= _exponent_words()[-exponent[scientific]]
+    _fill_fallback(field, values, fallback, "%.17g", separator)
 
 
-def _fill_fallback(field: np.ndarray, values: np.ndarray, rows: np.ndarray, fmt: str,
+def _fill_fallback(field: np.ndarray, values: np.ndarray, index: np.ndarray, fmt: str,
                    separator: bytes) -> None:
-    """Overwrite ``rows`` of ``field`` with Python's ``fmt % value``, padded
-    with NUL up to the ``separator`` that ends the field."""
-    index = np.flatnonzero(rows)
+    """Overwrite the rows ``index`` of ``field`` with Python's ``fmt % value``,
+    padded with NUL up to the ``separator`` that ends the field."""
     if index.size == 0:
         return
     width = 8 * field.shape[1] - len(separator)

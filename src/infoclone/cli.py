@@ -200,15 +200,16 @@ def cmd_transfer(args) -> int:
             payload = {
                 "schema_version": SCHEMA_VERSION,
                 "dim": matrix.shape[0],
-                "entries": [[[z.real, z.imag] for z in row] for row in matrix],
+                "entries": np.stack((matrix.real, matrix.imag), -1).tolist(),
                 "unitarity_deviation": deviation,
             }
             _write_json(out, payload)
         elif args.format == "csv":
-            out.write("row,col,re,im\n")
-            for i, row in enumerate(matrix):
-                for j, z in enumerate(row):
-                    out.write(f"{i},{j},{z.real:.17g},{z.imag:.17g}\n")
+            dim = matrix.shape[1]
+            entries = zip(matrix.real.ravel().tolist(), matrix.imag.ravel().tolist())
+            out.write("row,col,re,im\n" + "".join(
+                f"{index // dim},{index % dim},{re:.17g},{im:.17g}\n"
+                for index, (re, im) in enumerate(entries)))
         else:
             for row in matrix:
                 out.write("  ".join(_fmt_complex(z) for z in row) + "\n")
@@ -228,14 +229,14 @@ def cmd_clone(args) -> int:
                 "alpha": [args.alpha.real, args.alpha.imag],
                 "copies": args.copies,
                 "source": [params.source.real, params.source.imag],
-                "targets": [[z.real, z.imag] for z in params.targets],
+                "targets": np.stack((params.targets.real, params.targets.imag), -1).tolist(),
                 "overlap_fidelity": fidelity,
             }
             _write_json(out, payload)
         elif args.format == "csv":
-            out.write("mode,re,im\n")
-            for index, z in enumerate(params.entries):
-                out.write(f"{index},{z.real:.17g},{z.imag:.17g}\n")
+            entries = zip(params.entries.real.tolist(), params.entries.imag.tolist())
+            out.write("mode,re,im\n" + "".join(
+                f"{index},{re:.17g},{im:.17g}\n" for index, (re, im) in enumerate(entries)))
         else:
             out.write(f"source: {_fmt_complex(params.source)}\n")
             for index, z in enumerate(params.targets, start=1):

@@ -87,6 +87,83 @@ class TestClone:
         assert reported == pytest.approx(info_overlap_fidelity(1.0, 4), rel=1e-11)
 
 
+def reference_transfer(matrix: np.ndarray, fmt: str) -> str:
+    """transfer's JSON or CSV, formatted one numpy scalar at a time."""
+    if fmt == "json":
+        payload = {"schema_version": SCHEMA_VERSION, "dim": matrix.shape[0],
+                   "entries": [[[z.real, z.imag] for z in row] for row in matrix],
+                   "unitarity_deviation": phase_space.unitarity_deviation(matrix)}
+        return json.dumps(payload, allow_nan=False) + "\n"
+    rows = ["row,col,re,im\n"]
+    for i, row in enumerate(matrix):
+        for j, z in enumerate(row):
+            rows.append(f"{i},{j},{z.real:.17g},{z.imag:.17g}\n")
+    return "".join(rows)
+
+
+def reference_clone(alpha: complex, copies: int, fmt: str) -> str:
+    """clone's JSON or CSV, formatted one numpy scalar at a time."""
+    params = phase_space.information_clone(alpha, copies)
+    if fmt == "json":
+        payload = {"schema_version": SCHEMA_VERSION, "alpha": [alpha.real, alpha.imag],
+                   "copies": copies, "source": [params.source.real, params.source.imag],
+                   "targets": [[z.real, z.imag] for z in params.targets],
+                   "overlap_fidelity": info_overlap_fidelity(alpha, copies)}
+        return json.dumps(payload, allow_nan=False) + "\n"
+    rows = ["mode,re,im\n"]
+    for index, z in enumerate(params.entries):
+        rows.append(f"{index},{z.real:.17g},{z.imag:.17g}\n")
+    return "".join(rows)
+
+
+def _num(value: float) -> str:
+    return f"{value:.17g}"
+
+
+class TestTransferCloneBytes:
+    """transfer and clone write exactly the bytes of per-scalar formatting."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_transfer_copies(self, capsys, fmt):
+        for copies in range(1, 18):
+            code, out, _ = run_cli(capsys, "transfer", f"--copies={copies}", f"--format={fmt}")
+            assert code == EXIT_OK
+            config = phase_space.symmetric_clone_config(copies)
+            assert out == reference_transfer(phase_space.build_transfer(config), fmt)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_transfer_random_networks(self, capsys, fmt):
+        rng = np.random.default_rng(18)
+        for targets in range(1, 18):
+            r, delta = rng.uniform(0.1, 2.0, targets), rng.uniform(-math.pi, math.pi, targets)
+            duration = rng.uniform(0.0, 2.0 * math.pi)
+            code, out, _ = run_cli(capsys, "transfer", "--r=" + ",".join(map(_num, r)),
+                                   "--delta=" + ",".join(map(_num, delta)),
+                                   f"--time={_num(duration)}", f"--format={fmt}")
+            assert code == EXIT_OK
+            config = phase_space.CloneNetworkConfig(r, delta, duration)
+            assert out == reference_transfer(phase_space.build_transfer(config), fmt)
+
+    def test_source_entry_at_three_half_pi(self, capsys):
+        # cos(3*pi/2) is not exactly 0, and the imaginary parts are exact zeros
+        _, out, _ = run_cli(capsys, "transfer", "--copies=2", "--format=csv")
+        assert out.splitlines()[1:3] == ["0,0,-1.8369701987210297e-16,0",
+                                         "0,1,-0.70710678118654746,0"]
+        _, out, _ = run_cli(capsys, "transfer", "--copies=2", "--format=json")
+        assert json.loads(out)["entries"][0][:2] == [[-1.8369701987210297e-16, 0.0],
+                                                   [-0.7071067811865475, 0.0]]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_clone(self, capsys, fmt):
+        rng = np.random.default_rng(19)
+        for copies in range(1, 18):
+            alpha = complex(*rng.normal(size=2)) if copies > 1 else 0j
+            code, out, _ = run_cli(capsys, "clone", f"--alpha={alpha.real!r},{alpha.imag!r}",
+                                   f"--copies={copies}", f"--format={fmt}")
+            assert code == EXIT_OK
+            assert out == reference_clone(alpha, copies, fmt)
+
+
 class TestFockVerify:
     def test_symmetric_two_copies_passes_gate(self, capsys):
         code, out, _ = run_cli(

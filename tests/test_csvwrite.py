@@ -1,5 +1,6 @@
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,11 +27,23 @@ def assert_floats_render_as_percent_g(values):
     assert got == ["%.17g" % v for v in values.tolist()]
 
 
+SMALLEST_NORMAL = 2.2250738585072014e-308
+
+
 def edge_values() -> list[float]:
     values = []
     for p in range(-20, 21):
         v = 10.0**p
         values += [v, np.nextafter(v, 0.0), np.nextafter(v, np.inf)]
+    # below the window: every power of ten from 1e-323 to 1e-12, 1 and 2 ulp
+    # either side of it, and the normal/subnormal boundary
+    for p in range(-323, -11):
+        v = float(f"1e{p}")
+        below, above = np.nextafter(v, 0.0), np.nextafter(v, np.inf)
+        values += [np.nextafter(below, 0.0), below, v, above, np.nextafter(above, np.inf)]
+    for edge in (SMALLEST_NORMAL, 5e-324, 1e-323, 4.9406564584124654e-322):
+        values += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)]
+    values += [SMALLEST_NORMAL * k for k in (0.5, 0.999, 1.001, 2.0)]
     # dyadic values, exact in 17 digits or ties at the 18th
     values += [k * 2.0**-n for n in range(80) for k in (1, 3, 5, 7, 9, 11, 13, 15, 99, 12345)]
     # the exact window [1e-11, 1e17) and its neighbours
@@ -44,6 +57,29 @@ def edge_values() -> list[float]:
 class TestFloatDigits:
     def test_edge_values(self):
         assert_floats_render_as_percent_g(edge_values())
+
+    @pytest.mark.parametrize("decade", [79, 174, 176, 243, 305])
+    def test_rounding_carries_to_the_next_decade(self, decade):
+        # the double nearest 10**-decade lies below it, so floor(log10) is one
+        # less, yet its 17 digits round up to 1e17
+        value = float(f"1e-{decade}")
+        assert Fraction(value) < Fraction(1, 10**decade)
+        assert rendered([np.array([value, -value])]) == [[f"1e-{decade}"], [f"-1e-{decade}"]]
+
+    def test_two_and_three_exponent_digits(self):
+        values = [1e-99, 1e-100, 9.87654321e-100, 2.5e-12, 1.5e-10, 1e-5]
+        assert [row[0] for row in rendered([np.array(values)])] == [
+            "1e-99", "1e-100", "9.8765432100000005e-100", "2.4999999999999998e-12",
+            "1.5e-10", "1.0000000000000001e-05"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, int(np.float64(1e-11).view(np.uint64))),
+                              st.booleans()), min_size=1, max_size=40))
+    @example([(1, False), (int(np.float64(SMALLEST_NORMAL).view(np.uint64)) - 1, True)])
+    def test_bit_patterns_below_the_window(self, patterns):
+        bits = np.array([b for b, _ in patterns], dtype=np.uint64)
+        values = bits.view(np.float64) * np.where([n for _, n in patterns], -1.0, 1.0)
+        assert_floats_render_as_percent_g(values)
 
     def test_tie_rounds_half_to_even(self):
         # 2**-25 = 2.98023223876953125e-08 has 18 significant digits
@@ -132,12 +168,16 @@ class TestCliFilesAreTheReferenceBytes:
         assert path.read_text() == reference_samples_csv(measurement.run_trials(run))
 
     @pytest.mark.parametrize("grid", [2, 3, 10000])
-    @pytest.mark.parametrize("scheme", ["info", "gauss"])
-    def test_density_csv(self, capsys, scheme, grid):
-        code = main(["pdf", f"--scheme={scheme}", "--sources=2", "--copies=3", f"--grid={grid}"])
+    # gauss 3,8 reaches p = 8.6e-79 and info 4 p = 4e-36
+    @pytest.mark.parametrize("scheme,sources,copies", [
+        ("info", 2, 3), ("gauss", 2, 3), ("gauss", 3, 8), ("info", 4, 3),
+    ], ids=["info", "gauss", "gauss-3-8", "info-4"])
+    def test_density_csv(self, capsys, scheme, sources, copies, grid):
+        code = main(["pdf", f"--scheme={scheme}", f"--sources={sources}", f"--copies={copies}",
+                     f"--grid={grid}"])
         out = capsys.readouterr().out
         assert code == EXIT_OK
-        exponent = measurement.fidelity_exponent(cli.PDF_SCHEMES[scheme], 2, 3)
+        exponent = measurement.fidelity_exponent(cli.PDF_SCHEMES[scheme], sources, copies)
         density = measurement.fidelity_pdf(exponent)
         points = np.geomspace(cli.PDF_GRID_FLOOR, 1.0, grid)
         assert out == reference_density_csv(points, np.asarray(density(points), dtype=float))
@@ -149,3 +189,40 @@ class TestCliFilesAreTheReferenceBytes:
         path = tmp_path / "dump.csv"
         cli._write_amplitude_dump(str(path), state)
         assert path.read_text() == reference_dump_csv(state)
+
+
+# the pdf argument sets of the benchmark's short-cmds mix
+SHORT_CMDS_PDFS = ([["--scheme=info", f"--sources={m}"] for m in range(1, 5)]
+                   + [["--scheme=gauss", f"--sources={m}", f"--copies={n}"]
+                      for m in range(1, 4) for n in range(2, 9)])
+
+
+def record_fallback(monkeypatch) -> list:
+    """The (format, values) of every ``_fill_fallback`` call from now on."""
+    calls = []
+    fill = _csvwrite._fill_fallback
+
+    def recording(field, values, index, fmt, separator):
+        calls.append((fmt, values[index].tolist()))
+        fill(field, values, index, fmt, separator)
+
+    monkeypatch.setattr(_csvwrite, "_fill_fallback", recording)
+    return calls
+
+
+class TestFastPath:
+    @pytest.mark.parametrize("args", SHORT_CMDS_PDFS, ids=lambda a: " ".join(a))
+    def test_density_never_falls_back(self, capsys, monkeypatch, args):
+        # every density and grid value is a nonzero double below 1e17
+        calls = record_fallback(monkeypatch)
+        assert main(["pdf", *args]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("F,p\n")
+        assert calls and all(values == [] for _, values in calls)
+
+    def test_zero_and_non_finite_still_fall_back(self, monkeypatch):
+        calls = record_fallback(monkeypatch)
+        # log10 rounds the doubles just below 1e17 to 17
+        values = [0.0, 5e-324, 1e-300, 1e-11, 99999999999999984.0, 1e17, 1.5e17, 9e17,
+                  math.inf, -1e300]
+        assert_floats_render_as_percent_g(values)
+        assert calls == [("%.17g", [0.0, 1e17, 1.5e17, 9e17, math.inf, -1e300])]
