@@ -1,27 +1,31 @@
-"""CSV rows of numeric columns, rendered by numpy array operations.
+"""CSV rows of numeric columns, rendered by numpy array operations alone.
 
-Integer columns render as ``%d`` and float columns as ``%.17g``, byte for
-byte what Python's ``'%.17g' % v`` gives: Gay's correctly rounded dtoa
-("Correctly rounded binary-decimal and decimal-binary conversions", AT&T
-1990) rounds the exact binary value half-even to 17 significant digits, then
-``%g`` lays them out.
+Integer columns, which must be nonnegative, render as ``%d`` and float
+columns as ``%.17g``, byte for byte what Python's ``'%.17g' % v`` gives:
+Gay's correctly rounded dtoa ("Correctly rounded binary-decimal and
+decimal-binary conversions", AT&T 1990) rounds the exact binary value
+half-even to 17 significant digits, then ``%g`` lays them out.
 
 The digits are computed exactly, not estimated.  With |x| = m * 2**e
 (m < 2**53) and X = floor(log10 |x|), the significand
 D = round-half-even(|x| * 10**(16 - X)) is m * 5**k / 2**s with k = 16 - X
-and s = -(e + k).  In the window [1e-11, 1e17) it comes from a two-limb
-product of uint64s (5**k < 2**63 for k <= 27); a log10 estimate of X that
-is one off leaves the truncated quotient outside [1e16, 1e17) and is
-stepped and recomputed.  Below the window, subnormals included, X is found
-exactly in a table of the smallest double at or above each power of ten,
-and m * 5**k (k up to 340) is carried in 32-bit limbs, as Ryu (Adams, PLDI
-2018) carries exact powers of five to every exponent.  There s >= 61, so no
-tie is possible (2**(s - 1) would have to divide m < 2**53), and D is the
-quotient plus bit s - 1 of the product.  Rounding can carry D to 1e17 there
-(at the doubles nearest 1e-79, 1e-174, 1e-176, 1e-243 and 1e-305), which
-is D = 1e16 at X + 1.  Only zero, nan, inf and |x| from 1e17 up are
-rendered by ``'%.17g' % v`` itself, and only negative integers by
-``'%d' % v``.
+and s = -(e + k).  A float falls in one of three classes by magnitude:
+
+- the window, 1e-11 < |x| < 1e17, where X is -11 to 16 (the double 1e-11
+  lies below 10**-11, and 1e17 is exact).  D comes from a two-limb product
+  of uint64s (5**k < 2**63 for k <= 27); a log10 estimate of X, clamped
+  into the window, that is one off leaves the truncated quotient outside
+  [1e16, 1e17) and is stepped and recomputed.
+- below the window, 0 < |x| <= 1e-11, subnormals included.  X is found
+  exactly in a table of the smallest double at or above each power of ten,
+  and m * 5**k (k up to 340) is carried in 32-bit limbs, as Ryu (Adams,
+  PLDI 2018) carries exact powers of five to every exponent.  There
+  s >= 61, so no tie is possible (2**(s - 1) would have to divide
+  m < 2**53), and D is the quotient plus bit s - 1 of the product.
+  Rounding can carry D to 1e17 there (at the doubles nearest 1e-79,
+  1e-174, 1e-176, 1e-243 and 1e-305), which is D = 1e16 at X + 1.
+- the fallback: zero, nan, inf and |x| from 1e17 up, rendered by
+  ``'%.17g' % v`` itself.
 
 Layout works on little-endian uint64 words of eight characters, with NUL
 wherever a character is absent, so every row has a fixed width; one
@@ -44,10 +48,8 @@ import math
 
 import numpy as np
 
-from .measurement import TRIAL_BATCH
-
 # Rows per chunk: a few MiB of scratch whatever the column length.
-CHUNK_ROWS = 4 * TRIAL_BATCH
+CHUNK_ROWS = 16384
 
 _U64 = np.uint64
 _WORD = np.dtype("<u8")  # byte j of a word is character j of its eight
@@ -68,8 +70,9 @@ _FLOAT_WORDS = 4
 
 def write_csv(handle, header: str, columns) -> None:
     """Write ``header`` and then one comma-separated row per index of
-    ``columns``, a list of equal-length integer or float arrays (an integer
-    column may be a ``range``), ``CHUNK_ROWS`` rows per ``handle.write``."""
+    ``columns``, a list of equal-length float arrays and nonnegative integer
+    arrays (an integer column may be a ``range``), ``CHUNK_ROWS`` rows per
+    ``handle.write``."""
     handle.write(header + "\n")
     rows = len(columns[0])
     for start in range(0, rows, CHUNK_ROWS):
@@ -95,7 +98,7 @@ def _render_rows(parts: list) -> str:
         field = out[:, offsets[i] : offsets[i + 1]]
         separator = b"\n" if i == len(parts) - 1 else b","
         if part.dtype.kind in "iu":
-            _render_ints(np.asarray(part, dtype=np.int64), field, separator)
+            _render_ints(np.asarray(part, dtype=_U64), field, separator)
         else:
             _render_floats(np.asarray(part, dtype=np.float64), field, separator)
     del out, field
@@ -138,16 +141,14 @@ def _int_words(values: np.ndarray) -> int:
     """Words of an integer field: room for the longest value and a separator."""
     if values.size == 0:
         return 1
-    longest = max(len(str(int(values.min()))), len(str(int(values.max()))))
-    return -(-(longest + 1) // 8)
+    return -(-(len(str(int(values.max()))) + 1) // 8)
 
 
 def _render_ints(values: np.ndarray, field: np.ndarray, separator: bytes) -> None:
-    """``%d`` into ``field``: the digits right-aligned with leading zeros NUL,
-    then the separator; negative values take the fallback."""
+    """``%d`` of nonnegative ``values`` into ``field``: the digits right-aligned
+    with leading zeros NUL, then the separator."""
     words = field.shape[1]
-    magnitude = np.where(values >= 0, values, 0).astype(_U64)
-    pieces = [magnitude]  # 8-digit groups, most significant first
+    pieces = [values]  # 8-digit groups, most significant first
     for _ in range(words - 1):
         pieces[:1] = np.divmod(pieces[0], _E8)
     text = []
@@ -165,7 +166,6 @@ def _render_ints(values: np.ndarray, field: np.ndarray, separator: bytes) -> Non
     text.append(_U64(separator[0]))
     for j in range(words):
         field[:, j] = (text[j] >> _BYTE) | (text[j + 1] << _U64(56))
-    _fill_fallback(field, values, np.flatnonzero(values < 0), "%d", separator)
 
 
 def _scaled(low: np.ndarray, high: np.ndarray, shift: np.ndarray, exponent: np.ndarray):
@@ -210,14 +210,15 @@ def _significands(values: np.ndarray):
     fallback, where D = round-half-even(|x| * 10**(16 - X)).  In those rows
     D is 1e16 and X is 0."""
     magnitude = np.abs(values)
+    # X is -11 to 16 exactly in the window: the double 1e-11 lies below
+    # 10**-11, and 1e17 is exact
+    window = (magnitude > 1e-11) & (magnitude < 1e17)
     with np.errstate(divide="ignore", invalid="ignore"):
         exponent = np.log10(magnitude)  # -inf at 0, nan at nan
     np.floor(exponent, out=exponent)
-    # an estimate of 17 may belong to one of the doubles just below 1e17; the
-    # redo below sends the others to the fallback
-    exact = (exponent >= 16 - _MAX_K) & (exponent <= 17)
-    exponent[~exact] = 0.0
-    np.minimum(exponent, 16.0, out=exponent)
+    # clamped into the window, nan included, so the redo below cannot leave it
+    np.fmax(exponent, 16 - _MAX_K, out=exponent)
+    np.fmin(exponent, 16, out=exponent)
     exponent = exponent.astype(np.int64)
     # |x| = m * 2**binary for a normal double, the only kind in the window;
     # rows outside it run through meaningless words, and are dropped.  The
@@ -234,22 +235,19 @@ def _significands(values: np.ndarray):
     shift += 1059
     quotient, up = _scaled(low, high, shift, exponent)
     # a one-off log10 estimate puts the truncated quotient outside [1e16, 1e17)
-    redo = np.flatnonzero((quotient - _D_LOW >= _D_HIGH - _D_LOW) & exact)
+    redo = np.flatnonzero((quotient - _D_LOW >= _D_HIGH - _D_LOW) & window)
     if redo.size:
         step = np.where(quotient[redo] < _D_LOW, -1, 1)
         exponent[redo] += step
-        guess = exponent[redo]
-        inside = (guess >= 16 - _MAX_K) & (guess <= 16)
-        exact[redo[~inside]] = False
         quotient[redo], up[redo] = _scaled(low[redo], high[redo], shift[redo] + step,
-                                           np.where(inside, guess, 16))
+                                           exponent[redo])
     del low, high, shift
     # No double in the window lies within 5e-18 below a power of ten (the
     # tests render those nearest each), so rounding never carries D to 1e17.
     quotient += up
     del up
-    outside = np.flatnonzero(~exact)
-    del exact
+    outside = np.flatnonzero(~window)
+    del window
     quotient[outside] = _D_LOW
     exponent[outside] = 0
 
@@ -452,16 +450,16 @@ def _render_floats(values: np.ndarray, field: np.ndarray, separator: bytes) -> N
     scientific = np.flatnonzero(exponent < -4)
     if scientific.size:
         field[scientific, 3] |= _exponent_words()[-exponent[scientific]]
-    _fill_fallback(field, values, fallback, "%.17g", separator)
+    _fill_fallback(field, values, fallback, separator)
 
 
-def _fill_fallback(field: np.ndarray, values: np.ndarray, index: np.ndarray, fmt: str,
+def _fill_fallback(field: np.ndarray, values: np.ndarray, index: np.ndarray,
                    separator: bytes) -> None:
-    """Overwrite the rows ``index`` of ``field`` with Python's ``fmt % value``,
+    """Overwrite the rows ``index`` of ``field`` with Python's ``'%.17g' % value``,
     padded with NUL up to the ``separator`` that ends the field."""
     if index.size == 0:
         return
     width = 8 * field.shape[1] - len(separator)
-    text = b"".join((fmt % v).encode("ascii").ljust(width, b"\0") + separator
+    text = b"".join(("%.17g" % v).encode("ascii").ljust(width, b"\0") + separator
                     for v in values[index].tolist())
     field[index] = np.frombuffer(text, dtype=_WORD).reshape(index.size, field.shape[1])

@@ -26,7 +26,10 @@ magnitudes whose sum of squares is below the smallest normal double
 (``--r 1e-160 --time 1e160``): the network depends only on r_j / r and
 r * t, so scale ``--r`` up and ``--time`` down instead.  A sum of squares
 that overflows exits 2 the same way (``--r 1e154,1e154 --time 1e-154``,
-where r * t = 1.41): scale ``--r`` down and ``--time`` up.
+where r * t = 1.41): scale ``--r`` down and ``--time`` up.  ``transfer``
+exits 2 before it allocates when its (n+1)x(n+1) matrix and output, at 400
+bytes per entry, would need more than 2**30 bytes: n, the ``--copies``
+count or the number of ``--r`` values, may be at most 1,637.
 
 Unwritable ``--output`` and ``--dump`` paths exit 2.  A command that fails
 removes an output file it created, never a path that existed before.  The
@@ -75,6 +78,11 @@ OUTPUT_DIR_ENV = "INFOCLONE_OUTPUT_DIR"
 PDF_GRID_FLOOR = 1e-12
 DEFAULT_TABLE_CASES = "1,2;1,4;2,2;2,4"
 PDF_SCHEMES = {"info": measurement.INFO_SCHEME, "gauss": measurement.GAUSS_SCHEME}
+# Bytes per entry of the (n+1)x(n+1) transfer matrix, its output included: above
+# the tracemalloc peaks at n = 100 and 300 (JSON 204-345, CSV 168-171, text
+# 58-77).  The limit admits up to n = 1,637 targets.
+TRANSFER_BYTES_PER_ENTRY = 400
+TRANSFER_BYTE_LIMIT = 2**30
 
 
 def _parse_complex(text: str) -> complex:
@@ -120,8 +128,8 @@ def _fmt_complex(value: complex) -> str:
 
 
 def _write_json(out, payload: dict):
-    """One strict-JSON line; a NaN or infinity raises before anything is written."""
-    out.write(json.dumps(payload, allow_nan=False) + "\n")
+    """One strict-JSON line, ``schema_version`` first; NaN or infinity raises before any write."""
+    out.write(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, allow_nan=False) + "\n")
 
 
 def _resolve_output(path: str | None) -> str | None:
@@ -192,13 +200,23 @@ def _network_from_args(args) -> phase_space.CloneNetworkConfig:
 
 
 def cmd_transfer(args) -> int:
+    # refuse a matrix too large to hold before any array is allocated
+    if args.copies is not None:
+        flag, targets = "--copies", max(args.copies, 0)
+    else:
+        flag, targets = "--r", len(args.r or ())
+    needed = (targets + 1) ** 2 * TRANSFER_BYTES_PER_ENTRY
+    if needed > TRANSFER_BYTE_LIMIT:
+        raise ValueError(
+            f"{flag} gives {targets} targets, whose transfer matrix and output need about "
+            f"{needed} bytes, more than the limit of {TRANSFER_BYTE_LIMIT}"
+        )
     config = _network_from_args(args)
     matrix = phase_space.build_transfer(config)
     deviation = phase_space.unitarity_deviation(matrix)
     with _open_output(args.output) as out:
         if args.format == "json":
             payload = {
-                "schema_version": SCHEMA_VERSION,
                 "dim": matrix.shape[0],
                 "entries": np.stack((matrix.real, matrix.imag), -1).tolist(),
                 "unitarity_deviation": deviation,
@@ -225,7 +243,6 @@ def cmd_clone(args) -> int:
     with _open_output(args.output) as out:
         if args.format == "json":
             payload = {
-                "schema_version": SCHEMA_VERSION,
                 "alpha": [args.alpha.real, args.alpha.imag],
                 "copies": args.copies,
                 "source": [params.source.real, params.source.imag],
@@ -275,12 +292,12 @@ def cmd_fock_verify(args) -> int:
     with _open_output(args.output) as out:
         if args.format == "json":
             payload = {
-                "schema_version": SCHEMA_VERSION,
                 "truncation": args.truncation,
                 "dim": dim,
                 "infidelity": infidelity,
                 "gate": args.gate,
-                "predicted": [[z.real, z.imag] for z in predicted.entries],
+                "predicted": np.stack((predicted.entries.real, predicted.entries.imag),
+                                      -1).tolist(),
             }
             _write_json(out, payload)
         else:
@@ -328,7 +345,6 @@ def _run_mc(args) -> int:
             _write_samples_csv(csv_out, samples)
 
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "scheme": run.scheme,
         "alpha_true": [run.alpha_true.real, run.alpha_true.imag],
         "sources": run.sources,
@@ -342,8 +358,8 @@ def _run_mc(args) -> int:
         "ks_critical_5pct": critical,
         "ks_pass": ks_pass,
         "histogram": {
-            "bin_edges": [float(edge) for edge in summary.bin_edges],
-            "counts": [int(count) for count in summary.counts],
+            "bin_edges": summary.bin_edges.tolist(),
+            "counts": summary.counts.tolist(),
         },
     }
     _write_json(sys.stdout, payload)
@@ -367,7 +383,6 @@ def cmd_table(args) -> int:
     with _open_output(args.output) as out:
         if args.format == "json":
             payload = {
-                "schema_version": SCHEMA_VERSION,
                 "rows": [
                     {
                         "sources": row.sources,

@@ -424,6 +424,19 @@ class TestStrictInput:
         assert err.startswith("error: out of memory")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--copies=20000", "--r=" + ",".join(["1"] * 20000)],
+                             ids=["copies", "r"])
+    def test_oversized_transfer_is_refused_before_allocating(self, capsys, monkeypatch, flag):
+        # a 20001x20001 matrix needs 6.4 GB, its JSON more: refused before the build
+        def fail(*args, **kwargs):
+            raise AssertionError("build_transfer called")
+
+        monkeypatch.setattr(phase_space, "build_transfer", fail)
+        code, out, err = run_cli(capsys, "transfer", flag, "--time=1", "--format=json")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert flag.split("=")[0] in err and "20000 targets" in err and "bytes" in err
+
     def test_overflowing_rotation_angle_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "transfer", "--copies", "4", "--time", "1.7e308")
         assert code == EXIT_USAGE
@@ -891,6 +904,18 @@ class TestTable:
     def test_default_cases_exact(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--format", "json")
         assert code == EXIT_OK
+        assert out == (
+            '{"schema_version": 3, "rows": [{"sources": 1, "copies": 2, '
+            '"gaussian_mean": 0.3333333333333333, "gaussian_mean_fraction": "1/3", '
+            '"info_mean": 0.5, "info_mean_fraction": "1/2"}, {"sources": 1, "copies": 4, '
+            '"gaussian_mean": 0.4444444444444444, "gaussian_mean_fraction": "4/9", '
+            '"info_mean": 0.5, "info_mean_fraction": "1/2"}, {"sources": 2, "copies": 2, '
+            '"gaussian_mean": 0.5714285714285714, "gaussian_mean_fraction": "4/7", '
+            '"info_mean": 0.6666666666666666, "info_mean_fraction": "2/3"}, '
+            '{"sources": 2, "copies": 4, "gaussian_mean": 0.6956521739130435, '
+            '"gaussian_mean_fraction": "16/23", "info_mean": 0.6666666666666666, '
+            '"info_mean_fraction": "2/3"}]}\n'
+        )
         rows = json.loads(out)["rows"]
         expected = [
             (1, 2, "1/3", "1/2"),
