@@ -9,23 +9,23 @@ half-even to 17 significant digits, then ``%g`` lays them out.
 The digits are computed exactly, not estimated.  With |x| = m * 2**e
 (m < 2**53) and X = floor(log10 |x|), the significand
 D = round-half-even(|x| * 10**(16 - X)) is m * 5**k / 2**s with k = 16 - X
-and s = -(e + k).  A float falls in one of three classes by magnitude:
+and s = -(e + k).  A float falls in one of two classes by magnitude:
 
-- the window, 1e-11 < |x| < 1e17, where X is -11 to 16 (the double 1e-11
-  lies below 10**-11, and 1e17 is exact).  D comes from a two-limb product
-  of uint64s (5**k < 2**63 for k <= 27); a log10 estimate of X, clamped
-  into the window, that is one off leaves the truncated quotient outside
-  [1e16, 1e17) and is stepped and recomputed.
-- below the window, 0 < |x| <= 1e-11, subnormals included.  X is found
-  exactly in a table of the smallest double at or above each power of ten,
-  and m * 5**k (k up to 340) is carried in 32-bit limbs, as Ryu (Adams,
-  PLDI 2018) carries exact powers of five to every exponent.  There
-  s >= 61, so no tie is possible (2**(s - 1) would have to divide
-  m < 2**53), and D is the quotient plus bit s - 1 of the product.
-  Rounding can carry D to 1e17 there (at the doubles nearest 1e-79,
-  1e-174, 1e-176, 1e-243 and 1e-305), which is D = 1e16 at X + 1.
-- the fallback: zero, nan, inf and |x| from 1e17 up, rendered by
-  ``'%.17g' % v`` itself.
+- every nonzero |x| below 1e17, subnormals included, where X is -324 to 16
+  and k is 0 to 340.  A floored log10 estimate of X, clamped to that range,
+  that is one off leaves the truncated quotient outside [1e16, 1e17) and is
+  stepped and recomputed.  D comes from m times 5**k out of one table of
+  two 63-bit words, as fixed-precision Ryu prints from truncated powers of
+  five (Adams, "Ryu revisited: printf floating point conversion", OOPSLA
+  2019): 5**k itself up to k = 54, truncated to 126 bits beyond.  Past
+  k = 27, s >= 61, so no tie is possible (2**(s - 1) would have to divide
+  m < 2**53).  A truncated power leaves the product short by less than m,
+  which can move the quotient or its half bit only where the bits below
+  the half bit are within m of all ones; those rows go to the fallback.
+  Rounding can carry D to 1e17 (at the doubles nearest 1e-79, 1e-174,
+  1e-176, 1e-243 and 1e-305), which is D = 1e16 at X + 1.
+- the fallback: zero, nan, inf, |x| from 1e17 up and the guarded rows,
+  rendered by ``'%.17g' % v`` itself.
 
 Layout works on little-endian uint64 words of eight characters, with NUL
 wherever a character is absent, so every row has a fixed width; one
@@ -44,7 +44,6 @@ fault back in on the next.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -54,10 +53,9 @@ CHUNK_ROWS = 16384
 _U64 = np.uint64
 _WORD = np.dtype("<u8")  # byte j of a word is character j of its eight
 _LOW32 = _U64(0xFFFFFFFF)
-_MAX_K = 27
+_LOW63 = _U64(2**63 - 1)
+_NARROW_K = 27  # 5**27 < 2**63
 _MIN_X = -324  # X of the smallest subnormal, 4.9e-324, where k = 340
-_LIMBS = 26  # 5**340 < 2**790 fills 25; the product's limb 25 needs a 26th
-_POW5 = np.array([5**k for k in range(_MAX_K + 1)], dtype=_U64)
 _D_LOW, _D_HIGH = _U64(10**16), _U64(10**17)
 _E8 = _U64(10**8)
 _BYTE = _U64(8)
@@ -168,15 +166,10 @@ def _render_ints(values: np.ndarray, field: np.ndarray, separator: bytes) -> Non
         field[:, j] = (text[j] >> _BYTE) | (text[j + 1] << _U64(56))
 
 
-def _scaled(low: np.ndarray, high: np.ndarray, shift: np.ndarray, exponent: np.ndarray):
-    """Truncated quotient q = floor(m * 5**k / 2**shift) of the mantissa
-    m = high * 2**32 + low, with k = 16 - exponent, and whether the discarded
-    part rounds it up, half to even.
-
-    m < 2**53 and 5**k < 2**63 multiply as 32-bit halves into the 128-bit
-    (upper, lower).  Over the window the shift lies in [-7, 62], and a
-    negative shift multiplies by 2**-shift a product that fits one limb."""
-    power = _POW5[16 - exponent]
+def _product(low: np.ndarray, high: np.ndarray, power: np.ndarray):
+    """(upper, lower), the 128-bit product of the mantissa m = high * 2**32 +
+    low below 2**53 and ``power`` below 2**63, multiplied as 32-bit halves;
+    ``power`` is overwritten."""
     upper = power >> _U64(32)
     power &= _LOW32
     lower = low * power
@@ -188,21 +181,58 @@ def _scaled(low: np.ndarray, high: np.ndarray, shift: np.ndarray, exponent: np.n
     summed += lower
     upper += middle >> _U64(32)
     upper += summed < lower
-    del lower, middle
-    right = np.maximum(shift, 0).view(_U64)
+    return upper, summed
+
+
+def _scaled(low: np.ndarray, high: np.ndarray, shift: np.ndarray, exponent: np.ndarray):
+    """Truncated quotient q = floor(m * 5**k / 2**shift) of the mantissa
+    m = high * 2**32 + low, with k = 16 - exponent; whether the discarded
+    part rounds it up, half to even; and the rows in doubt.
+
+    Every row multiplies m by b of 5**k = (a * 2**63 + b) * 2**drop.  Up to
+    k = 27, where a = drop = 0, the shift lies in [-7, 62], and a negative
+    one multiplies by 2**-shift a product that fits one limb.  Past k = 27
+    the rows add m * a * 2**63 and keep V, the sum P from bit 63 up, which
+    they shift by shift - drop - 63, in [6, 62]; no tie is possible, so bit
+    0 of V is set.  Past k = 54, P is short by less than m, so q or the half
+    bit is in doubt where P's bits from 63 to below the half bit are all
+    ones and its low 63 are at least 2**63 - m."""
+    high_words, low_words, drops = _pow5_words()
+    upper, lower = _product(low, high, low_words[16 - exponent])
+    right = np.maximum(shift, 0)
+    doubt = np.empty(0, dtype=np.intp)
+    if exponent.min() < 16 - _NARROW_K:
+        rows = np.flatnonzero(exponent < 16 - _NARROW_K)
+        k, low, high = 16 - exponent[rows], low[rows], high[rows]
+        top, bottom = _product(low, high, high_words[k])
+        dropped = lower[rows]
+        carried = upper[rows] << _U64(1)
+        carried |= dropped >> _U64(63)
+        bottom += carried
+        top += bottom < carried
+        drop = drops[k]
+        wide = right[rows] - drop - 63
+        ones = (_U64(1) << (wide - 1).view(_U64)) - _U64(1)  # below the half bit
+        dropped &= _LOW63
+        dropped += (high << _U64(32)) | low
+        doubt = rows[((bottom & ones) == ones) & (dropped > _LOW63) & (drop > 0)]
+        bottom |= _U64(1)
+        upper[rows], lower[rows], right[rows] = top, bottom, wide
+        del k, low, high, top, bottom, dropped, carried, drop, wide, ones
+    right = right.view(_U64)
     one = _U64(1) << right
     twice_rest = one - _U64(1)
-    twice_rest &= summed
+    twice_rest &= lower
     twice_rest <<= _U64(1)
     # numpy shifts a word by 64 bits or more to 0, here upper when right is 0
     upper <<= _U64(64) - right
-    upper |= summed >> right
-    del summed, right
+    upper |= lower >> right
+    del lower, right
     quotient = np.left_shift(upper, np.maximum(-shift, 0).view(_U64), out=upper)
     # up above half, or at half with q odd: twice_rest is even, so adding
     # q's low bit carries only a tie past one
     twice_rest += quotient & _U64(1)
-    return quotient, twice_rest > one
+    return quotient, twice_rest > one, doubt
 
 
 def _significands(values: np.ndarray):
@@ -210,19 +240,17 @@ def _significands(values: np.ndarray):
     fallback, where D = round-half-even(|x| * 10**(16 - X)).  In those rows
     D is 1e16 and X is 0."""
     magnitude = np.abs(values)
-    # X is -11 to 16 exactly in the window: the double 1e-11 lies below
-    # 10**-11, and 1e17 is exact
-    window = (magnitude > 1e-11) & (magnitude < 1e17)
+    inside = (magnitude > 0.0) & (magnitude < 1e17)
     with np.errstate(divide="ignore", invalid="ignore"):
         exponent = np.log10(magnitude)  # -inf at 0, nan at nan
     np.floor(exponent, out=exponent)
-    # clamped into the window, nan included, so the redo below cannot leave it
-    np.fmax(exponent, 16 - _MAX_K, out=exponent)
+    # clamped to X's range, nan to 16, so the redo below cannot leave it
     np.fmin(exponent, 16, out=exponent)
+    np.fmax(exponent, _MIN_X, out=exponent)
     exponent = exponent.astype(np.int64)
-    # |x| = m * 2**binary for a normal double, the only kind in the window;
-    # rows outside it run through meaningless words, and are dropped.  The
-    # 32-bit halves of m are taken apart from the bits, implicit bit and all.
+    # |x| = m * 2**binary; rows outside run through meaningless words, and
+    # are dropped.  The 32-bit halves of m are taken apart from the bits,
+    # implicit bit and all.
     bits = magnitude.view(_U64)
     low = bits & _LOW32
     high = bits >> _U64(32)
@@ -230,35 +258,37 @@ def _significands(values: np.ndarray):
     high |= _U64(2**20)
     shift = (bits >> _U64(52)).view(np.int64)
     del magnitude, bits
+    if shift.min() == 0:
+        # a subnormal has no implicit bit and the binary exponent of biased 1
+        subnormal = shift == 0
+        high[subnormal] ^= _U64(2**20)
+        shift[subnormal] = 1
     # -(binary + k) for binary = biased - 1075 and k = 16 - X
     np.subtract(exponent, shift, out=shift)
     shift += 1059
-    quotient, up = _scaled(low, high, shift, exponent)
+    quotient, up, doubt = _scaled(low, high, shift, exponent)
+    inside[doubt] = False  # a row in doubt on either pass goes to the fallback
     # a one-off log10 estimate puts the truncated quotient outside [1e16, 1e17)
-    redo = np.flatnonzero((quotient - _D_LOW >= _D_HIGH - _D_LOW) & window)
+    redo = np.flatnonzero((quotient - _D_LOW >= _D_HIGH - _D_LOW) & inside)
     if redo.size:
         step = np.where(quotient[redo] < _D_LOW, -1, 1)
         exponent[redo] += step
-        quotient[redo], up[redo] = _scaled(low[redo], high[redo], shift[redo] + step,
-                                           exponent[redo])
+        quotient[redo], up[redo], doubt = _scaled(low[redo], high[redo], shift[redo] + step,
+                                                  exponent[redo])
+        inside[redo[doubt]] = False
     del low, high, shift
-    # No double in the window lies within 5e-18 below a power of ten (the
-    # tests render those nearest each), so rounding never carries D to 1e17.
     quotient += up
     del up
-    outside = np.flatnonzero(~window)
-    del window
+    outside = np.flatnonzero(~inside)
+    del inside
     quotient[outside] = _D_LOW
     exponent[outside] = 0
-
-    # X <= -12 exactly for the nonzero |x| up to the double 1e-11, which lies
-    # below 10**-11
-    small = np.abs(values[outside])
-    tiny = (small <= 1e-11) & (small > 0.0)
-    below, outside = outside[tiny], outside[~tiny]
-    if below.size:
-        small = small[tiny]
-        quotient[below], exponent[below] = _below_window(small)
+    # Rounding carries D to 1e17 at the doubles nearest 1e-79, 1e-174,
+    # 1e-176, 1e-243 and 1e-305: that is D = 1e16 at X + 1.
+    if quotient.max() == _D_HIGH:
+        carried = quotient == _D_HIGH
+        quotient[carried] = _D_LOW
+        exponent[carried] += 1
     return quotient, exponent, outside
 
 
@@ -270,113 +300,20 @@ def _exponent_words() -> np.ndarray:
 
 
 @functools.cache
-def _decade_starts() -> np.ndarray:
-    """For X = _MIN_X to -11, the smallest double at or above 10**X, so that a
-    double x has floor(log10 x) >= X exactly where x >= this entry."""
-    starts = []
-    for decade in range(-_MIN_X, 10, -1):
-        nearest = float(f"1e-{decade}")
-        numerator, denominator = nearest.as_integer_ratio()
-        if numerator * 10**decade < denominator:
-            nearest = math.nextafter(nearest, math.inf)
-        starts.append(nearest)
-    return np.array(starts)
-
-
-@functools.cache
-def _pow5_limbs() -> np.ndarray:
-    """5**k for k up to 16 - _MIN_X as _LIMBS little-endian 32-bit limbs in
-    uint64s, limb j of every power in row j."""
-    powers = b"".join((5**k).to_bytes(4 * _LIMBS, "little") for k in range(17 - _MIN_X))
-    limbs = np.frombuffer(powers, dtype="<u4").reshape(-1, _LIMBS)
-    return np.ascontiguousarray(limbs.T, dtype=_U64)
-
-
-def _wide_rounded(low: np.ndarray, high: np.ndarray, point: np.ndarray,
-                  k: np.ndarray) -> np.ndarray:
-    """round(m * 5**k / 2**(point + 1)) for the mantissa m = high * 2**32 +
-    low below 2**53, k from 28 to 340 and point >= 60, where the quotient
-    lies below 2**57; the rows come in ascending order of point.
-
-    The product P (below 2**843) is carried limb by limb in 32-bit limbs:
-    high * 5**k (high < 2**21) with one carry, then its limb j - 1 plus
-    low * (limb j of 5**k) with a second; each partial sum stays below
-    2**64.  A row leaves the loop two limbs above `top`, the limb that holds
-    bit `point`: limbs top to top + 2 hold bits point to point + 63.  The
-    loop allocates nothing, and rows that are done drop off its front.
-
-    No tie is possible: it would need P = (2j + 1) * 2**point, so 2**point
-    would divide P and hence m (5**k is odd), yet m < 2**53 <= 2**point.  So
-    P rounds up exactly where its bit `point` is set."""
-    top = point >> 5
-    last = int(top[-1])
-    starts = np.searchsorted(top, np.arange(last + 2))  # the first row of each top
-    del top
-    table = _pow5_limbs()
-    window = np.empty((3, low.size), dtype=np.uint32)  # limbs top, top + 1, top + 2
-    carry_high, carry, high_limb = np.zeros((3, low.size), dtype=_U64)
-    partial, power = np.empty((2, low.size), dtype=_U64)
-    first = 0  # the rows before it have all three limbs
-    for j in range(last + 3):
-        done = starts[max(j - 2, 0)] - first
-        if done:
-            low, high, k = low[done:], high[done:], k[done:]
-            carry_high, carry, high_limb = carry_high[done:], carry[done:], high_limb[done:]
-            partial, power = partial[done:], power[done:]
-            first += done
-        table[j].take(k, out=power, mode="clip")
-        np.multiply(high, power, out=partial)
-        partial += carry_high
-        np.right_shift(partial, _U64(32), out=carry_high)
-        partial &= _LOW32  # limb j of high * 5**k, for limb j + 1 of P
-        np.multiply(low, power, out=power)
-        power += high_limb
-        power += carry
-        np.right_shift(power, _U64(32), out=carry)
-        power &= _LOW32  # limb j of P
-        high_limb, partial = partial, high_limb
-        for i in range(3):
-            if 0 <= j - i <= last:
-                rows = slice(starts[j - i], starts[j - i + 1])  # top == j - i
-                window[i, rows] = power[rows.start - first : rows.stop - first]
-    del low, high, k, carry_high, carry, high_limb, partial, power
-    bit = (point & 31).view(_U64)  # bit `point` within limb top
-    rounded = window[0] >> bit
-    rounded += _U64(1)
-    rounded >>= _U64(1)
-    rounded += window[1].astype(_U64) << (_U64(31) - bit)
-    rounded += window[2].astype(_U64) << (_U64(63) - bit)
-    return rounded
-
-
-def _below_window(magnitude: np.ndarray):
-    """D and X of nonzero |x| below 1e-11, subnormals included, with X found
-    exactly by a search of _decade_starts.  Past the window, rounding can
-    carry D to 1e17 (at the doubles nearest 1e-79, 1e-174, 1e-176, 1e-243 and
-    1e-305); that is D = 1e16 at X + 1."""
-    exponent = np.searchsorted(_decade_starts(), magnitude, side="right") + (_MIN_X - 1)
-    bits = magnitude.view(_U64)
-    biased = (bits >> _U64(52)).view(np.int64)
-    low = np.minimum(biased, 1).view(_U64) << _U64(52)  # the implicit bit of a normal
-    low |= bits & _U64(2**52 - 1)
-    # the rounding bit of |x| * 10**(16 - X) = m * 2**binary * 5**k * 2**k
-    # is bit -(binary + k) - 1 = 1058 - max(biased, 1) + X of m * 5**k
-    point = np.maximum(biased, 1)
-    del bits, biased
-    point -= exponent
-    np.subtract(1058, point, out=point)
-    order = np.argsort(point, kind="stable")
-    low, point, k = low[order], point[order], 16 - exponent[order]
-    high = low >> _U64(32)
-    low &= _LOW32
-    rounded = _wide_rounded(low, high, point, k)
-    del low, high, point, k
-    significand = np.empty_like(rounded)
-    significand[order] = rounded
-    carried = significand == _D_HIGH
-    significand[carried] = _D_LOW
-    exponent[carried] += 1
-    return significand, exponent
+def _pow5_words():
+    """5**k for k = 0 to 16 - _MIN_X as (a * 2**63 + b) * 2**drop, in arrays
+    of a, b and drop indexed by k.  Up to k = _NARROW_K, b = 5**k and
+    a = drop = 0; past it, a * 2**63 + b is 5**k scaled to 126 bits with the
+    top bit set, exact while drop <= 0 (up to k = 54) and truncated beyond."""
+    words = []
+    for k in range(17 - _MIN_X):
+        power, drop = 5**k, 0
+        if k > _NARROW_K:
+            drop = power.bit_length() - 126
+            power = power >> drop if drop > 0 else power << -drop
+        words.append((power >> 63, power & (2**63 - 1), drop))
+    high, low, drop = zip(*words)
+    return np.array(high, dtype=_U64), np.array(low, dtype=_U64), np.array(drop)
 
 
 def _render_floats(values: np.ndarray, field: np.ndarray, separator: bytes) -> None:

@@ -169,7 +169,8 @@ def check_truncation(entries, levels: int, gate: float,
         raise ValueError(f"--budget must be at least 1, got {dim_budget}")
     if not 0 < gate < math.inf:
         raise ValueError(f"--gate must be positive and finite, got {gate}")
-    moduli = [abs(complex(z)) for z in entries]
+    # hypot gives inf where abs(complex) raises OverflowError
+    moduli = [math.hypot(z.real, z.imag) for z in map(complex, entries)]
     total = math.fsum(m * m for m in moduli)  # inf, not OverflowError, past the float range
     if not total < dim_budget:
         raise DimensionBudgetError(

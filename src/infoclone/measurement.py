@@ -134,9 +134,10 @@ class FidelityRun:
         if not cmath.isfinite(alpha):
             raise ValueError(f"alpha_true must be finite, got {alpha!r}")
         noise = 1.0 / math.sqrt(2.0 * total)
-        if math.ulp(_SQRT2 * abs(alpha)) > ALPHA_ULP_FRACTION * noise:
+        modulus = math.hypot(alpha.real, alpha.imag)  # inf where abs(alpha) raises
+        if math.ulp(_SQRT2 * modulus) > ALPHA_ULP_FRACTION * noise:
             raise ValueError(
-                f"|alpha_true| = {abs(alpha):.6g} is too large for {total} measured "
+                f"|alpha_true| = {modulus:.6g} is too large for {total} measured "
                 f"copies: one ulp of the quadrature mean sqrt(2)*|alpha_true| exceeds "
                 f"2**-20 of the per-trial estimate noise floor {noise:.3g}"
             )

@@ -585,6 +585,21 @@ class TestMonteCarlo:
         assert out == ""
         assert "too large" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("fock-verify", "--copies=2", "--alpha=1.7e308,1.7e308"),
+        ("fock-verify", "--copies=2", "--alpha=0.6,0", "--beta=1.7e308,1.7e308"),
+        ("mc-info", "--sources=1", "--copies=2", "--trials=10", "--alpha=1.7e308,1.7e308"),
+        ("mc-gauss", "--sources=2", "--copies=2", "--trials=10", "--alpha=1.7e308,1.7e308"),
+    ])
+    def test_overflowing_modulus_is_usage_error(self, capsys, argv):
+        # both parts are finite, but |alpha| or |beta| overflows the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "inf" in err
+
     def test_alpha_just_below_bound_passes(self, capsys):
         code, out, _ = run_cli(
             capsys, "mc-info", "--sources", "1", "--copies", "2", "--trials", "2000",

@@ -35,8 +35,8 @@ def edge_values() -> list[float]:
     for p in range(-20, 21):
         v = 10.0**p
         values += [v, np.nextafter(v, 0.0), np.nextafter(v, np.inf)]
-    # below the window: every power of ten from 1e-323 to 1e-12, 1 and 2 ulp
-    # either side of it, and the normal/subnormal boundary
+    # past k = 27, below 1e-11: every power of ten from 1e-323 to 1e-12, 1 and
+    # 2 ulp either side of it, and the normal/subnormal boundary
     for p in range(-323, -11):
         v = float(f"1e{p}")
         below, above = np.nextafter(v, 0.0), np.nextafter(v, np.inf)
@@ -46,12 +46,15 @@ def edge_values() -> list[float]:
     values += [SMALLEST_NORMAL * k for k in (0.5, 0.999, 1.001, 2.0)]
     # dyadic values, exact in 17 digits or ties at the 18th
     values += [k * 2.0**-n for n in range(80) for k in (1, 3, 5, 7, 9, 11, 13, 15, 99, 12345)]
-    # the window (1e-11, 1e17) and its neighbours
+    # 1e-11, where 5**k outgrows one word (k = 27 to 28), 1e17 and their neighbours
     for edge in (1e-11, 1e17, 99999999999999984.0, 9.9999999999999995e-12, 1e-4, 1e-5):
         values += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]
     for edge in (1e-11, 1e17):
         for ulps in (2, 3):
             values += [edge + ulps * np.spacing(edge), edge - ulps * np.spacing(edge)]
+    # where the table of 5**k turns from exact to truncated, k = 54 to 55
+    for edge in (1e-38, 1e-39):
+        values += [edge + ulps * np.spacing(edge) for ulps in range(-3, 4)]
     values += [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.5, 1.5, 2.5]
     values += [9.9999999999999999e-5, 0.099999999999999992, 999999999999999.88, 1234.5, 1000.0]
     return values + [-v for v in values] + [math.inf, -math.inf, math.nan]
@@ -102,6 +105,35 @@ class TestFloatDigits:
         bits = rng.integers(0, 2**63, 20000, dtype=np.int64).view(np.float64)
         normals = rng.normal(size=20000) * 10.0 ** rng.integers(-12, 18, 20000)
         assert_floats_render_as_percent_g(np.concatenate([bits, -bits, normals]))
+
+    @pytest.mark.parametrize("k", [55, 80, 200, 340])
+    def test_rows_outside_the_doubt_set_are_exact(self, k):
+        # Past k = 54 the table truncates 5**k.  At shifts that put the half
+        # bit of m * 5**k just above its 64th bit, where the truncation
+        # reaches it most often, every row outside the doubt set has the
+        # exact quotient (mod 2**64) and rounding.
+        rng = np.random.default_rng(k)
+        mantissas = rng.integers(2**52, 2**53, 200_000, dtype=np.uint64)
+        low, high = mantissas & np.uint64(2**32 - 1), mantissas >> np.uint64(32)
+        exponent = np.full(mantissas.size, 16 - k)
+        products = [m * 5**k for m in mantissas.tolist()]
+        drop = (5**k).bit_length() - 126
+        doubted = 0
+        for offset in range(7):
+            shift = 65 + offset + drop  # the half bit is bit 64 + offset
+            quotient, up, doubt = _csvwrite._scaled(low, high, np.full(mantissas.size, shift),
+                                                    exponent)
+            half = 1 << (shift - 1)
+            rests = [p & (2 * half - 1) for p in products]
+            exact_up = [r > half or (r == half and (p >> shift) & 1 == 1)
+                        for p, r in zip(products, rests)]
+            exact = np.array([(p >> shift) % 2**64 for p in products], dtype=np.uint64)
+            trusted = np.ones(mantissas.size, dtype=bool)
+            trusted[doubt] = False
+            assert np.array_equal(quotient[trusted], exact[trusted])
+            assert np.array_equal(up[trusted], np.array(exact_up)[trusted])
+            doubted += doubt.size
+        assert doubted > 0
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
@@ -212,8 +244,13 @@ def record_fallback(monkeypatch) -> list:
     return calls
 
 
+# densities down to 1e-84, in the truncated part of the table of 5**k
+DEEP_TAIL_PDFS = [["--scheme=info", f"--sources={m}"] for m in range(5, 9)]
+
+
 class TestFastPath:
-    @pytest.mark.parametrize("args", SHORT_CMDS_PDFS, ids=lambda a: " ".join(a))
+    @pytest.mark.parametrize("args", SHORT_CMDS_PDFS + DEEP_TAIL_PDFS,
+                             ids=lambda a: " ".join(a))
     def test_density_never_falls_back(self, capsys, monkeypatch, args):
         # every density and grid value is a nonzero double below 1e17
         calls = record_fallback(monkeypatch)
