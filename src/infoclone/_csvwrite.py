@@ -12,20 +12,19 @@ D = round-half-even(|x| * 10**(16 - X)) is m * 5**k / 2**s with k = 16 - X
 and s = -(e + k).  A float falls in one of two classes by magnitude:
 
 - every nonzero |x| below 1e17, subnormals included, where X is -324 to 16
-  and k is 0 to 340.  A floored log10 estimate of X, clamped to that range,
-  that is one off leaves the truncated quotient outside [1e16, 1e17) and is
-  stepped and recomputed.  D comes from m times 5**k out of one table of
-  two 63-bit words, as fixed-precision Ryu prints from truncated powers of
-  five (Adams, "Ryu revisited: printf floating point conversion", OOPSLA
-  2019): 5**k itself up to k = 54, truncated to 126 bits beyond.  Past
-  k = 27, s >= 61, so no tie is possible (2**(s - 1) would have to divide
-  m < 2**53).  A truncated power leaves the product short by less than m,
-  which can move the quotient or its half bit only where the bits below
-  the half bit are within m of all ones; those rows go to the fallback.
-  Rounding can carry D to 1e17 (at the doubles nearest 1e-79, 1e-174,
-  1e-176, 1e-243 and 1e-305), which is D = 1e16 at X + 1.
-- the fallback: zero, nan, inf, |x| from 1e17 up and the guarded rows,
-  rendered by ``'%.17g' % v`` itself.
+  and k is 0 to 340.  X is read from the bits of |x|: a table gives the X
+  at the bottom of each binade and the bits where the next decade starts.
+  D comes from m times 5**k out of one table of two 63-bit words, as
+  fixed-precision Ryu prints from truncated powers of five (Adams, "Ryu
+  revisited: printf floating point conversion", OOPSLA 2019): 5**k itself
+  up to k = 54, truncated to 126 bits beyond.  Past k = 27, s >= 61, so no
+  tie is possible (2**(s - 1) would have to divide m < 2**53).  A truncated
+  power leaves the product short by less than m; the tests prove, for
+  every binade and decade past k = 54, that this never moves the quotient
+  or its half bit.  Rounding can carry D to 1e17 (at the doubles nearest
+  1e-79, 1e-174, 1e-176, 1e-243 and 1e-305), which is D = 1e16 at X + 1.
+- the fallback: zero, nan, inf and |x| from 1e17 up, rendered by
+  ``'%.17g' % v`` itself.
 
 Layout works on little-endian uint64 words of eight characters, with NUL
 wherever a character is absent, so every row has a fixed width; one
@@ -44,6 +43,7 @@ fault back in on the next.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -53,7 +53,6 @@ CHUNK_ROWS = 16384
 _U64 = np.uint64
 _WORD = np.dtype("<u8")  # byte j of a word is character j of its eight
 _LOW32 = _U64(0xFFFFFFFF)
-_LOW63 = _U64(2**63 - 1)
 _NARROW_K = 27  # 5**27 < 2**63
 _MIN_X = -324  # X of the smallest subnormal, 4.9e-324, where k = 340
 _D_LOW, _D_HIGH = _U64(10**16), _U64(10**17)
@@ -137,8 +136,6 @@ def _as_text(flags: np.ndarray) -> np.ndarray:
 
 def _int_words(values: np.ndarray) -> int:
     """Words of an integer field: room for the longest value and a separator."""
-    if values.size == 0:
-        return 1
     return -(-(len(str(int(values.max()))) + 1) // 8)
 
 
@@ -186,39 +183,30 @@ def _product(low: np.ndarray, high: np.ndarray, power: np.ndarray):
 
 def _scaled(low: np.ndarray, high: np.ndarray, shift: np.ndarray, exponent: np.ndarray):
     """Truncated quotient q = floor(m * 5**k / 2**shift) of the mantissa
-    m = high * 2**32 + low, with k = 16 - exponent; whether the discarded
-    part rounds it up, half to even; and the rows in doubt.
+    m = high * 2**32 + low, with k = 16 - exponent, and whether the discarded
+    part rounds it up, half to even.
 
     Every row multiplies m by b of 5**k = (a * 2**63 + b) * 2**drop.  Up to
     k = 27, where a = drop = 0, the shift lies in [-7, 62], and a negative
     one multiplies by 2**-shift a product that fits one limb.  Past k = 27
     the rows add m * a * 2**63 and keep V, the sum P from bit 63 up, which
     they shift by shift - drop - 63, in [6, 62]; no tie is possible, so bit
-    0 of V is set.  Past k = 54, P is short by less than m, so q or the half
-    bit is in doubt where P's bits from 63 to below the half bit are all
-    ones and its low 63 are at least 2**63 - m."""
+    0 of V is set."""
     high_words, low_words, drops = _pow5_words()
     upper, lower = _product(low, high, low_words[16 - exponent])
     right = np.maximum(shift, 0)
-    doubt = np.empty(0, dtype=np.intp)
     if exponent.min() < 16 - _NARROW_K:
         rows = np.flatnonzero(exponent < 16 - _NARROW_K)
-        k, low, high = 16 - exponent[rows], low[rows], high[rows]
-        top, bottom = _product(low, high, high_words[k])
-        dropped = lower[rows]
+        k = 16 - exponent[rows]
+        top, bottom = _product(low[rows], high[rows], high_words[k])
         carried = upper[rows] << _U64(1)
-        carried |= dropped >> _U64(63)
+        carried |= lower[rows] >> _U64(63)
         bottom += carried
         top += bottom < carried
-        drop = drops[k]
-        wide = right[rows] - drop - 63
-        ones = (_U64(1) << (wide - 1).view(_U64)) - _U64(1)  # below the half bit
-        dropped &= _LOW63
-        dropped += (high << _U64(32)) | low
-        doubt = rows[((bottom & ones) == ones) & (dropped > _LOW63) & (drop > 0)]
         bottom |= _U64(1)
-        upper[rows], lower[rows], right[rows] = top, bottom, wide
-        del k, low, high, top, bottom, dropped, carried, drop, wide, ones
+        upper[rows], lower[rows] = top, bottom
+        right[rows] -= drops[k] + 63
+        del k, top, bottom, carried
     right = right.view(_U64)
     one = _U64(1) << right
     twice_rest = one - _U64(1)
@@ -232,7 +220,7 @@ def _scaled(low: np.ndarray, high: np.ndarray, shift: np.ndarray, exponent: np.n
     # up above half, or at half with q odd: twice_rest is even, so adding
     # q's low bit carries only a tie past one
     twice_rest += quotient & _U64(1)
-    return quotient, twice_rest > one, doubt
+    return quotient, twice_rest > one
 
 
 def _significands(values: np.ndarray):
@@ -241,41 +229,31 @@ def _significands(values: np.ndarray):
     D is 1e16 and X is 0."""
     magnitude = np.abs(values)
     inside = (magnitude > 0.0) & (magnitude < 1e17)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        exponent = np.log10(magnitude)  # -inf at 0, nan at nan
-    np.floor(exponent, out=exponent)
-    # clamped to X's range, nan to 16, so the redo below cannot leave it
-    np.fmin(exponent, 16, out=exponent)
-    np.fmax(exponent, _MIN_X, out=exponent)
-    exponent = exponent.astype(np.int64)
     # |x| = m * 2**binary; rows outside run through meaningless words, and
-    # are dropped.  The 32-bit halves of m are taken apart from the bits,
-    # implicit bit and all.
+    # are dropped.  X and the 32-bit halves of m are taken apart from the
+    # bits, implicit bit and all.
     bits = magnitude.view(_U64)
+    del magnitude
+    starts, lowest, steps = _decades()
+    shift = (bits >> _U64(52)).view(np.int64)
+    exponent = lowest[shift]
+    exponent += bits >= steps[shift]
     low = bits & _LOW32
     high = bits >> _U64(32)
     high &= _U64(2**20 - 1)
     high |= _U64(2**20)
-    shift = (bits >> _U64(52)).view(np.int64)
-    del magnitude, bits
     if shift.min() == 0:
-        # a subnormal has no implicit bit and the binary exponent of biased 1
-        subnormal = shift == 0
+        # a subnormal spans decades, and has no implicit bit and the binary
+        # exponent of biased 1
+        subnormal = np.flatnonzero(shift == 0)
+        exponent[subnormal] = _MIN_X + np.searchsorted(starts, bits[subnormal], "right")
         high[subnormal] ^= _U64(2**20)
         shift[subnormal] = 1
+    del bits
     # -(binary + k) for binary = biased - 1075 and k = 16 - X
     np.subtract(exponent, shift, out=shift)
     shift += 1059
-    quotient, up, doubt = _scaled(low, high, shift, exponent)
-    inside[doubt] = False  # a row in doubt on either pass goes to the fallback
-    # a one-off log10 estimate puts the truncated quotient outside [1e16, 1e17)
-    redo = np.flatnonzero((quotient - _D_LOW >= _D_HIGH - _D_LOW) & inside)
-    if redo.size:
-        step = np.where(quotient[redo] < _D_LOW, -1, 1)
-        exponent[redo] += step
-        quotient[redo], up[redo], doubt = _scaled(low[redo], high[redo], shift[redo] + step,
-                                                  exponent[redo])
-        inside[redo[doubt]] = False
+    quotient, up = _scaled(low, high, shift, exponent)
     del low, high, shift
     quotient += up
     del up
@@ -290,6 +268,27 @@ def _significands(values: np.ndarray):
         quotient[carried] = _D_LOW
         exponent[carried] += 1
     return quotient, exponent, outside
+
+
+@functools.cache
+def _decades():
+    """(starts, lowest, steps), to read X from the bits of |x|.  ``starts``
+    holds the bits of the smallest double at or above 10**X for X = _MIN_X + 1
+    to 16.  By biased exponent, ``lowest`` is the X at the bottom of the
+    binade and ``steps`` the bits of the next start, all ones past the last.
+    A normal binade spans less than a decade, so X = lowest + (bits >= step);
+    subnormals search ``starts``.  Zero maps to _MIN_X, and nan, inf and
+    every |x| from 1e17 up to at most 16."""
+    starts = []
+    for decade in range(_MIN_X + 1, 17):
+        start = float(f"1e{decade}")  # correctly rounded, so at most one ulp below
+        numerator, denominator = start.as_integer_ratio()
+        if numerator * 10 ** max(-decade, 0) < denominator * 10 ** max(decade, 0):
+            start = math.nextafter(start, math.inf)
+        starts.append(start)
+    starts = np.array(starts).view(_U64)
+    count = np.searchsorted(starts, np.arange(2048, dtype=_U64) << _U64(52), "right")
+    return starts, _MIN_X + count, np.append(starts, _ALL)[count]
 
 
 @functools.cache

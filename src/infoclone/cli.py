@@ -31,7 +31,8 @@ exits 2 before it allocates when its (n+1)x(n+1) matrix and output, at 400
 bytes per entry, would need more than 2**30 bytes: n, the ``--copies``
 count or the number of ``--r`` values, may be at most 1,637.
 
-Unwritable ``--output`` and ``--dump`` paths exit 2.  A command that fails
+Unwritable ``--output`` and ``--dump`` paths exit 2, and so does a failed
+write to one (``--output /dev/full``).  A command that fails
 removes an output file it created, never a path that existed before.  The
 Monte Carlo commands check the whole run, the scheme's law included, before
 they open their samples CSV, and open it before drawing any trial.  A
@@ -145,9 +146,9 @@ def _resolve_output(path: str | None) -> str | None:
 @contextmanager
 def _open_output(path: str | None):
     """The file at ``path`` for writing, or stdout for None; a path that
-    cannot be opened raises ``ValueError`` (exit 2) naming it.  A file that
-    this call created is removed if its writer raises, so a failed command
-    leaves no partial output; a path that already existed (a file, a
+    cannot be opened or written raises ``ValueError`` (exit 2) naming it.  A
+    file that this call created is removed if its writer raises, so a failed
+    command leaves no partial output; a path that already existed (a file, a
     symlink, a device, a FIFO) is never removed."""
     resolved = _resolve_output(path)
     if resolved is None:
@@ -166,10 +167,12 @@ def _open_output(path: str | None):
     try:
         with handle:
             yield handle
-    except BaseException:
+    except BaseException as exc:
         if created:
             with suppress(OSError):
                 os.remove(resolved)
+        if isinstance(exc, OSError):
+            raise ValueError(f"cannot write {resolved!r}: {exc.strerror or exc}") from None
         raise
 
 

@@ -1012,6 +1012,21 @@ class TestUnwritableOutput:
         assert out == ""
         assert str(tmp_path) in err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ("pdf", "--scheme", "info", "--sources", "1", "--output", "/dev/full"),
+        ("mc-info", "--sources", "1", "--copies", "2", "--trials", "100",
+         "--output", "/dev/full"),
+        ("fock-verify", "--copies", "2", "--alpha", "0.3,0", "--truncation", "6",
+         "--dump", "/dev/full"),
+        ("transfer", "--copies", "2", "--format", "json", "--output", "/dev/full"),
+    ], ids=["pdf", "samples", "dump", "transfer-json"])
+    def test_failed_write_is_usage_error(self, capsys, argv):
+        # /dev/full opens but every write fails with ENOSPC
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert err == "error: cannot write '/dev/full': No space left on device\n"
+
 
 class TestParser:
     def test_built_once_per_process(self, capsys, monkeypatch):
@@ -1039,3 +1054,29 @@ class TestUsage:
     def test_bad_complex_flag_exits_two(self, capsys):
         code, _, _ = run_cli(capsys, "clone", "--alpha", "nope", "--copies", "2")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv,message", [
+        (("transfer", "--r", "1,x", "--time", "1"), "expected comma-separated numbers, got '1,x'"),
+        (("table", "--cases", "1"), "expected 'M,N' pairs, got '1'"),
+        (("table", "--cases", ";"), "no cases given"),
+        (("transfer", "--copies", "2", "--r", "1", "--time", "1"),
+         "give either --copies or --r, not both"),
+        (("transfer", "--copies", "0"), "--copies must be positive"),
+        (("transfer",), "specify --copies or --r with --time"),
+        (("transfer", "--r", "1"), "--time is required with --r"),
+        (("clone", "--alpha", "1,0", "--copies", "0"), "--copies must be positive"),
+        (("fock-verify", "--alpha", "0.1,0", "--copies", "1", "--beta", "0,0;0,0"),
+         "more --beta values than target modes"),
+        (("mc-info", "--sources", "0", "--copies", "2", "--trials", "10"),
+         "sources and copies must be positive"),
+    ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else None)
+    def test_usage_error_names_the_problem(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert message in err
+
+    def test_trailing_case_separator_is_ignored(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--cases", "1,2;", "--format", "json")
+        assert code == EXIT_OK
+        assert out == run_cli(capsys, "table", "--cases", "1,2", "--format", "json")[1]

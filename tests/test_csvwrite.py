@@ -1,6 +1,8 @@
+import functools
 import io
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -28,6 +30,61 @@ def assert_floats_render_as_percent_g(values):
 
 
 SMALLEST_NORMAL = 2.2250738585072014e-308
+
+
+def floor_sum(count: int, modulus: int, step: int, start: int) -> int:
+    """The sum of (step * i + start) // modulus over i < count, by the
+    Euclid-like recursion of the AtCoder Library's floor_sum."""
+    total = 0
+    while True:
+        if step >= modulus:
+            total += count * (count - 1) // 2 * (step // modulus)
+            step %= modulus
+        if start >= modulus:
+            total += count * (start // modulus)
+            start %= modulus
+        top = step * count + start
+        if top < modulus:
+            return total
+        count, start = divmod(top, modulus)
+        modulus, step = step, modulus
+
+
+def mantissa_range(biased: int) -> tuple[int, int]:
+    return (1, 2**52 - 1) if biased == 0 else (2**52, 2**53 - 1)
+
+
+def binary_exponent(biased: int) -> int:
+    """e of |x| = m * 2**e; subnormals (biased 0) share biased 1's."""
+    return max(biased, 1) - 1075
+
+
+class Pair(NamedTuple):
+    biased: int
+    decade: int  # X
+    shift: int  # s of D = m * 5**k / 2**s
+    lowest: int  # the mantissas m with floor(m * 5**k / 2**s) in [1e16, 1e17]
+    highest: int
+
+
+@functools.cache
+def truncated_pairs() -> list[Pair]:
+    """Every pair of a binade and a decade X that doubles reach where the
+    table of 5**k truncates (k = 16 - X >= 55), in ascending m per binade."""
+    pairs = []
+    for biased in range(2047):
+        lowest, highest = mantissa_range(biased)
+        binary = binary_exponent(biased)
+        # floored log10 of the binade's ends, give or take one
+        bottom, top = (math.floor(math.log10(m) + binary * math.log10(2))
+                       for m in (lowest, highest))
+        for decade in range(max(bottom - 1, _csvwrite._MIN_X), min(top + 2, -38)):
+            k, shift = 16 - decade, decade - binary - 16
+            first = max(lowest, -(-(10**16 << shift) // 5**k))
+            last = min(highest, (((10**17 + 1) << shift) - 1) // 5**k)
+            if first <= last:
+                pairs.append(Pair(biased, decade, shift, first, last))
+    return pairs
 
 
 def edge_values() -> list[float]:
@@ -107,33 +164,76 @@ class TestFloatDigits:
         assert_floats_render_as_percent_g(np.concatenate([bits, -bits, normals]))
 
     @pytest.mark.parametrize("k", [55, 80, 200, 340])
-    def test_rows_outside_the_doubt_set_are_exact(self, k):
-        # Past k = 54 the table truncates 5**k.  At shifts that put the half
-        # bit of m * 5**k just above its 64th bit, where the truncation
-        # reaches it most often, every row outside the doubt set has the
-        # exact quotient (mod 2**64) and rounding.
+    def test_scaled_is_exact_at_truncated_shifts(self, k):
+        # Past k = 54 the table truncates 5**k.  At the shift of every binade
+        # that reaches X = 16 - k, mantissas from the pair's range get the
+        # exact quotient and rounding.
         rng = np.random.default_rng(k)
-        mantissas = rng.integers(2**52, 2**53, 200_000, dtype=np.uint64)
-        low, high = mantissas & np.uint64(2**32 - 1), mantissas >> np.uint64(32)
-        exponent = np.full(mantissas.size, 16 - k)
-        products = [m * 5**k for m in mantissas.tolist()]
-        drop = (5**k).bit_length() - 126
-        doubted = 0
-        for offset in range(7):
-            shift = 65 + offset + drop  # the half bit is bit 64 + offset
-            quotient, up, doubt = _csvwrite._scaled(low, high, np.full(mantissas.size, shift),
-                                                    exponent)
-            half = 1 << (shift - 1)
+        pairs = [pair for pair in truncated_pairs() if pair.decade == 16 - k]
+        for pair in pairs:
+            mantissas = rng.integers(pair.lowest, pair.highest + 1, 200_000 // len(pairs),
+                                     dtype=np.uint64)
+            low, high = mantissas & np.uint64(2**32 - 1), mantissas >> np.uint64(32)
+            quotient, up = _csvwrite._scaled(low, high, np.full(mantissas.size, pair.shift),
+                                             np.full(mantissas.size, pair.decade))
+            products = [m * 5**k for m in mantissas.tolist()]
+            exact = [p >> pair.shift for p in products]
+            half = 1 << (pair.shift - 1)
             rests = [p & (2 * half - 1) for p in products]
-            exact_up = [r > half or (r == half and (p >> shift) & 1 == 1)
-                        for p, r in zip(products, rests)]
-            exact = np.array([(p >> shift) % 2**64 for p in products], dtype=np.uint64)
-            trusted = np.ones(mantissas.size, dtype=bool)
-            trusted[doubt] = False
-            assert np.array_equal(quotient[trusted], exact[trusted])
-            assert np.array_equal(up[trusted], np.array(exact_up)[trusted])
-            doubted += doubt.size
-        assert doubted > 0
+            exact_up = [r > half or (r == half and q & 1 == 1) for q, r in zip(exact, rests)]
+            assert quotient.tolist() == exact
+            assert up.tolist() == exact_up
+
+    def test_truncated_powers_never_move_a_quotient_or_its_half_bit(self):
+        # The table holds T = a * 2**63 + b with 5**k = T * 2**drop + e, where
+        # 0 <= e < 2**drop, so m * 5**k is m * T * 2**drop plus less than
+        # m * 2**drop.  The bits of m * T from the half bit W up, which give
+        # the quotient and the half bit, can only move where the bits below
+        # W are at least 2**W - m.  Counting those m in every pair of a
+        # binade and a decade that doubles reach finds none.
+        pairs = truncated_pairs()
+        high_words, low_words, drops = _csvwrite._pow5_words()
+        candidates = 0
+        for pair in pairs:
+            k = 16 - pair.decade
+            words, drop = int(high_words[k]) << 63 | int(low_words[k]), int(drops[k])
+            assert drop > 0 and 0 <= 5**k - (words << drop) < 2**drop
+            modulus = 1 << (pair.shift - drop - 1)
+            step, count = words % modulus, pair.highest - pair.lowest + 1
+            start = pair.lowest * words % modulus
+            candidates += (floor_sum(count, modulus, step, start + pair.highest)
+                           - floor_sum(count, modulus, step, start))
+        assert candidates == 0
+        # every double below 1e-38 (k >= 55) lies in some pair
+        assert {pair.decade for pair in pairs} == set(range(_csvwrite._MIN_X, -38))
+        covered = {}
+        for pair in pairs:
+            assert pair.lowest <= covered.get(pair.biased, mantissa_range(pair.biased)[0])
+            covered[pair.biased] = pair.highest + 1
+        for biased in range(2047):
+            lowest, highest = mantissa_range(biased)
+            below = math.ceil(Fraction(1, 10**38) / Fraction(2) ** binary_exponent(biased))
+            if below > lowest:
+                assert covered[biased] >= min(below, highest + 1)
+
+    def test_floor_sum_counts_like_brute_force(self):
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            count, modulus = (int(v) for v in rng.integers(1, 60, 2))
+            step, start = (int(v) for v in rng.integers(0, 200, 2))
+            assert floor_sum(count, modulus, step, start) == sum(
+                (step * i + start) // modulus for i in range(count))
+
+    def test_only_zero_non_finite_and_huge_fall_back(self):
+        rng = np.random.default_rng(17)
+        bits = rng.integers(0, 2**63, 1_000_000, dtype=np.int64)
+        special = [0.0, 5e-324, 1e-38, 99999999999999984.0, 1e17, math.inf, math.nan]
+        values = np.concatenate([bits.view(np.float64), special])
+        values = np.concatenate([values, -values])
+        _, _, fallback = _csvwrite._significands(values)
+        magnitude = np.abs(values)
+        expected = (magnitude == 0.0) | ~np.isfinite(values) | (magnitude >= 1e17)
+        assert np.array_equal(fallback, np.flatnonzero(expected))
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
