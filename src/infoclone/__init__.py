@@ -31,6 +31,7 @@ from .measurement import (
     measurement_fidelity,
     run_trials,
     summarize,
+    trial_blocks,
 )
 from .gaussian_cloner import (
     amplification_fraction,

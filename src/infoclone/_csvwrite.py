@@ -47,7 +47,9 @@ import math
 
 import numpy as np
 
-# Rows per chunk: a few MiB of scratch whatever the column length.
+# Rows per chunk: a few MiB of scratch whatever the column length.  The Monte
+# Carlo draws its trials in blocks of one chunk, so this must stay a multiple
+# of measurement.TRIAL_BATCH.
 CHUNK_ROWS = 16384
 
 _U64 = np.uint64
@@ -65,16 +67,19 @@ _PREFIX = _U64(int.from_bytes(b"\x000.000\x00\x00", "little"))
 _FLOAT_WORDS = 4
 
 
-def write_csv(handle, header: str, columns) -> None:
-    """Write ``header`` and then one comma-separated row per index of
-    ``columns``, a list of equal-length float arrays and nonnegative integer
-    arrays (an integer column may be a ``range``), ``CHUNK_ROWS`` rows per
-    ``handle.write``."""
+def write_csv(handle, header: str, blocks) -> None:
+    """Write ``header`` and then one comma-separated row per index of each
+    block's columns, ``CHUNK_ROWS`` rows per ``handle.write``.  ``blocks``
+    is an iterable of column lists, read one at a time, so a caller may
+    yield each block as it computes it.  A block's columns are equal-length
+    float arrays and nonnegative integer arrays (an integer column may be a
+    ``range``)."""
     handle.write(header + "\n")
-    rows = len(columns[0])
-    for start in range(0, rows, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, rows)
-        handle.write(_render_rows([_chunk(col, start, stop) for col in columns]))
+    for columns in blocks:
+        rows = len(columns[0])
+        for start in range(0, rows, CHUNK_ROWS):
+            stop = min(start + CHUNK_ROWS, rows)
+            handle.write(_render_rows([_chunk(col, start, stop) for col in columns]))
 
 
 def _chunk(column, start: int, stop: int) -> np.ndarray:

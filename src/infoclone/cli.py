@@ -32,14 +32,16 @@ bytes per entry, would need more than 2**30 bytes: n, the ``--copies``
 count or the number of ``--r`` values, may be at most 1,637.
 
 Unwritable ``--output`` and ``--dump`` paths exit 2, and so does a failed
-write to one (``--output /dev/full``).  A command that fails
+write to one (``--output /dev/full``) or to stdout (``> /dev/full``), which
+each command flushes before it returns.  A command that fails
 removes an output file it created, never a path that existed before.  The
 Monte Carlo commands check the whole run, the scheme's law included, before
-they open their samples CSV, and open it before drawing any trial.  A
-``--trials`` count whose columns cannot be allocated exits 2 with the bytes
-it needs; any other allocation failure (``pdf --grid 1000000000000000``,
-say) exits 2 with numpy's message.  The parser is built once per process,
-on first use.
+they open their samples CSV, and open it before drawing any trial.  They
+write each block of rows as soon as it is drawn and keep only the fidelity
+column for the summary.  A ``--trials`` count whose column and summary
+scratch cannot be allocated exits 2 with the bytes it needs; any other
+allocation failure (``pdf --grid 1000000000000000``, say) exits 2 with
+numpy's message.  The parser is built once per process, on first use.
 
 File schemas (version 3):
   samples CSV   header ``trial,re_est,im_est,F``, one row per trial, floats
@@ -146,13 +148,18 @@ def _resolve_output(path: str | None) -> str | None:
 @contextmanager
 def _open_output(path: str | None):
     """The file at ``path`` for writing, or stdout for None; a path that
-    cannot be opened or written raises ``ValueError`` (exit 2) naming it.  A
-    file that this call created is removed if its writer raises, so a failed
-    command leaves no partial output; a path that already existed (a file, a
-    symlink, a device, a FIFO) is never removed."""
+    cannot be opened or written raises ``ValueError`` (exit 2) naming it, and
+    so does a failed write to stdout, which is flushed before the block
+    ends.  A file that this call created is removed if its writer raises, so
+    a failed command leaves no partial output; a path that already existed
+    (a file, a symlink, a device, a FIFO) is never removed."""
     resolved = _resolve_output(path)
     if resolved is None:
-        yield sys.stdout
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except OSError as exc:
+            raise ValueError(f"cannot write standard output: {exc.strerror or exc}") from None
         return
     try:
         parent = os.path.dirname(resolved)
@@ -270,8 +277,8 @@ def _write_amplitude_dump(path, state: fock_oracle.FockVector):
     amplitudes = state.amplitudes
     header = ",".join(["index"] + [f"n_{m}" for m in range(state.mode_count)] + ["re", "im"])
     with _open_output(path) as out:
-        _csvwrite.write_csv(out, header, [range(amplitudes.size), *occupations.T,
-                                          amplitudes.real, amplitudes.imag])
+        _csvwrite.write_csv(out, header, [[range(amplitudes.size), *occupations.T,
+                                           amplitudes.real, amplitudes.imag]])
 
 
 def cmd_fock_verify(args) -> int:
@@ -314,13 +321,6 @@ def cmd_fock_verify(args) -> int:
     return EXIT_OK if infidelity < args.gate else EXIT_GATE
 
 
-def _write_samples_csv(handle, samples: measurement.FidelitySamples):
-    """One row per trial."""
-    estimates, fidelity = samples.estimates, samples.fidelity
-    _csvwrite.write_csv(handle, "trial,re_est,im_est,F",
-                        [range(fidelity.size), estimates.real, estimates.imag, fidelity])
-
-
 def _run_mc(args) -> int:
     run = measurement.FidelityRun(
         alpha_true=args.alpha,
@@ -334,18 +334,25 @@ def _run_mc(args) -> int:
     # the CSV opens first, so an unwritable path fails before any trial is drawn
     with _open_output(args.output) if args.output else nullcontext() as csv_out:
         try:
-            samples = measurement.run_trials(run)
-            summary = measurement.summarize(samples.fidelity, measurement.fidelity_cdf(exponent))
+            fidelity = np.empty(run.trials)
+            blocks = measurement.trial_blocks(run, fidelity)
+            if csv_out is None:
+                for _ in blocks:
+                    pass
+            else:
+                # one row per trial, each block rendered as soon as it is drawn
+                _csvwrite.write_csv(csv_out, "trial,re_est,im_est,F", (
+                    [range(start, start + scores.size), estimates.real, estimates.imag, scores]
+                    for start, estimates, scores in blocks))
+            summary = measurement.summarize(fidelity, measurement.fidelity_cdf(exponent))
         except MemoryError:
             raise ValueError(
                 f"--trials {run.trials} needs {run.trials * measurement.BYTES_PER_TRIAL} bytes "
-                f"of memory ({measurement.BYTES_PER_TRIAL} per trial), more than could be "
-                "allocated"
+                f"of memory ({measurement.BYTES_PER_TRIAL} per trial: the fidelity column and "
+                "one temporary of the same size), more than could be allocated"
             ) from None
-        critical = measurement.ks_critical(run.trials)
-        ks_pass = summary.ks_statistic < critical
-        if csv_out is not None:
-            _write_samples_csv(csv_out, samples)
+    critical = measurement.ks_critical(run.trials)
+    ks_pass = summary.ks_statistic < critical
 
     payload = {
         "scheme": run.scheme,
@@ -365,7 +372,8 @@ def _run_mc(args) -> int:
             "counts": summary.counts.tolist(),
         },
     }
-    _write_json(sys.stdout, payload)
+    with _open_output(None) as out:
+        _write_json(out, payload)
     return EXIT_OK if ks_pass else EXIT_GATE
 
 
@@ -377,7 +385,7 @@ def cmd_pdf(args) -> int:
     grid = np.geomspace(PDF_GRID_FLOOR, 1.0, args.grid)
     values = np.asarray(measurement.fidelity_pdf(exponent)(grid), dtype=float)
     with _open_output(args.output) as out:
-        _csvwrite.write_csv(out, "F,p", [grid, values])
+        _csvwrite.write_csv(out, "F,p", [[grid, values]])
     return EXIT_OK
 
 

@@ -13,22 +13,28 @@ c * F**(c-1) and mean c/(c+1).  The scheme decides only the exponent c
 (:func:`fidelity_exponent`): c = M for information cloning of M sources,
 whatever the number of copies, and the copier's
 c = M^2 N^2 / (2(MN + 2N - 2)) from ``gaussian_cloner`` for the Gaussian
-scheme.  :func:`run_trials` runs either scheme.
+scheme.
 
-A run returns its results as columns (:class:`FidelitySamples`): a complex
-array of estimates and a float array of fidelities, 24 bytes per trial,
-filled one batch at a time by :func:`measurement_fidelity`.  The exact KS
-distance needs every fidelity sorted, so :func:`summarize` adds one sorted
-copy, 8 bytes per trial; a run and its summary peak at ``BYTES_PER_TRIAL``
-= 32 bytes per trial, and the rest of their scratch does not grow with the
-trial count.
+One driver, :func:`trial_blocks`, runs either scheme, ``CHUNK_ROWS`` trials
+at a time.  It scores each block of estimates into the caller's fidelity
+column and yields the block, so a caller that writes the estimates as they
+come (the CLI's samples CSV) never holds them all.  :func:`run_trials` collects
+its blocks into columns (:class:`FidelitySamples`): a complex array of
+estimates and a float array of fidelities, 24 bytes per trial.  The summary
+takes the mean, variance and histogram from the unsorted fidelity column and
+then sorts that column in place for the exact KS distance.  The CLI keeps
+only the fidelity column, so a run and its summary peak at
+``BYTES_PER_TRIAL`` = 16 bytes per trial: the column and the one temporary
+of ``np.var``.  The rest of their scratch does not grow with the trial
+count.
 
 Determinism contract (stream version 3): trials are partitioned into fixed
 batches of ``TRIAL_BATCH`` with independent counter-based streams keyed by
 (seed, batch index); within a batch the position means are drawn before the
-momentum means.  Results are bit-identical for a given seed, and the first
-T results of a run are those of a T-trial run whenever T is a multiple of
-``TRIAL_BATCH``.
+momentum means.  A block of ``CHUNK_ROWS`` trials holds whole batches, so
+the blocks do not change the stream.  Results are bit-identical for a given
+seed, and the first T results of a run are those of a T-trial run whenever
+T is a multiple of ``TRIAL_BATCH``.
 """
 
 from __future__ import annotations
@@ -40,12 +46,14 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._csvwrite import CHUNK_ROWS
 from .gaussian_cloner import _positive_int, gauss_exponent_fraction, gauss_quadrature_sd
 
 __all__ = [
     "INFO_SCHEME",
     "GAUSS_SCHEME",
     "TRIAL_BATCH",
+    "CHUNK_ROWS",
     "BYTES_PER_TRIAL",
     "HISTOGRAM_BINS",
     "QUADRATURE_SD",
@@ -56,6 +64,7 @@ __all__ = [
     "DistributionSummary",
     "trial_rng",
     "measurement_fidelity",
+    "trial_blocks",
     "run_trials",
     "fidelity_exponent",
     "fidelity_pdf",
@@ -71,10 +80,9 @@ __all__ = [
 INFO_SCHEME = "info_cloning"
 GAUSS_SCHEME = "gaussian"
 TRIAL_BATCH = 4096
-# Peak memory per trial of run_trials followed by summarize: the estimate and
-# fidelity columns (16 + 8 bytes) and one 8-byte column of scratch, first
-# var's temporary and then the sorted copy.
-BYTES_PER_TRIAL = 32
+# Peak memory per trial of the CLI's trial_blocks followed by summarize: the
+# 8-byte fidelity column and np.var's 8-byte temporary.  The sort is in place.
+BYTES_PER_TRIAL = 16
 HISTOGRAM_BINS = 50  # uniform bins on [0, 1]; the summary JSON schema fixes 50
 QUADRATURE_SD = math.sqrt(0.5)
 _SQRT2 = math.sqrt(2.0)
@@ -187,55 +195,61 @@ def measurement_fidelity(alpha_true: complex, alpha_est):
     return float(fidelity) if np.ndim(fidelity) == 0 else fidelity
 
 
-def _run_trials(run: FidelityRun, clone_scale: float, sd: float) -> FidelitySamples:
-    """Monte Carlo trial loop shared by both schemes.
+def trial_blocks(run: FidelityRun, fidelity: np.ndarray):
+    """Draw the trials of ``run`` ``CHUNK_ROWS`` at a time, scoring them into
+    ``fidelity``, a float64 array of ``run.trials`` values.
 
-    Each measured copy carries alpha_true / clone_scale, so its quadrature
-    samples have mean sqrt(2) * that component and standard deviation ``sd``.
-    A trial averages k = ``measurements_per_quadrature`` such samples per
+    Yields ``(start, estimates, scores)`` per block: the block's complex
+    estimates and ``scores``, the view ``fidelity[start:start +
+    estimates.size]``, which holds ``measurement_fidelity(alpha_true,
+    estimates)``.  ``estimates`` is one buffer that the next block
+    overwrites, so a caller that keeps it copies it.
+
+    Information clones carry alpha/sqrt(copies) and every quadrature
+    measurement has variance 1/2.  Gaussian copies carry the full source
+    parameter, measured with the standard deviation of
+    :func:`~infoclone.gaussian_cloner.gauss_quadrature_sd`.  Each measured
+    copy's quadrature samples have mean sqrt(2) times its component, and a
+    trial averages k = ``measurements_per_quadrature`` of them per
     quadrature.  The mean of k i.i.d. N(mu, sd^2) draws is exactly
     N(mu, sd^2/k), so each trial's quadrature means are drawn directly, one
-    normal each, and the cost does not grow with k.  Batch b draws from
-    ``trial_rng(seed, b)``: ``stop - start`` position means, then as many
-    momentum means.  The estimate clone_scale * (y + iz) / sqrt(2) undoes
-    the scale.
-
-    The two result columns, 16 bytes of estimate and 8 of fidelity per
-    trial, are allocated once and filled batch by batch: the draws go
-    straight into the estimate block's real and imaginary parts, are scaled
-    there, and the block is scored into its slice of the fidelity column.
-    No other scratch grows with the trial count.
+    normal each, and the cost does not grow with k.  Batch b of
+    ``TRIAL_BATCH`` trials draws from ``trial_rng(seed, b)``: its position
+    means, then as many momentum means, straight into the real and imaginary
+    parts of its slice of the block.  The estimate clone_scale * (y + iz) /
+    sqrt(2) undoes the scale.
     """
+    if run.scheme == INFO_SCHEME:
+        clone_scale, sd = math.sqrt(run.copies), QUADRATURE_SD
+    else:
+        clone_scale, sd = 1.0, gauss_quadrature_sd(run.sources, run.copies)
     clone = run.alpha_true / clone_scale
     mean_y, mean_z = _SQRT2 * clone.real, _SQRT2 * clone.imag
     mean_sd = sd / math.sqrt(run.measurements_per_quadrature)
     factor = clone_scale / _SQRT2
-    estimates = np.empty(run.trials, dtype=complex)
-    fidelity = np.empty(run.trials)
-    for index, start in enumerate(range(0, run.trials, TRIAL_BATCH)):
-        stop = min(start + TRIAL_BATCH, run.trials)
-        rng = trial_rng(run.seed, index)
-        block = estimates[start:stop]
-        block.real = rng.normal(mean_y, mean_sd, stop - start)
-        block.imag = rng.normal(mean_z, mean_sd, stop - start)
+    buffer = np.empty(min(CHUNK_ROWS, run.trials), dtype=complex)
+    for start in range(0, run.trials, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, run.trials)
+        block = buffer[: stop - start]
+        for offset in range(0, block.size, TRIAL_BATCH):
+            batch = block[offset : offset + TRIAL_BATCH]
+            rng = trial_rng(run.seed, (start + offset) // TRIAL_BATCH)
+            batch.real = rng.normal(mean_y, mean_sd, batch.size)
+            batch.imag = rng.normal(mean_z, mean_sd, batch.size)
         block.real *= factor
         block.imag *= factor
         fidelity[start:stop] = measurement_fidelity(run.alpha_true, block)
-    return FidelitySamples(estimates, fidelity)
+        yield start, block, fidelity[start:stop]
 
 
 def run_trials(run: FidelityRun) -> FidelitySamples:
-    """Monte Carlo fidelity samples of ``run`` under its scheme.
-
-    Information clones carry alpha/sqrt(copies) and every quadrature
-    measurement has variance 1/2; the estimate sqrt(copies) * (y + iz) /
-    sqrt(2) undoes the scale.  Gaussian copies carry the full source
-    parameter, measured with the standard deviation of
-    :func:`~infoclone.gaussian_cloner.gauss_quadrature_sd`.
-    """
-    if run.scheme == INFO_SCHEME:
-        return _run_trials(run, math.sqrt(run.copies), QUADRATURE_SD)
-    return _run_trials(run, 1.0, gauss_quadrature_sd(run.sources, run.copies))
+    """Monte Carlo fidelity samples of ``run`` under its scheme, collected
+    from :func:`trial_blocks`."""
+    estimates = np.empty(run.trials, dtype=complex)
+    fidelity = np.empty(run.trials)
+    for start, block, _ in trial_blocks(run, fidelity):
+        estimates[start : start + block.size] = block
+    return FidelitySamples(estimates, fidelity)
 
 
 def fidelity_exponent(scheme: str, sources: int, copies: int | None) -> Fraction:
@@ -284,13 +298,15 @@ def mean_fidelity(exponent: Fraction) -> Fraction:
 def ks_statistic(values, reference_cdf) -> float:
     """One-sample Kolmogorov-Smirnov distance of ``values`` against a CDF callable.
 
-    After one sort, the largest gap between the empirical steps k/n and
-    ``reference_cdf`` is scanned ``TRIAL_BATCH`` values at a time, so that
-    the scratch beyond the sorted copy does not grow with n.  Each gap is
-    the same elementwise expression as over the whole array, so the maximum
-    is exactly that of the one-shot scan.
+    Sorts its argument: a float64 array is sorted in place, so the scratch
+    does not grow with n; pass a copy to keep the order.  The largest gap
+    between the empirical steps k/n and ``reference_cdf`` is then scanned
+    ``TRIAL_BATCH`` values at a time.  Each gap is the same elementwise
+    expression as over the whole array, so the maximum is exactly that of
+    the one-shot scan.
     """
-    values = np.sort(values)
+    values = np.asarray(values, dtype=float)
+    values.sort()
     n = values.size
     if n < 1:
         raise ValueError("need at least one sample")
@@ -313,8 +329,10 @@ def summarize(values, reference_cdf) -> DistributionSummary:
 
     The histogram uses uniform bins on [0, 1]; counts always sum to the
     sample count since fidelities live in (0, 1].  Mean, variance and the
-    histogram are taken first, in the given order, so that their
-    temporaries are freed before :func:`ks_statistic` makes its sorted copy.
+    histogram are taken first, from the values in the given order, and then
+    :func:`ks_statistic` sorts them: like it, this sorts a float64 array
+    argument in place, so pass a copy to keep the order.  The peak scratch
+    is the one temporary of ``np.var``, 8 bytes per value.
     """
     values = np.asarray(values, dtype=float)
     if values.size < 2:

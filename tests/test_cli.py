@@ -1,17 +1,36 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import stat
+import subprocess
+import sys
+import tempfile
 import time
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from infoclone import cli, fock_oracle, measurement, phase_space
+from infoclone import _csvwrite, cli, fock_oracle, measurement, phase_space
 from infoclone.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, SCHEMA_VERSION, main
-from infoclone.measurement import GAUSS_SCHEME, FidelityRun, run_trials
+from infoclone.measurement import (
+    CHUNK_ROWS,
+    GAUSS_SCHEME,
+    INFO_SCHEME,
+    TRIAL_BATCH,
+    FidelityRun,
+    fidelity_cdf,
+    fidelity_exponent,
+    run_trials,
+    summarize,
+)
 from infoclone.phase_space import CoherentParams, info_overlap_fidelity
 
 
@@ -773,6 +792,86 @@ class TestPinnedRun:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+class TestStreamedRun:
+    """The Monte Carlo commands draw a run one block of ``CHUNK_ROWS`` trials
+    at a time and write each block's rows before the next is drawn.  Their
+    samples CSV and summary must be, bit for bit, those of the whole run's
+    columns."""
+
+    def test_blocks_hold_whole_batches(self):
+        assert CHUNK_ROWS == _csvwrite.CHUNK_ROWS == 4 * TRIAL_BATCH
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        trials=st.integers(2, 5 * CHUNK_ROWS + 7),
+        seed=st.integers(0, 2**64 - 1),
+        command=st.sampled_from(["mc-info", "mc-gauss"]),
+    )
+    @example(trials=2, seed=0, command="mc-info")
+    @example(trials=CHUNK_ROWS, seed=1, command="mc-gauss")
+    @example(trials=CHUNK_ROWS + 1, seed=2, command="mc-info")
+    @example(trials=2 * CHUNK_ROWS + TRIAL_BATCH + 3, seed=3, command="mc-gauss")
+    @example(trials=5 * CHUNK_ROWS + 7, seed=4, command="mc-info")
+    def test_csv_and_summary_are_those_of_the_whole_run(self, trials, seed, command):
+        scheme = INFO_SCHEME if command == "mc-info" else GAUSS_SCHEME
+        stdout = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "samples.csv"
+            with contextlib.redirect_stdout(stdout):
+                code = main([command, "--sources=2", "--copies=2", f"--trials={trials}",
+                             f"--seed={seed}", "--alpha=0.3,-1.1", f"--output={path}"])
+            written = path.read_bytes()
+        assert code in (EXIT_OK, EXIT_GATE)
+
+        run = FidelityRun(0.3 - 1.1j, 2, 2, trials, seed=seed, scheme=scheme)
+        samples = run_trials(run)
+        expected = io.StringIO()
+        _csvwrite.write_csv(expected, "trial,re_est,im_est,F", [[
+            range(trials), samples.estimates.real, samples.estimates.imag, samples.fidelity]])
+        assert written == expected.getvalue().encode()
+        summary = summarize(samples.fidelity.copy(),
+                            fidelity_cdf(fidelity_exponent(scheme, 2, 2)))
+        payload = json.loads(stdout.getvalue())
+        assert (payload["mean"], payload["variance"], payload["ks_statistic"]) == (
+            summary.mean, summary.variance, summary.ks_statistic)
+        assert payload["histogram"]["counts"] == summary.counts.tolist()
+
+        # the first whole batches of a run are the shorter run
+        batches = trials - trials % TRIAL_BATCH
+        if batches:
+            short = run_trials(FidelityRun(0.3 - 1.1j, 2, 2, batches, seed=seed, scheme=scheme))
+            assert np.array_equal(short.estimates, samples.estimates[:batches])
+            assert np.array_equal(short.fidelity, samples.fidelity[:batches])
+
+
+class TestMemory:
+    @pytest.mark.parametrize("command,output", [
+        ("mc-info", []), ("mc-gauss", []), ("mc-gauss", ["--output", os.devnull]),
+    ], ids=["info", "gauss", "gauss-samples-csv"])
+    def test_peak_grows_by_bytes_per_trial(self, capsys, command, output):
+        # the fidelity column and np.var's temporary, 16 bytes per trial; the
+        # estimate block, the summary's and the renderer's scratch do not grow
+        # with the trial count, so between two counts where the columns
+        # dominate the traced peak grows by BYTES_PER_TRIAL per trial
+        assert measurement.BYTES_PER_TRIAL == 16
+        argv = [command, "--sources=2", "--copies=2", "--seed=3", *output]
+        main([*argv, "--trials=1000"])  # the parser and the renderer's tables
+        counts = (400_000, 1_600_000)
+        runs = [[*argv, f"--trials={trials}"] for trials in counts]
+        peaks = []
+        for run in runs:
+            capsys.readouterr()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert main(run) in (EXIT_OK, EXIT_GATE)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        slope = (peaks[1] - peaks[0]) / (counts[1] - counts[0])
+        assert measurement.BYTES_PER_TRIAL / 2 < slope <= measurement.BYTES_PER_TRIAL
+
+
 class TestPinnedOracle:
     """Literal ``fock-verify`` JSON for one, two and three targets, and the
     sha256 of one amplitude dump: any change to the generator, the order in
@@ -983,10 +1082,10 @@ class TestTable:
 
 class TestUnwritableOutput:
     def test_samples_csv_fails_before_any_trial(self, capsys, tmp_path, monkeypatch):
-        def no_trials(run):
+        def no_trials(run, fidelity):
             raise AssertionError("trials were drawn before the output was opened")
 
-        monkeypatch.setattr(measurement, "run_trials", no_trials)
+        monkeypatch.setattr(measurement, "trial_blocks", no_trials)
         code, out, err = run_cli(
             capsys, "mc-info", "--sources", "1", "--copies", "2", "--trials", "1000000",
             "--output", str(tmp_path),
@@ -1026,6 +1125,23 @@ class TestUnwritableOutput:
         code, _, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE
         assert err == "error: cannot write '/dev/full': No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ("pdf", "--scheme", "info", "--sources", "1"),
+        ("table",),
+        ("mc-info", "--sources", "1", "--copies", "2", "--trials", "100"),
+    ], ids=["pdf", "table", "mc-info"])
+    def test_failed_stdout_write_is_usage_error(self, argv):
+        # a process of its own, so that what stdout still buffers meets the
+        # flush at interpreter exit; a small table fails only at its flush
+        src = Path(cli.__file__).resolve().parents[1]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "infoclone.cli", *argv], stdout=full,
+                                  stderr=subprocess.PIPE, text=True, timeout=120,
+                                  env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == "error: cannot write standard output: No space left on device\n"
 
 
 class TestParser:

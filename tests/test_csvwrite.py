@@ -15,9 +15,9 @@ from infoclone.phase_space import CloneNetworkConfig, CoherentParams
 
 
 def rendered(columns) -> list[list[str]]:
-    """The fields of every row ``write_csv`` writes for ``columns``."""
+    """The fields of every row ``write_csv`` writes for one block of ``columns``."""
     buffer = io.StringIO()
-    _csvwrite.write_csv(buffer, "h", columns)
+    _csvwrite.write_csv(buffer, "h", [columns])
     text = buffer.getvalue()
     assert text.startswith("h\n") and text.endswith("\n")
     return [line.split(",") for line in text[2:-1].split("\n")] if text != "h\n" else []

@@ -11,6 +11,7 @@ from infoclone.gaussian_cloner import (
     gauss_quadrature_sd,
     overlap_fidelity_gaussian,
 )
+from infoclone import measurement
 from infoclone.measurement import (
     GAUSS_SCHEME,
     INFO_SCHEME,
@@ -24,7 +25,6 @@ from infoclone.measurement import (
     ks_statistic,
     mean_fidelity,
     run_trials,
-    _run_trials,
     summarize,
 )
 from ks_helpers import ks_critical_1e6
@@ -144,14 +144,17 @@ class TestGaussTrials:
         statistic = ks_statistic(values**exponent, lambda f: f)
         assert statistic < ks_critical_1e6(run.trials)
 
-    def test_noise_model_sets_the_exponent(self):
+    def test_noise_model_sets_the_exponent(self, monkeypatch):
         # the single-copy marginal (A+2)/(2A) gives F**(2c); the driver's
         # per-measurement variance (A+2)/A gives the paper's F**c
         run = FidelityRun(0.5, 1, 2, 50_000, seed=79, scheme=GAUSS_SCHEME)
         amp = float(amplification_fraction(1, 2))
         c = float(gauss_exponent_fraction(1, 2))
         critical = ks_critical(run.trials)
-        marginal = _run_trials(run, 1.0, math.sqrt((amp + 2.0) / (2.0 * amp))).fidelity
+        with monkeypatch.context() as patch:
+            patch.setattr(measurement, "gauss_quadrature_sd",
+                          lambda sources, copies: math.sqrt((amp + 2.0) / (2.0 * amp)))
+            marginal = run_trials(run).fidelity
         assert ks_statistic(marginal, lambda f: f ** (2.0 * c)) < critical
         assert ks_statistic(marginal, fidelity_cdf(gauss_exponent_fraction(1, 2))) > critical
         driver = run_trials(run).fidelity

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +12,6 @@ from scipy.stats import kstwobign
 from infoclone import measurement
 from infoclone.fock_oracle import coherent_state_vector, overlap
 from infoclone.measurement import (
-    BYTES_PER_TRIAL,
     GAUSS_SCHEME,
     INFO_SCHEME,
     KS_5PCT,
@@ -483,29 +481,6 @@ class TestSummaries:
         assert ks_critical_two_sample(count, 7) == float(
             quantile * math.sqrt((count + 7) / (count * 7))
         )
-
-
-class TestMemory:
-    @pytest.mark.parametrize("scheme", [INFO_SCHEME, GAUSS_SCHEME])
-    def test_run_and_summary_peak_within_bytes_per_trial(self, scheme):
-        # the two result columns and one column of scratch, 32 bytes per
-        # trial; the 1 MiB allowance covers the per-batch and per-chunk
-        # arrays, which do not grow with the trial count
-        assert BYTES_PER_TRIAL == 32
-        run = FidelityRun(0.7 - 0.2j, sources=2, copies=2, trials=100_000, seed=3,
-                          scheme=scheme)
-        reference = law_cdf(scheme, 2, 2)
-        run_trials(run)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            # the columns stay alive through the summary, as in the CLI
-            samples = run_trials(run)
-            summarize(samples.fidelity, reference)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= BYTES_PER_TRIAL * run.trials + 2**20
 
 
 class TestGateCalibration:
