@@ -47,9 +47,7 @@ import math
 
 import numpy as np
 
-# Rows per chunk: a few MiB of scratch whatever the column length.  The Monte
-# Carlo draws its trials in blocks of one chunk, so this must stay a multiple
-# of measurement.TRIAL_BATCH.
+# Rows per chunk: a few MiB of scratch whatever the column length.
 CHUNK_ROWS = 16384
 
 _U64 = np.uint64

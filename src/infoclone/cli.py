@@ -145,6 +145,18 @@ def _resolve_output(path: str | None) -> str | None:
     return path
 
 
+def _discard_stdout():
+    """Point file descriptor 1 at the null device, so that the bytes a failed
+    write left in stdout's buffer meet a flush at interpreter exit that
+    succeeds; otherwise that flush fails again and the exit status is 120."""
+    with suppress(OSError):  # io.UnsupportedOperation: a stdout with no descriptor
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(null, sys.stdout.fileno())
+        finally:
+            os.close(null)
+
+
 @contextmanager
 def _open_output(path: str | None):
     """The file at ``path`` for writing, or stdout for None; a path that
@@ -159,6 +171,7 @@ def _open_output(path: str | None):
             yield sys.stdout
             sys.stdout.flush()
         except OSError as exc:
+            _discard_stdout()
             raise ValueError(f"cannot write standard output: {exc.strerror or exc}") from None
         return
     try:
@@ -344,7 +357,9 @@ def _run_mc(args) -> int:
                 _csvwrite.write_csv(csv_out, "trial,re_est,im_est,F", (
                     [range(start, start + scores.size), estimates.real, estimates.imag, scores]
                     for start, estimates, scores in blocks))
-            summary = measurement.summarize(fidelity, measurement.fidelity_cdf(exponent))
+            # the column is not needed after the summary, which sorts it in place
+            summary = measurement._summarize_sorting(fidelity,
+                                                     measurement.fidelity_cdf(exponent))
         except MemoryError:
             raise ValueError(
                 f"--trials {run.trials} needs {run.trials * measurement.BYTES_PER_TRIAL} bytes "

@@ -15,26 +15,28 @@ whatever the number of copies, and the copier's
 c = M^2 N^2 / (2(MN + 2N - 2)) from ``gaussian_cloner`` for the Gaussian
 scheme.
 
-One driver, :func:`trial_blocks`, runs either scheme, ``CHUNK_ROWS`` trials
-at a time.  It scores each block of estimates into the caller's fidelity
-column and yields the block, so a caller that writes the estimates as they
-come (the CLI's samples CSV) never holds them all.  :func:`run_trials` collects
-its blocks into columns (:class:`FidelitySamples`): a complex array of
-estimates and a float array of fidelities, 24 bytes per trial.  The summary
-takes the mean, variance and histogram from the unsorted fidelity column and
-then sorts that column in place for the exact KS distance.  The CLI keeps
-only the fidelity column, so a run and its summary peak at
-``BYTES_PER_TRIAL`` = 16 bytes per trial: the column and the one temporary
-of ``np.var``.  The rest of their scratch does not grow with the trial
-count.
+One driver, :func:`trial_blocks`, runs either scheme, ``BLOCK_TRIALS``
+trials at a time.  It scores each block of estimates into the caller's
+fidelity column and yields the block, so a caller that writes the estimates
+as they come (the CLI's samples CSV) never holds them all.
+:func:`run_trials` collects its blocks into columns
+(:class:`FidelitySamples`): a complex array of estimates and a float array
+of fidelities, 24 bytes per trial.  The summary takes the mean, variance and
+histogram from the fidelity column in the drawn order, and then the exact
+KS distance from that column sorted.
+:func:`summarize` sorts a copy; the CLI keeps only the fidelity column and
+hands it to :func:`_summarize_sorting`, which sorts it in place.  So a CLI
+run and its summary peak at ``BYTES_PER_TRIAL`` = 16 bytes per trial: the
+column and the one temporary of ``np.var``.  The rest of their scratch does
+not grow with the trial count.
 
 Determinism contract (stream version 3): trials are partitioned into fixed
 batches of ``TRIAL_BATCH`` with independent counter-based streams keyed by
 (seed, batch index); within a batch the position means are drawn before the
-momentum means.  A block of ``CHUNK_ROWS`` trials holds whole batches, so
-the blocks do not change the stream.  Results are bit-identical for a given
-seed, and the first T results of a run are those of a T-trial run whenever
-T is a multiple of ``TRIAL_BATCH``.
+momentum means.  A block of ``BLOCK_TRIALS`` trials holds whole batches,
+so the blocks do not change the stream.  Results are bit-identical for a
+given seed, and the first T results of a run are those of a T-trial run
+whenever T is a multiple of ``TRIAL_BATCH``.
 """
 
 from __future__ import annotations
@@ -46,14 +48,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._csvwrite import CHUNK_ROWS
 from .gaussian_cloner import _positive_int, gauss_exponent_fraction, gauss_quadrature_sd
 
 __all__ = [
     "INFO_SCHEME",
     "GAUSS_SCHEME",
     "TRIAL_BATCH",
-    "CHUNK_ROWS",
+    "BLOCK_TRIALS",
     "BYTES_PER_TRIAL",
     "HISTOGRAM_BINS",
     "QUADRATURE_SD",
@@ -80,8 +81,13 @@ __all__ = [
 INFO_SCHEME = "info_cloning"
 GAUSS_SCHEME = "gaussian"
 TRIAL_BATCH = 4096
-# Peak memory per trial of the CLI's trial_blocks followed by summarize: the
-# 8-byte fidelity column and np.var's 8-byte temporary.  The sort is in place.
+# Trials per block of trial_blocks, whole batches: the CSV writer's chunk, so
+# the CLI writes each block's rows at once.  Yielding each batch instead made
+# a million-trial samples CSV about 15% slower.
+BLOCK_TRIALS = 4 * TRIAL_BATCH
+# Peak memory per trial of the CLI's trial_blocks followed by
+# _summarize_sorting: the 8-byte fidelity column and np.var's 8-byte
+# temporary.  The sort is in place.
 BYTES_PER_TRIAL = 16
 HISTOGRAM_BINS = 50  # uniform bins on [0, 1]; the summary JSON schema fixes 50
 QUADRATURE_SD = math.sqrt(0.5)
@@ -196,7 +202,7 @@ def measurement_fidelity(alpha_true: complex, alpha_est):
 
 
 def trial_blocks(run: FidelityRun, fidelity: np.ndarray):
-    """Draw the trials of ``run`` ``CHUNK_ROWS`` at a time, scoring them into
+    """Draw the trials of ``run`` ``BLOCK_TRIALS`` at a time, scoring them into
     ``fidelity``, a float64 array of ``run.trials`` values.
 
     Yields ``(start, estimates, scores)`` per block: the block's complex
@@ -227,9 +233,9 @@ def trial_blocks(run: FidelityRun, fidelity: np.ndarray):
     mean_y, mean_z = _SQRT2 * clone.real, _SQRT2 * clone.imag
     mean_sd = sd / math.sqrt(run.measurements_per_quadrature)
     factor = clone_scale / _SQRT2
-    buffer = np.empty(min(CHUNK_ROWS, run.trials), dtype=complex)
-    for start in range(0, run.trials, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, run.trials)
+    buffer = np.empty(min(BLOCK_TRIALS, run.trials), dtype=complex)
+    for start in range(0, run.trials, BLOCK_TRIALS):
+        stop = min(start + BLOCK_TRIALS, run.trials)
         block = buffer[: stop - start]
         for offset in range(0, block.size, TRIAL_BATCH):
             batch = block[offset : offset + TRIAL_BATCH]
@@ -298,15 +304,16 @@ def mean_fidelity(exponent: Fraction) -> Fraction:
 def ks_statistic(values, reference_cdf) -> float:
     """One-sample Kolmogorov-Smirnov distance of ``values`` against a CDF callable.
 
-    Sorts its argument: a float64 array is sorted in place, so the scratch
-    does not grow with n; pass a copy to keep the order.  The largest gap
-    between the empirical steps k/n and ``reference_cdf`` is then scanned
-    ``TRIAL_BATCH`` values at a time.  Each gap is the same elementwise
-    expression as over the whole array, so the maximum is exactly that of
-    the one-shot scan.
+    Scans a sorted copy of ``values`` and leaves them as they are.
     """
-    values = np.asarray(values, dtype=float)
-    values.sort()
+    return _ks_sorted(np.sort(values), reference_cdf)
+
+
+def _ks_sorted(values: np.ndarray, reference_cdf) -> float:
+    """KS distance of sorted ``values``: the largest gap between the
+    empirical steps k/n and ``reference_cdf``, scanned ``TRIAL_BATCH``
+    values at a time.  Each gap is the same elementwise expression as over
+    the whole array, so the maximum is exactly that of the one-shot scan."""
     n = values.size
     if n < 1:
         raise ValueError("need at least one sample")
@@ -328,25 +335,31 @@ def summarize(values, reference_cdf) -> DistributionSummary:
     """Mean/variance/histogram of fidelity values plus the KS distance.
 
     The histogram uses uniform bins on [0, 1]; counts always sum to the
-    sample count since fidelities live in (0, 1].  Mean, variance and the
-    histogram are taken first, from the values in the given order, and then
-    :func:`ks_statistic` sorts them: like it, this sorts a float64 array
-    argument in place, so pass a copy to keep the order.  The peak scratch
-    is the one temporary of ``np.var``, 8 bytes per value.
+    sample count since fidelities live in (0, 1].  The values are left as
+    they are: :func:`ks_statistic` sorts a copy, made after ``np.var`` has
+    freed its temporary, so the peak scratch is 8 bytes per value.
     """
     values = np.asarray(values, dtype=float)
+    return DistributionSummary(*_moments(values), ks_statistic(values, reference_cdf))
+
+
+def _summarize_sorting(fidelity: np.ndarray, reference_cdf) -> DistributionSummary:
+    """:func:`summarize` of a float64 column that the caller gives up: the
+    column is sorted in place for the KS scan, so no sorted copy is made."""
+    moments = _moments(fidelity)
+    fidelity.sort()
+    return DistributionSummary(*moments, _ks_sorted(fidelity, reference_cdf))
+
+
+def _moments(values: np.ndarray):
+    """Mean, variance, bin edges and histogram counts of ``values`` in their
+    given order, whose peak scratch is the one temporary of ``np.var``."""
     if values.size < 2:
         raise ValueError("need at least two samples")
     mean, variance = float(values.mean()), float(values.var())
     edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
     counts, _ = np.histogram(values, bins=edges)
-    return DistributionSummary(
-        mean=mean,
-        variance=variance,
-        bin_edges=edges,
-        counts=counts,
-        ks_statistic=ks_statistic(values, reference_cdf),
-    )
+    return mean, variance, edges, counts
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from infoclone import _csvwrite, cli, fock_oracle, measurement, phase_space
 from infoclone.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, SCHEMA_VERSION, main
 from infoclone.measurement import (
-    CHUNK_ROWS,
+    BLOCK_TRIALS,
     GAUSS_SCHEME,
     INFO_SCHEME,
     TRIAL_BATCH,
@@ -793,25 +793,22 @@ class TestPinnedRun:
 
 
 class TestStreamedRun:
-    """The Monte Carlo commands draw a run one block of ``CHUNK_ROWS`` trials
-    at a time and write each block's rows before the next is drawn.  Their
-    samples CSV and summary must be, bit for bit, those of the whole run's
-    columns."""
-
-    def test_blocks_hold_whole_batches(self):
-        assert CHUNK_ROWS == _csvwrite.CHUNK_ROWS == 4 * TRIAL_BATCH
+    """The Monte Carlo commands draw a run one block of ``BLOCK_TRIALS``
+    trials at a time and write each block's rows before the next is drawn.
+    Their samples CSV and summary must be, bit for bit, those of the whole
+    run's columns."""
 
     @settings(max_examples=12, deadline=None)
     @given(
-        trials=st.integers(2, 5 * CHUNK_ROWS + 7),
+        trials=st.integers(2, 5 * BLOCK_TRIALS + 7),
         seed=st.integers(0, 2**64 - 1),
         command=st.sampled_from(["mc-info", "mc-gauss"]),
     )
     @example(trials=2, seed=0, command="mc-info")
-    @example(trials=CHUNK_ROWS, seed=1, command="mc-gauss")
-    @example(trials=CHUNK_ROWS + 1, seed=2, command="mc-info")
-    @example(trials=2 * CHUNK_ROWS + TRIAL_BATCH + 3, seed=3, command="mc-gauss")
-    @example(trials=5 * CHUNK_ROWS + 7, seed=4, command="mc-info")
+    @example(trials=BLOCK_TRIALS, seed=1, command="mc-gauss")
+    @example(trials=BLOCK_TRIALS + 1, seed=2, command="mc-info")
+    @example(trials=2 * BLOCK_TRIALS + TRIAL_BATCH + 3, seed=3, command="mc-gauss")
+    @example(trials=5 * BLOCK_TRIALS + 7, seed=4, command="mc-info")
     def test_csv_and_summary_are_those_of_the_whole_run(self, trials, seed, command):
         scheme = INFO_SCHEME if command == "mc-info" else GAUSS_SCHEME
         stdout = io.StringIO()
@@ -829,14 +826,14 @@ class TestStreamedRun:
         _csvwrite.write_csv(expected, "trial,re_est,im_est,F", [[
             range(trials), samples.estimates.real, samples.estimates.imag, samples.fidelity]])
         assert written == expected.getvalue().encode()
-        summary = summarize(samples.fidelity.copy(),
-                            fidelity_cdf(fidelity_exponent(scheme, 2, 2)))
+        summary = summarize(samples.fidelity, fidelity_cdf(fidelity_exponent(scheme, 2, 2)))
         payload = json.loads(stdout.getvalue())
         assert (payload["mean"], payload["variance"], payload["ks_statistic"]) == (
             summary.mean, summary.variance, summary.ks_statistic)
         assert payload["histogram"]["counts"] == summary.counts.tolist()
 
-        # the first whole batches of a run are the shorter run
+        # the first whole batches of a run are the shorter run; summarize
+        # left the fidelity column in trial order
         batches = trials - trials % TRIAL_BATCH
         if batches:
             short = run_trials(FidelityRun(0.3 - 1.1j, 2, 2, batches, seed=seed, scheme=scheme))
@@ -1132,14 +1129,19 @@ class TestUnwritableOutput:
         ("table",),
         ("mc-info", "--sources", "1", "--copies", "2", "--trials", "100"),
     ], ids=["pdf", "table", "mc-info"])
-    def test_failed_stdout_write_is_usage_error(self, argv):
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_failed_stdout_write_is_usage_error(self, argv, unbuffered):
         # a process of its own, so that what stdout still buffers meets the
-        # flush at interpreter exit; a small table fails only at its flush
+        # flush at interpreter exit, which must not fail again (exit 120); a
+        # small table fails only at its flush
         src = Path(cli.__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         with open("/dev/full", "w") as full:
             proc = subprocess.run([sys.executable, "-m", "infoclone.cli", *argv], stdout=full,
                                   stderr=subprocess.PIPE, text=True, timeout=120,
-                                  env={**os.environ, "PYTHONPATH": str(src)})
+                                  env={**env, "PYTHONPATH": str(src)})
         assert proc.returncode == EXIT_USAGE
         assert proc.stderr == "error: cannot write standard output: No space left on device\n"
 

@@ -427,6 +427,28 @@ class TestSummaries:
         with pytest.raises(ValueError):
             summarize([0.5], law_cdf(INFO_SCHEME, 1))
 
+    def test_leaves_values_as_given(self):
+        values = trial_rng(6, 0).random(3 * TRIAL_BATCH + 5)
+        values.flags.writeable = False
+        before = values.copy()
+        reference = law_cdf(INFO_SCHEME, 2)
+        summarize(values, reference)
+        ks_statistic(values, reference)
+        assert np.array_equal(values, before)
+
+    def test_sorting_summary_is_the_summary(self):
+        # the CLI's summary of a column it gives up: the same bits, no copy
+        values = trial_rng(7, 0).random(3 * TRIAL_BATCH + 5)
+        reference = law_cdf(INFO_SCHEME, 2)
+        expected = summarize(values, reference)
+        column = values.copy()
+        got = measurement._summarize_sorting(column, reference)
+        assert (got.mean, got.variance, got.ks_statistic) == (
+            expected.mean, expected.variance, expected.ks_statistic)
+        assert np.array_equal(got.counts, expected.counts)
+        assert np.array_equal(got.bin_edges, expected.bin_edges)
+        assert np.array_equal(column, np.sort(values))
+
     @settings(max_examples=20, deadline=None)
     @given(
         n=st.integers(1, 5 * TRIAL_BATCH),
