@@ -38,8 +38,10 @@ removes an output file it created, never a path that existed before.  The
 Monte Carlo commands check the whole run, the scheme's law included, before
 they open their samples CSV, and open it before drawing any trial.  They
 write each block of rows as soon as it is drawn and keep only the fidelity
-column for the summary.  A ``--trials`` count whose column and summary
-scratch cannot be allocated exits 2 with the bytes it needs; any other
+column for the summary.  A ``--trials`` count whose column, 8 bytes per
+trial, would need more than 2**30 bytes (more than 134,217,728 trials)
+exits 2 before anything is opened or allocated, and so does one whose
+column cannot be allocated; both name the bytes.  Any other
 allocation failure (``pdf --grid 1000000000000000``, say) exits 2 with
 numpy's message.  The parser is built once per process, on first use.
 
@@ -83,9 +85,12 @@ DEFAULT_TABLE_CASES = "1,2;1,4;2,2;2,4"
 PDF_SCHEMES = {"info": measurement.INFO_SCHEME, "gauss": measurement.GAUSS_SCHEME}
 # Bytes per entry of the (n+1)x(n+1) transfer matrix, its output included: above
 # the tracemalloc peaks at n = 100 and 300 (JSON 204-345, CSV 168-171, text
-# 58-77).  The limit admits up to n = 1,637 targets.
+# 58-77).
 TRANSFER_BYTES_PER_ENTRY = 400
-TRANSFER_BYTE_LIMIT = 2**30
+# The most bytes a command may ask for, counted from its arguments before it
+# allocates: up to n = 1,637 transfer targets, or 134,217,728 Monte Carlo
+# trials at measurement.BYTES_PER_TRIAL.
+BYTE_LIMIT = 2**30
 
 
 def _parse_complex(text: str) -> complex:
@@ -229,10 +234,10 @@ def cmd_transfer(args) -> int:
     else:
         flag, targets = "--r", len(args.r or ())
     needed = (targets + 1) ** 2 * TRANSFER_BYTES_PER_ENTRY
-    if needed > TRANSFER_BYTE_LIMIT:
+    if needed > BYTE_LIMIT:
         raise ValueError(
             f"{flag} gives {targets} targets, whose transfer matrix and output need about "
-            f"{needed} bytes, more than the limit of {TRANSFER_BYTE_LIMIT}"
+            f"{needed} bytes, more than the limit of {BYTE_LIMIT}"
         )
     config = _network_from_args(args)
     matrix = phase_space.build_transfer(config)
@@ -344,6 +349,13 @@ def _run_mc(args) -> int:
         scheme=args.scheme,
     )
     exponent = measurement.fidelity_exponent(run.scheme, run.sources, run.copies)
+    # refuse a column too large to hold before anything is opened or allocated
+    needed = run.trials * measurement.BYTES_PER_TRIAL
+    if needed > BYTE_LIMIT:
+        raise ValueError(
+            f"--trials {run.trials} needs {needed} bytes "
+            f"({measurement.BYTES_PER_TRIAL} per trial), more than the limit of {BYTE_LIMIT}"
+        )
     # the CSV opens first, so an unwritable path fails before any trial is drawn
     with _open_output(args.output) if args.output else nullcontext() as csv_out:
         try:
@@ -362,9 +374,9 @@ def _run_mc(args) -> int:
                                                      measurement.fidelity_cdf(exponent))
         except MemoryError:
             raise ValueError(
-                f"--trials {run.trials} needs {run.trials * measurement.BYTES_PER_TRIAL} bytes "
-                f"of memory ({measurement.BYTES_PER_TRIAL} per trial: the fidelity column and "
-                "one temporary of the same size), more than could be allocated"
+                f"--trials {run.trials} needs {needed} bytes of memory "
+                f"({measurement.BYTES_PER_TRIAL} per trial: the fidelity column), "
+                "more than could be allocated"
             ) from None
     critical = measurement.ks_critical(run.trials)
     ks_pass = summary.ks_statistic < critical

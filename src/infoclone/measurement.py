@@ -21,14 +21,16 @@ fidelity column and yields the block, so a caller that writes the estimates
 as they come (the CLI's samples CSV) never holds them all.
 :func:`run_trials` collects its blocks into columns
 (:class:`FidelitySamples`): a complex array of estimates and a float array
-of fidelities, 24 bytes per trial.  The summary takes the mean, variance and
-histogram from the fidelity column in the drawn order, and then the exact
-KS distance from that column sorted.
+of fidelities, 24 bytes per trial.  The summary takes the mean and variance
+from the fidelity column in the drawn order, and then the histogram and the
+exact KS distance from that column sorted.
 :func:`summarize` sorts a copy; the CLI keeps only the fidelity column and
-hands it to :func:`_summarize_sorting`, which sorts it in place.  So a CLI
-run and its summary peak at ``BYTES_PER_TRIAL`` = 16 bytes per trial: the
-column and the one temporary of ``np.var``.  The rest of their scratch does
-not grow with the trial count.
+hands it to :func:`_summarize_sorting`, which sorts it in place.  The
+variance (:func:`_variance`) replays numpy's pairwise summation one leaf at
+a time in a scratch of ``BLOCK_TRIALS`` values, so it equals ``np.var`` bit
+for bit without ``np.var``'s temporary of the column's size.  So a CLI run
+and its summary peak at ``BYTES_PER_TRIAL`` = 8 bytes per trial: the column
+alone.  The rest of their scratch does not grow with the trial count.
 
 Determinism contract (stream version 3): trials are partitioned into fixed
 batches of ``TRIAL_BATCH`` with independent counter-based streams keyed by
@@ -86,9 +88,9 @@ TRIAL_BATCH = 4096
 # a million-trial samples CSV about 15% slower.
 BLOCK_TRIALS = 4 * TRIAL_BATCH
 # Peak memory per trial of the CLI's trial_blocks followed by
-# _summarize_sorting: the 8-byte fidelity column and np.var's 8-byte
-# temporary.  The sort is in place.
-BYTES_PER_TRIAL = 16
+# _summarize_sorting: the 8-byte fidelity column.  The variance's scratch is
+# one block and the sort is in place.
+BYTES_PER_TRIAL = 8
 HISTOGRAM_BINS = 50  # uniform bins on [0, 1]; the summary JSON schema fixes 50
 QUADRATURE_SD = math.sqrt(0.5)
 _SQRT2 = math.sqrt(2.0)
@@ -336,30 +338,70 @@ def summarize(values, reference_cdf) -> DistributionSummary:
 
     The histogram uses uniform bins on [0, 1]; counts always sum to the
     sample count since fidelities live in (0, 1].  The values are left as
-    they are: :func:`ks_statistic` sorts a copy, made after ``np.var`` has
-    freed its temporary, so the peak scratch is 8 bytes per value.
+    they are: the histogram and the KS scan read a sorted copy, the only
+    scratch of 8 bytes per value.
     """
     values = np.asarray(values, dtype=float)
-    return DistributionSummary(*_moments(values), ks_statistic(values, reference_cdf))
+    return _summary(*_moments(values), np.sort(values), reference_cdf)
 
 
 def _summarize_sorting(fidelity: np.ndarray, reference_cdf) -> DistributionSummary:
     """:func:`summarize` of a float64 column that the caller gives up: the
-    column is sorted in place for the KS scan, so no sorted copy is made."""
+    column is sorted in place for the histogram and the KS scan, so no
+    sorted copy is made."""
     moments = _moments(fidelity)
     fidelity.sort()
-    return DistributionSummary(*moments, _ks_sorted(fidelity, reference_cdf))
+    return _summary(*moments, fidelity, reference_cdf)
 
 
 def _moments(values: np.ndarray):
-    """Mean, variance, bin edges and histogram counts of ``values`` in their
-    given order, whose peak scratch is the one temporary of ``np.var``."""
+    """Mean and variance of ``values`` in their given order; the variance's
+    scratch is one block (:func:`_variance`)."""
     if values.size < 2:
         raise ValueError("need at least two samples")
-    mean, variance = float(values.mean()), float(values.var())
+    return float(values.mean()), _variance(values)
+
+
+def _variance(values: np.ndarray) -> float:
+    """``values.var()`` bit for bit, without its temporary (x - mean)**2 of
+    the size of ``values``."""
+    mean = np.add.reduce(values, keepdims=True) / values.size
+    scratch = np.empty(min(values.size, BLOCK_TRIALS))
+    return float(_squares_sum(values, mean, scratch) / values.size)
+
+
+def _squares_sum(values: np.ndarray, mean: np.ndarray, scratch: np.ndarray):
+    """numpy's pairwise sum of (values - mean)**2, squared a leaf at a time.
+
+    numpy sums a contiguous float64 array pairwise, on a split tree that
+    depends only on the length: a node of n > 8 values splits at n2 = n // 2
+    rounded down to a multiple of 8.  This walks the same tree from the root
+    and squares each node of at most ``BLOCK_TRIALS`` values into
+    ``scratch``, whose sum is numpy's sum of that subtree.  ``initial=0.0``
+    pins each leaf's sum to start from zero, as ``np.var``'s does.
+    """
+    if values.size <= BLOCK_TRIALS:
+        leaf = scratch[: values.size]
+        np.subtract(values, mean, out=leaf)
+        np.multiply(leaf, leaf, out=leaf)
+        return np.add.reduce(leaf, initial=0.0)
+    half = values.size // 2
+    half -= half % 8
+    return _squares_sum(values[:half], mean, scratch) + _squares_sum(values[half:], mean, scratch)
+
+
+def _summary(mean, variance, ordered: np.ndarray, reference_cdf) -> DistributionSummary:
+    """The summary of sorted ``ordered`` with its mean and variance.
+
+    The counts are ``np.histogram``'s with the edges as bins, which sorts
+    the values block by block and counts with ``searchsorted``: left-closed
+    bins, the last one closed on both sides.
+    """
     edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
-    counts, _ = np.histogram(values, bins=edges)
-    return mean, variance, edges, counts
+    below = np.concatenate((ordered.searchsorted(edges[:-1], "left"),
+                            ordered.searchsorted(edges[-1:], "right")))
+    return DistributionSummary(mean, variance, edges, np.diff(below),
+                               _ks_sorted(ordered, reference_cdf))
 
 
 @dataclass(frozen=True)

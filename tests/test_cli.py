@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -656,6 +657,37 @@ class TestMonteCarlo:
         assert "Traceback" not in err
         assert not path.exists()
 
+    def test_oversized_trials_is_refused_before_any_allocation(self, capsys, monkeypatch):
+        # one trial past the limit is refused from the count alone: no trial
+        # is drawn and no column is allocated
+        def no_trials(run, fidelity):
+            raise AssertionError("trials were drawn past the byte limit")
+
+        def no_column(*args, **kwargs):
+            raise AssertionError("the fidelity column was allocated past the byte limit")
+
+        monkeypatch.setattr(measurement, "trial_blocks", no_trials)
+        monkeypatch.setattr(cli.np, "empty", no_column)
+        trials = cli.BYTE_LIMIT // measurement.BYTES_PER_TRIAL + 1
+        code, out, err = run_cli(
+            capsys, "mc-gauss", "--sources", "2", "--copies", "2", f"--trials={trials}")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"--trials {trials} needs {trials * measurement.BYTES_PER_TRIAL} bytes" in err
+        assert f"limit of {cli.BYTE_LIMIT}" in err
+
+    def test_trials_at_the_byte_limit_run(self, capsys, monkeypatch):
+        # the limit is inclusive: at a limit of 1000 trials, 1000 run and 1001 do not
+        monkeypatch.setattr(cli, "BYTE_LIMIT", 1000 * measurement.BYTES_PER_TRIAL)
+        argv = ["mc-info", "--sources", "1", "--copies", "2", "--seed", "4"]
+        code, out, _ = run_cli(capsys, *argv, "--trials", "1000")
+        assert code in (EXIT_OK, EXIT_GATE)
+        assert json.loads(out)["trials"] == 1000
+        code, out, err = run_cli(capsys, *argv, "--trials", "1001")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--trials 1001" in err
+
     @pytest.mark.parametrize("kind", ["file", "symlink", "fifo"])
     def test_failed_run_leaves_an_existing_output_path(self, capsys, tmp_path, kind):
         # only a file the command created is removed when it fails; a path
@@ -842,15 +874,20 @@ class TestStreamedRun:
 
 
 class TestMemory:
+    FIXED_BYTES = 16_384
+
     @pytest.mark.parametrize("command,output", [
         ("mc-info", []), ("mc-gauss", []), ("mc-gauss", ["--output", os.devnull]),
     ], ids=["info", "gauss", "gauss-samples-csv"])
     def test_peak_grows_by_bytes_per_trial(self, capsys, command, output):
-        # the fidelity column and np.var's temporary, 16 bytes per trial; the
-        # estimate block, the summary's and the renderer's scratch do not grow
-        # with the trial count, so between two counts where the columns
-        # dominate the traced peak grows by BYTES_PER_TRIAL per trial
-        assert measurement.BYTES_PER_TRIAL == 16
+        # the fidelity column, 8 bytes per trial; the estimate block, the
+        # variance's, the summary's and the renderer's scratch do not grow
+        # with the trial count, so between two counts where the column
+        # dominates the traced peak grows by BYTES_PER_TRIAL per trial.  The
+        # two peaks also differ by bytes that do not scale with the count:
+        # the samples CSV's varied by up to 4.4 KB between repeats of the
+        # same two runs.  FIXED_BYTES allows that once in total, not per trial
+        assert measurement.BYTES_PER_TRIAL == 8
         argv = [command, "--sources=2", "--copies=2", "--seed=3", *output]
         main([*argv, "--trials=1000"])  # the parser and the renderer's tables
         counts = (400_000, 1_600_000)
@@ -866,7 +903,24 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
         slope = (peaks[1] - peaks[0]) / (counts[1] - counts[0])
-        assert measurement.BYTES_PER_TRIAL / 2 < slope <= measurement.BYTES_PER_TRIAL
+        fixed = self.FIXED_BYTES / (counts[1] - counts[0])
+        assert measurement.BYTES_PER_TRIAL / 2 < slope <= measurement.BYTES_PER_TRIAL + fixed
+
+    def test_column_is_freed_on_return(self, capsys):
+        # by reference counting: a column held in a reference cycle would stay
+        # until the collector ran, and add to the next command's peak
+        argv = ["mc-info", "--sources=2", "--copies=2", "--seed=3"]
+        main([*argv, "--trials=1000"])
+        gc.disable()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main([*argv, "--trials=400000"]) in (EXIT_OK, EXIT_GATE)
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert kept < 400_000 * measurement.BYTES_PER_TRIAL / 8
 
 
 class TestPinnedOracle:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,9 @@ from scipy.stats import kstwobign
 from infoclone import measurement
 from infoclone.fock_oracle import coherent_state_vector, overlap
 from infoclone.measurement import (
+    BLOCK_TRIALS,
     GAUSS_SCHEME,
+    HISTOGRAM_BINS,
     INFO_SCHEME,
     KS_5PCT,
     QUADRATURE_SD,
@@ -468,6 +471,24 @@ class TestSummaries:
         if n >= 2:
             assert summarize(values, reference).ks_statistic == one_shot_ks(values, reference)
 
+    def test_summarize_scratch_is_its_sorted_copy(self):
+        # 8 bytes per value for the sorted copy; the variance, the histogram
+        # and the KS scan use scratch that does not grow with the count
+        counts, peaks = (200_000, 800_000), []
+        reference = law_cdf(INFO_SCHEME, 2)
+        for n in counts:
+            values = trial_rng(11, 0).random(n)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                summarize(values, reference)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        # 64 bytes in total, not per value, for what else differs between the runs
+        slope = (peaks[1] - peaks[0]) / (counts[1] - counts[0])
+        assert 4 < slope <= 8 + 64 / (counts[1] - counts[0])
+
     def test_ks_calibration(self):
         # samples drawn from the reference pass the 5% gate ~95% of the time
         rng = trial_rng(9, 0)
@@ -503,6 +524,62 @@ class TestSummaries:
         assert ks_critical_two_sample(count, 7) == float(
             quantile * math.sqrt((count + 7) / (count * 7))
         )
+
+
+def _sample(kind: str, n: int, seed: int) -> np.ndarray:
+    rng = trial_rng(seed, 0)
+    if kind == "uniform":
+        return rng.random(n)
+    if kind == "law":  # F**c with c = 3: the CDF's inverse of uniforms
+        return rng.random(n) ** (1.0 / 3.0)
+    if kind == "constant":
+        return np.full(n, rng.random())
+    return np.exp(rng.normal(0.0, 40.0, n))  # spread over about 230 binades
+
+
+# sizes on both sides of the leaf of BLOCK_TRIALS values, and sizes whose
+# n // 2 is not a multiple of 8, where numpy's split of a node moves down
+_SPLIT_SIZES = [BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1, 2 * BLOCK_TRIALS + 6,
+                2 * BLOCK_TRIALS + 17, 4 * BLOCK_TRIALS + 2, 100_003, 299_999]
+
+
+class TestVariance:
+    """``_variance`` replays numpy's pairwise summation; if a numpy release
+    changes that tree, these tests fail rather than the pinned bytes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.one_of(st.integers(2, 300_000), st.integers(2, 3 * BLOCK_TRIALS),
+                    st.sampled_from(_SPLIT_SIZES)),
+        kind=st.sampled_from(["uniform", "law", "constant", "binades"]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(n=2, kind="uniform", seed=0)
+    @example(n=2 * BLOCK_TRIALS + 6, kind="uniform", seed=0)
+    @example(n=100_003, kind="binades", seed=1)
+    @example(n=299_999, kind="law", seed=2)
+    def test_variance_is_np_var_bitwise(self, n, kind, seed):
+        values = _sample(kind, n, seed)
+        assert measurement._variance(values) == values.var()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.one_of(st.integers(2, 3 * BLOCK_TRIALS), st.sampled_from(_SPLIT_SIZES)),
+        kind=st.sampled_from(["uniform", "law", "constant"]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(n=5, kind="constant", seed=0)
+    @example(n=7000, kind="uniform", seed=50)
+    def test_sorted_counts_are_np_histogram(self, n, kind, seed):
+        values = _sample(kind, n, seed)
+        # a seventh of the values sit on one bin edge, 1.0 when seed % 51 is
+        # 50: the bins are closed on the left, and the last on both sides
+        values[: n // 7] = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)[seed % 51]
+        summary = summarize(values, law_cdf(INFO_SCHEME, 3))
+        expected, edges = np.histogram(values, bins=summary.bin_edges)
+        assert np.array_equal(summary.counts, expected)
+        assert summary.counts.dtype == expected.dtype
+        assert np.array_equal(summary.bin_edges, edges)
 
 
 class TestGateCalibration:
