@@ -40,8 +40,7 @@ they open their samples CSV, and open it before drawing any trial.  They
 write each block of rows as soon as it is drawn and keep only the fidelity
 column for the summary.  A ``--trials`` count whose column, 8 bytes per
 trial, would need more than 2**30 bytes (more than 134,217,728 trials)
-exits 2 before anything is opened or allocated, and so does one whose
-column cannot be allocated; both name the bytes.  Any other
+exits 2 before anything is opened or allocated, and names the bytes.  An
 allocation failure (``pdf --grid 1000000000000000``, say) exits 2 with
 numpy's message.  The parser is built once per process, on first use.
 
@@ -358,26 +357,18 @@ def _run_mc(args) -> int:
         )
     # the CSV opens first, so an unwritable path fails before any trial is drawn
     with _open_output(args.output) if args.output else nullcontext() as csv_out:
-        try:
-            fidelity = np.empty(run.trials)
-            blocks = measurement.trial_blocks(run, fidelity)
-            if csv_out is None:
-                for _ in blocks:
-                    pass
-            else:
-                # one row per trial, each block rendered as soon as it is drawn
-                _csvwrite.write_csv(csv_out, "trial,re_est,im_est,F", (
-                    [range(start, start + scores.size), estimates.real, estimates.imag, scores]
-                    for start, estimates, scores in blocks))
-            # the column is not needed after the summary, which sorts it in place
-            summary = measurement._summarize_sorting(fidelity,
-                                                     measurement.fidelity_cdf(exponent))
-        except MemoryError:
-            raise ValueError(
-                f"--trials {run.trials} needs {needed} bytes of memory "
-                f"({measurement.BYTES_PER_TRIAL} per trial: the fidelity column), "
-                "more than could be allocated"
-            ) from None
+        fidelity = np.empty(run.trials)
+        blocks = measurement.trial_blocks(run, fidelity)
+        if csv_out is None:
+            for _ in blocks:
+                pass
+        else:
+            # one row per trial, each block rendered as soon as it is drawn
+            _csvwrite.write_csv(csv_out, "trial,re_est,im_est,F", (
+                [range(start, start + scores.size), estimates.real, estimates.imag, scores]
+                for start, estimates, scores in blocks))
+        # the column is not needed after the summary, which sorts it in place
+        summary = measurement._summarize_sorting(fidelity, measurement.fidelity_cdf(exponent))
     critical = measurement.ks_critical(run.trials)
     ks_pass = summary.ks_statistic < critical
 

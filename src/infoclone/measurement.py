@@ -21,12 +21,11 @@ fidelity column and yields the block, so a caller that writes the estimates
 as they come (the CLI's samples CSV) never holds them all.
 :func:`run_trials` collects its blocks into columns
 (:class:`FidelitySamples`): a complex array of estimates and a float array
-of fidelities, 24 bytes per trial.  The summary takes the mean and variance
-from the fidelity column in the drawn order, and then the histogram and the
-exact KS distance from that column sorted.
-:func:`summarize` sorts a copy; the CLI keeps only the fidelity column and
-hands it to :func:`_summarize_sorting`, which sorts it in place.  The
-variance (:func:`_variance`) replays numpy's pairwise summation one leaf at
+of fidelities, 24 bytes per trial.  One function, :func:`_summarize_sorting`,
+summarizes a column: it takes the mean and variance in the drawn order, then
+sorts the column in place for the histogram and the exact KS distance.  The
+CLI hands it the fidelity column, which it needs no longer;
+:func:`summarize` hands it a copy.  The variance (:func:`_variance`) replays numpy's pairwise summation one leaf at
 a time in a scratch of ``BLOCK_TRIALS`` values, so it equals ``np.var`` bit
 for bit without ``np.var``'s temporary of the column's size.  So a CLI run
 and its summary peak at ``BYTES_PER_TRIAL`` = 8 bytes per trial: the column
@@ -338,28 +337,31 @@ def summarize(values, reference_cdf) -> DistributionSummary:
 
     The histogram uses uniform bins on [0, 1]; counts always sum to the
     sample count since fidelities live in (0, 1].  The values are left as
-    they are: the histogram and the KS scan read a sorted copy, the only
-    scratch of 8 bytes per value.
+    they are: the summary sorts a copy, the only scratch of 8 bytes per
+    value.
     """
-    values = np.asarray(values, dtype=float)
-    return _summary(*_moments(values), np.sort(values), reference_cdf)
+    return _summarize_sorting(np.array(values, dtype=float), reference_cdf)
 
 
 def _summarize_sorting(fidelity: np.ndarray, reference_cdf) -> DistributionSummary:
-    """:func:`summarize` of a float64 column that the caller gives up: the
-    column is sorted in place for the histogram and the KS scan, so no
-    sorted copy is made."""
-    moments = _moments(fidelity)
-    fidelity.sort()
-    return _summary(*moments, fidelity, reference_cdf)
+    """:func:`summarize` of a float64 column that the caller gives up.
 
-
-def _moments(values: np.ndarray):
-    """Mean and variance of ``values`` in their given order; the variance's
-    scratch is one block (:func:`_variance`)."""
-    if values.size < 2:
+    The mean and the variance (:func:`_variance`, whose scratch is one
+    block) are taken in the column's given order; then the column is sorted
+    in place, so no sorted copy is made.  The counts are ``np.histogram``'s
+    with the edges as bins, which sorts the values block by block and
+    counts with ``searchsorted``: left-closed bins, the last one closed on
+    both sides.
+    """
+    if fidelity.size < 2:
         raise ValueError("need at least two samples")
-    return float(values.mean()), _variance(values)
+    mean, variance = float(fidelity.mean()), _variance(fidelity)
+    fidelity.sort()
+    edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
+    below = np.concatenate((fidelity.searchsorted(edges[:-1], "left"),
+                            fidelity.searchsorted(edges[-1:], "right")))
+    return DistributionSummary(mean, variance, edges, np.diff(below),
+                               _ks_sorted(fidelity, reference_cdf))
 
 
 def _variance(values: np.ndarray) -> float:
@@ -388,20 +390,6 @@ def _squares_sum(values: np.ndarray, mean: np.ndarray, scratch: np.ndarray):
     half = values.size // 2
     half -= half % 8
     return _squares_sum(values[:half], mean, scratch) + _squares_sum(values[half:], mean, scratch)
-
-
-def _summary(mean, variance, ordered: np.ndarray, reference_cdf) -> DistributionSummary:
-    """The summary of sorted ``ordered`` with its mean and variance.
-
-    The counts are ``np.histogram``'s with the edges as bins, which sorts
-    the values block by block and counts with ``searchsorted``: left-closed
-    bins, the last one closed on both sides.
-    """
-    edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
-    below = np.concatenate((ordered.searchsorted(edges[:-1], "left"),
-                            ordered.searchsorted(edges[-1:], "right")))
-    return DistributionSummary(mean, variance, edges, np.diff(below),
-                               _ks_sorted(ordered, reference_cdf))
 
 
 @dataclass(frozen=True)

@@ -439,17 +439,22 @@ class TestSummaries:
         ks_statistic(values, reference)
         assert np.array_equal(values, before)
 
-    def test_sorting_summary_is_the_summary(self):
-        # the CLI's summary of a column it gives up: the same bits, no copy
-        values = trial_rng(7, 0).random(3 * TRIAL_BATCH + 5)
+    @pytest.mark.parametrize("n", [2, 3, TRIAL_BATCH - 1, TRIAL_BATCH + 1, BLOCK_TRIALS + 6,
+                                   3 * BLOCK_TRIALS + 17])
+    def test_sorting_summary_is_the_summary(self, n):
+        # the CLI's summary of a column it gives up, and summarize of a copy:
+        # numpy's mean, variance and histogram and the one-shot KS scan, bit
+        # for bit, with the column sorted in place
+        values = trial_rng(7, n).random(n)
         reference = law_cdf(INFO_SCHEME, 2)
-        expected = summarize(values, reference)
         column = values.copy()
-        got = measurement._summarize_sorting(column, reference)
-        assert (got.mean, got.variance, got.ks_statistic) == (
-            expected.mean, expected.variance, expected.ks_statistic)
-        assert np.array_equal(got.counts, expected.counts)
-        assert np.array_equal(got.bin_edges, expected.bin_edges)
+        for got in (summarize(values, reference),
+                    measurement._summarize_sorting(column, reference)):
+            assert (got.mean, got.variance, got.ks_statistic) == (
+                float(values.mean()), values.var(), one_shot_ks(values, reference))
+            expected, edges = np.histogram(values, bins=HISTOGRAM_BINS, range=(0.0, 1.0))
+            assert np.array_equal(got.counts, expected)
+            assert np.array_equal(got.bin_edges, edges)
         assert np.array_equal(column, np.sort(values))
 
     @settings(max_examples=20, deadline=None)
