@@ -14,35 +14,15 @@ Relative ``--output`` paths are resolved against the
 
 ``fock-verify --truncation d`` keeps every occupation tuple whose total
 excitation is at most d - 1 (the simplex), which the network maps into
-itself.  It exits 2 when the Poisson tail T of the input's total excitation
-exceeds max(--gate, 1e-4), since the infidelity is then the truncation loss
-2T - T**2 rather than a test of the network, and when (d - 1) times the
-rotation angle, the radius of its Chebyshev-Bessel series, exceeds 1e6
-(the series itself runs at the angle reduced modulo 2*pi).  A
-``--truncation`` below 2, a ``--budget`` below 1, or a ``--gate`` that is
-not positive and finite exits 2 before any evolution.  ``transfer`` and
-``fock-verify`` exit 2 on ``--delta`` without ``--r``, and on ``--r``
-magnitudes whose sum of squares is below the smallest normal double
-(``--r 1e-160 --time 1e160``): the network depends only on r_j / r and
-r * t, so scale ``--r`` up and ``--time`` down instead.  A sum of squares
-that overflows exits 2 the same way (``--r 1e154,1e154 --time 1e-154``,
-where r * t = 1.41): scale ``--r`` down and ``--time`` up.  ``transfer``
-exits 2 before it allocates when its (n+1)x(n+1) matrix and output, at 400
-bytes per entry, would need more than 2**30 bytes: n, the ``--copies``
-count or the number of ``--r`` values, may be at most 1,637.
+itself.  ``mc-info`` and ``mc-gauss`` write each block of samples-CSV rows as
+soon as it is drawn and keep only the fidelity column for the summary.  The
+parser is built once per process, on first use.
 
-Unwritable ``--output`` and ``--dump`` paths exit 2, and so does a failed
-write to one (``--output /dev/full``) or to stdout (``> /dev/full``), which
-each command flushes before it returns.  A command that fails
-removes an output file it created, never a path that existed before.  The
-Monte Carlo commands check the whole run, the scheme's law included, before
-they open their samples CSV, and open it before drawing any trial.  They
-write each block of rows as soon as it is drawn and keep only the fidelity
-column for the summary.  A ``--trials`` count whose column, 8 bytes per
-trial, would need more than 2**30 bytes (more than 134,217,728 trials)
-exits 2 before anything is opened or allocated, and names the bytes.  An
-allocation failure (``pdf --grid 1000000000000000``, say) exits 2 with
-numpy's message.  The parser is built once per process, on first use.
+Inputs that cannot give a meaningful answer, a command whose bytes counted
+from its arguments exceed ``BYTE_LIMIT``, and a failed write exit 2: the
+README's "Inputs that cannot give a meaningful answer" lists them all.  A
+command that fails removes every output file it created, never a path that
+existed before.
 
 File schemas (version 3):
   samples CSV   header ``trial,re_est,im_est,F``, one row per trial, floats
@@ -86,9 +66,16 @@ PDF_SCHEMES = {"info": measurement.INFO_SCHEME, "gauss": measurement.GAUSS_SCHEM
 # the tracemalloc peaks at n = 100 and 300 (JSON 204-345, CSV 168-171, text
 # 58-77).
 TRANSFER_BYTES_PER_ENTRY = 400
+# Bytes per clone copy, its output included: above the tracemalloc peaks at
+# 20,000 and 80,000 copies (JSON 240-340, CSV 207-208, text 122-123).
+CLONE_BYTES_PER_COPY = 400
+# Bytes per density grid point, its CSV included: above the tracemalloc peaks
+# at 100,000 and 400,000 points (61-78).
+PDF_BYTES_PER_POINT = 100
 # The most bytes a command may ask for, counted from its arguments before it
-# allocates: up to n = 1,637 transfer targets, or 134,217,728 Monte Carlo
-# trials at measurement.BYTES_PER_TRIAL.
+# allocates: up to n = 1,637 transfer targets, 2,684,354 clone copies,
+# 10,737,418 density points, or 134,217,728 Monte Carlo trials at
+# measurement.BYTES_PER_TRIAL.
 BYTE_LIMIT = 2**30
 
 
@@ -137,6 +124,15 @@ def _fmt_complex(value: complex) -> str:
 def _write_json(out, payload: dict):
     """One strict-JSON line, ``schema_version`` first; NaN or infinity raises before any write."""
     out.write(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, allow_nan=False) + "\n")
+
+
+def _check_bytes(subject: str, count: int, unit: str, unit_bytes: int):
+    """Refuse (exit 2) a command whose ``count`` units of ``unit_bytes`` each
+    would need more than ``BYTE_LIMIT``, before it allocates anything."""
+    needed = count * unit_bytes
+    if needed > BYTE_LIMIT:
+        raise ValueError(f"{subject} needs {needed} bytes ({unit_bytes} per {unit}), "
+                         f"more than the limit of {BYTE_LIMIT}")
 
 
 def _resolve_output(path: str | None) -> str | None:
@@ -227,17 +223,12 @@ def _network_from_args(args) -> phase_space.CloneNetworkConfig:
 
 
 def cmd_transfer(args) -> int:
-    # refuse a matrix too large to hold before any array is allocated
     if args.copies is not None:
         flag, targets = "--copies", max(args.copies, 0)
     else:
         flag, targets = "--r", len(args.r or ())
-    needed = (targets + 1) ** 2 * TRANSFER_BYTES_PER_ENTRY
-    if needed > BYTE_LIMIT:
-        raise ValueError(
-            f"{flag} gives {targets} targets, whose transfer matrix and output need about "
-            f"{needed} bytes, more than the limit of {BYTE_LIMIT}"
-        )
+    _check_bytes(f"{flag} with {targets} targets", (targets + 1) ** 2, "matrix entry",
+                 TRANSFER_BYTES_PER_ENTRY)
     config = _network_from_args(args)
     matrix = phase_space.build_transfer(config)
     deviation = phase_space.unitarity_deviation(matrix)
@@ -265,6 +256,7 @@ def cmd_transfer(args) -> int:
 def cmd_clone(args) -> int:
     if args.copies < 1:
         raise ValueError("--copies must be positive")
+    _check_bytes(f"--copies {args.copies}", args.copies, "copy", CLONE_BYTES_PER_COPY)
     params = phase_space.information_clone(args.alpha, args.copies)
     fidelity = phase_space.info_overlap_fidelity(args.alpha, args.copies)
     with _open_output(args.output) as out:
@@ -289,13 +281,12 @@ def cmd_clone(args) -> int:
     return EXIT_OK
 
 
-def _write_amplitude_dump(path, state: fock_oracle.FockVector):
+def _write_amplitude_dump(out, state: fock_oracle.FockVector):
     occupations = fock_oracle.mode_occupations(state.mode_count, state.levels)
     amplitudes = state.amplitudes
     header = ",".join(["index"] + [f"n_{m}" for m in range(state.mode_count)] + ["re", "im"])
-    with _open_output(path) as out:
-        _csvwrite.write_csv(out, header, [[range(amplitudes.size), *occupations.T,
-                                           amplitudes.real, amplitudes.imag]])
+    _csvwrite.write_csv(out, header, [[range(amplitudes.size), *occupations.T,
+                                       amplitudes.real, amplitudes.imag]])
 
 
 def cmd_fock_verify(args) -> int:
@@ -312,29 +303,31 @@ def cmd_fock_verify(args) -> int:
     predicted, evolved, infidelity = fock_oracle.verify_disentanglement(
         params, config, args.truncation, args.budget
     )
-    if args.dump:
-        _write_amplitude_dump(args.dump, evolved)
-
     dim = evolved.amplitudes.size
-    with _open_output(args.output) as out:
-        if args.format == "json":
-            payload = {
-                "truncation": args.truncation,
-                "dim": dim,
-                "infidelity": infidelity,
-                "gate": args.gate,
-                "predicted": np.stack((predicted.entries.real, predicted.entries.imag),
-                                      -1).tolist(),
-            }
-            _write_json(out, payload)
-        else:
-            out.write(f"truncation: {args.truncation} levels, dimension {dim}\n")
-            out.write(
-                "predicted parameters: "
-                + "  ".join(_fmt_complex(z) for z in predicted.entries)
-                + "\n"
-            )
-            out.write(f"infidelity: {_fmt(infidelity)}\n")
+    with _open_output(args.dump) if args.dump else nullcontext() as dump:
+        if dump is not None:
+            _write_amplitude_dump(dump, evolved)
+            dump.flush()  # a failed dump exits 2 before the report is written
+        # inside the dump's block, so a failed report removes a dump it created
+        with _open_output(args.output) as out:
+            if args.format == "json":
+                payload = {
+                    "truncation": args.truncation,
+                    "dim": dim,
+                    "infidelity": infidelity,
+                    "gate": args.gate,
+                    "predicted": np.stack((predicted.entries.real, predicted.entries.imag),
+                                          -1).tolist(),
+                }
+                _write_json(out, payload)
+            else:
+                out.write(f"truncation: {args.truncation} levels, dimension {dim}\n")
+                out.write(
+                    "predicted parameters: "
+                    + "  ".join(_fmt_complex(z) for z in predicted.entries)
+                    + "\n"
+                )
+                out.write(f"infidelity: {_fmt(infidelity)}\n")
     return EXIT_OK if infidelity < args.gate else EXIT_GATE
 
 
@@ -348,13 +341,8 @@ def _run_mc(args) -> int:
         scheme=args.scheme,
     )
     exponent = measurement.fidelity_exponent(run.scheme, run.sources, run.copies)
-    # refuse a column too large to hold before anything is opened or allocated
-    needed = run.trials * measurement.BYTES_PER_TRIAL
-    if needed > BYTE_LIMIT:
-        raise ValueError(
-            f"--trials {run.trials} needs {needed} bytes "
-            f"({measurement.BYTES_PER_TRIAL} per trial), more than the limit of {BYTE_LIMIT}"
-        )
+    # refused before anything is opened
+    _check_bytes(f"--trials {run.trials}", run.trials, "trial", measurement.BYTES_PER_TRIAL)
     # the CSV opens first, so an unwritable path fails before any trial is drawn
     with _open_output(args.output) if args.output else nullcontext() as csv_out:
         fidelity = np.empty(run.trials)
@@ -367,31 +355,32 @@ def _run_mc(args) -> int:
             _csvwrite.write_csv(csv_out, "trial,re_est,im_est,F", (
                 [range(start, start + scores.size), estimates.real, estimates.imag, scores]
                 for start, estimates, scores in blocks))
+            csv_out.flush()  # a failed CSV exits 2 before the summary is written
         # the column is not needed after the summary, which sorts it in place
         summary = measurement._summarize_sorting(fidelity, measurement.fidelity_cdf(exponent))
-    critical = measurement.ks_critical(run.trials)
-    ks_pass = summary.ks_statistic < critical
-
-    payload = {
-        "scheme": run.scheme,
-        "alpha_true": [run.alpha_true.real, run.alpha_true.imag],
-        "sources": run.sources,
-        "copies": run.copies,
-        "trials": run.trials,
-        "seed": run.seed,
-        "reference_cdf_exponent": float(exponent),
-        "mean": summary.mean,
-        "variance": summary.variance,
-        "ks_statistic": summary.ks_statistic,
-        "ks_critical_5pct": critical,
-        "ks_pass": ks_pass,
-        "histogram": {
-            "bin_edges": summary.bin_edges.tolist(),
-            "counts": summary.counts.tolist(),
-        },
-    }
-    with _open_output(None) as out:
-        _write_json(out, payload)
+        critical = measurement.ks_critical(run.trials)
+        ks_pass = summary.ks_statistic < critical
+        payload = {
+            "scheme": run.scheme,
+            "alpha_true": [run.alpha_true.real, run.alpha_true.imag],
+            "sources": run.sources,
+            "copies": run.copies,
+            "trials": run.trials,
+            "seed": run.seed,
+            "reference_cdf_exponent": float(exponent),
+            "mean": summary.mean,
+            "variance": summary.variance,
+            "ks_statistic": summary.ks_statistic,
+            "ks_critical_5pct": critical,
+            "ks_pass": ks_pass,
+            "histogram": {
+                "bin_edges": summary.bin_edges.tolist(),
+                "counts": summary.counts.tolist(),
+            },
+        }
+        # inside the CSV's block, so a failed summary removes a CSV it created
+        with _open_output(None) as out:
+            _write_json(out, payload)
     return EXIT_OK if ks_pass else EXIT_GATE
 
 
@@ -399,6 +388,7 @@ def cmd_pdf(args) -> int:
     exponent = measurement.fidelity_exponent(PDF_SCHEMES[args.scheme], args.sources, args.copies)
     if args.grid < 2:
         raise ValueError(f"--grid must be at least 2 points, got {args.grid}")
+    _check_bytes(f"--grid {args.grid}", args.grid, "point", PDF_BYTES_PER_POINT)
     # log-spaced grid keeps trapezoidal mass accurate for the singular c<1 laws
     grid = np.geomspace(PDF_GRID_FLOOR, 1.0, args.grid)
     values = np.asarray(measurement.fidelity_pdf(exponent)(grid), dtype=float)

@@ -432,17 +432,43 @@ class TestStrictInput:
         assert out == ""
         assert "zero" in err and "--r" in err and "--time" in err
 
-    @pytest.mark.parametrize("argv", [
-        # each array needs 7 PiB or more, so its allocation fails at once
-        ("pdf", "--scheme=info", "--sources=1", f"--grid={10**15}"),
-        ("clone", "--alpha=1,0", f"--copies={10**15}"),
-    ])
-    def test_allocation_failure_is_usage_error(self, capsys, argv):
+    @pytest.mark.parametrize("argv,allocator", [
+        (("pdf", "--scheme=info", "--sources=1", "--grid=1000"), (np, "geomspace")),
+        (("clone", "--alpha=1,0", "--copies=1000"), (phase_space, "information_clone")),
+        (("mc-info", "--sources=1", "--copies=2", "--trials=1000"),
+         (measurement, "trial_blocks")),
+    ], ids=["pdf", "clone", "mc-info"])
+    def test_allocation_failure_is_usage_error(self, capsys, monkeypatch, tmp_path, argv,
+                                               allocator):
+        # a size the byte guard admits, whose allocation fails all the same:
+        # main reports it, and the output file the command created is removed
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 PiB for an array")
+
+        monkeypatch.setattr(*allocator, fail)
+        path = tmp_path / "out.csv"
+        code, out, err = run_cli(capsys, *argv, "--output", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: out of memory: Unable to allocate 7.28 PiB for an array\n"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("argv,allocator", [
+        # each array would need 7 PiB or more
+        (("pdf", "--scheme=info", "--sources=1", f"--grid={10**15}"), (np, "geomspace")),
+        (("clone", "--alpha=1,0", f"--copies={10**15}"), (phase_space, "information_clone")),
+    ], ids=["pdf", "clone"])
+    def test_oversized_clone_and_pdf_are_refused_before_allocating(self, capsys, monkeypatch,
+                                                                   argv, allocator):
+        def fail(*args, **kwargs):
+            raise AssertionError("allocated past the byte limit")
+
+        monkeypatch.setattr(*allocator, fail)
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == ""
-        assert err.startswith("error: out of memory")
-        assert "Traceback" not in err
+        flag, count = argv[-1].split("=")
+        assert f"{flag} {count} needs " in err and f"limit of {cli.BYTE_LIMIT}" in err
 
     @pytest.mark.parametrize("flag", ["--copies=20000", "--r=" + ",".join(["1"] * 20000)],
                              ids=["copies", "r"])
@@ -923,6 +949,27 @@ class TestMemory:
         assert kept < 400_000 * measurement.BYTES_PER_TRIAL / 8
 
 
+    @pytest.mark.parametrize("argv,counts,unit_bytes", [
+        (("pdf", "--scheme=gauss", "--sources=1", "--copies=2", "--grid={}"),
+         (100_000, 400_000), "PDF_BYTES_PER_POINT"),
+        *((("clone", "--alpha=1.3,-0.7", "--copies={}", f"--format={fmt}"),
+           (20_000, 80_000), "CLONE_BYTES_PER_COPY") for fmt in ("json", "csv", "text")),
+    ], ids=["pdf", "clone-json", "clone-csv", "clone-text"])
+    def test_byte_guard_bounds_the_peak(self, capsys, argv, counts, unit_bytes):
+        # the bytes the guard counts are an upper bound on the traced peak
+        main([a.format(counts[0]) for a in argv])  # the parser and the renderer's tables
+        for count in counts:
+            capsys.readouterr()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert main([a.format(count) for a in argv]) == EXIT_OK
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= count * getattr(cli, unit_bytes)
+
+
 class TestPinnedOracle:
     """Literal ``fock-verify`` JSON for one, two and three targets, and the
     sha256 of one amplitude dump: any change to the generator, the order in
@@ -1198,6 +1245,31 @@ class TestUnwritableOutput:
                                   env={**env, "PYTHONPATH": str(src)})
         assert proc.returncode == EXIT_USAGE
         assert proc.stderr == "error: cannot write standard output: No space left on device\n"
+
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv,stdout", [
+        # the report's path sits under a regular file, after the dump is written
+        (("fock-verify", "--copies", "2", "--alpha", "0.6,0", "--truncation", "10",
+          "--dump", "{tmp}/dump.csv", "--output", "{tmp}/file/x.json"), subprocess.PIPE),
+        # the summary fails on stdout after the samples CSV is written
+        (("mc-info", "--sources", "1", "--copies", "2", "--trials", "1000",
+          "--output", "{tmp}/samples.csv"), "/dev/full"),
+    ], ids=["dump", "samples"])
+    def test_failed_command_removes_the_files_it_created(self, tmp_path, argv, stdout):
+        (tmp_path / "file").write_text("kept\n")
+        src = Path(cli.__file__).resolve().parents[1]
+        with contextlib.ExitStack() as stack:
+            if stdout == "/dev/full":
+                stdout = stack.enter_context(open(stdout, "w"))
+            proc = subprocess.run(
+                [sys.executable, "-m", "infoclone.cli", *(a.format(tmp=tmp_path) for a in argv)],
+                stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("error: cannot write")
+        assert sorted(os.listdir(tmp_path)) == ["file"]
+        assert (tmp_path / "file").read_text() == "kept\n"
 
 
 class TestParser:

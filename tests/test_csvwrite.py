@@ -316,13 +316,13 @@ class TestCliFilesAreTheReferenceBytes:
         points = np.geomspace(cli.PDF_GRID_FLOOR, 1.0, grid)
         assert out == reference_density_csv(points, np.asarray(density(points), dtype=float))
 
-    def test_dump_csv(self, tmp_path):
+    def test_dump_csv(self):
         config = CloneNetworkConfig([1.0, 0.6], [0.3, -1.0], 1.1)
         params = CoherentParams([0.7 - 0.2j, 0.1j, -0.3])
         state = fock_oracle.evolve_product_state(params, config, 12)
-        path = tmp_path / "dump.csv"
-        cli._write_amplitude_dump(str(path), state)
-        assert path.read_text() == reference_dump_csv(state)
+        out = io.StringIO()
+        cli._write_amplitude_dump(out, state)
+        assert out.getvalue() == reference_dump_csv(state)
 
 
 # the pdf argument sets of the benchmark's short-cmds mix
