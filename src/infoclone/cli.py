@@ -341,7 +341,7 @@ def _run_mc(args) -> int:
         scheme=args.scheme,
     )
     exponent = measurement.fidelity_exponent(run.scheme, run.sources, run.copies)
-    # refused before anything is opened
+    # before anything is opened or allocated
     _check_bytes(f"--trials {run.trials}", run.trials, "trial", measurement.BYTES_PER_TRIAL)
     # the CSV opens first, so an unwritable path fails before any trial is drawn
     with _open_output(args.output) if args.output else nullcontext() as csv_out:

@@ -25,9 +25,10 @@ of fidelities, 24 bytes per trial.  One function, :func:`_summarize_sorting`,
 summarizes a column: it takes the mean and variance in the drawn order, then
 sorts the column in place for the histogram and the exact KS distance.  The
 CLI hands it the fidelity column, which it needs no longer;
-:func:`summarize` hands it a copy.  The variance (:func:`_variance`) replays numpy's pairwise summation one leaf at
-a time in a scratch of ``BLOCK_TRIALS`` values, so it equals ``np.var`` bit
-for bit without ``np.var``'s temporary of the column's size.  So a CLI run
+:func:`summarize` hands it a copy.  The variance (:func:`_variance`) replays
+numpy's pairwise summation one leaf at a time in a scratch of
+``BLOCK_TRIALS`` values, so it equals ``np.var`` bit for bit without
+``np.var``'s temporary of the column's size.  So a CLI run
 and its summary peak at ``BYTES_PER_TRIAL`` = 8 bytes per trial: the column
 alone.  The rest of their scratch does not grow with the trial count.
 

@@ -443,14 +443,14 @@ class TestStrictInput:
         # a size the byte guard admits, whose allocation fails all the same:
         # main reports it, and the output file the command created is removed
         def fail(*args, **kwargs):
-            raise MemoryError("Unable to allocate 7.28 PiB for an array")
+            raise MemoryError("Unable to allocate 7.81 KiB for an array")
 
         monkeypatch.setattr(*allocator, fail)
         path = tmp_path / "out.csv"
         code, out, err = run_cli(capsys, *argv, "--output", str(path))
         assert code == EXIT_USAGE
         assert out == ""
-        assert err == "error: out of memory: Unable to allocate 7.28 PiB for an array\n"
+        assert err == "error: out of memory: Unable to allocate 7.81 KiB for an array\n"
         assert not path.exists()
 
     @pytest.mark.parametrize("argv,allocator", [
@@ -948,7 +948,6 @@ class TestMemory:
             gc.enable()
         assert kept < 400_000 * measurement.BYTES_PER_TRIAL / 8
 
-
     @pytest.mark.parametrize("argv,counts,unit_bytes", [
         (("pdf", "--scheme=gauss", "--sources=1", "--copies=2", "--grid={}"),
          (100_000, 400_000), "PDF_BYTES_PER_POINT"),
@@ -1246,26 +1245,23 @@ class TestUnwritableOutput:
         assert proc.returncode == EXIT_USAGE
         assert proc.stderr == "error: cannot write standard output: No space left on device\n"
 
-
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    @pytest.mark.parametrize("argv,stdout", [
+    @pytest.mark.parametrize("argv,to_full", [
         # the report's path sits under a regular file, after the dump is written
         (("fock-verify", "--copies", "2", "--alpha", "0.6,0", "--truncation", "10",
-          "--dump", "{tmp}/dump.csv", "--output", "{tmp}/file/x.json"), subprocess.PIPE),
+          "--dump", "{tmp}/dump.csv", "--output", "{tmp}/file/x.json"), False),
         # the summary fails on stdout after the samples CSV is written
         (("mc-info", "--sources", "1", "--copies", "2", "--trials", "1000",
-          "--output", "{tmp}/samples.csv"), "/dev/full"),
+          "--output", "{tmp}/samples.csv"), True),
     ], ids=["dump", "samples"])
-    def test_failed_command_removes_the_files_it_created(self, tmp_path, argv, stdout):
+    def test_failed_command_removes_the_files_it_created(self, tmp_path, argv, to_full):
         (tmp_path / "file").write_text("kept\n")
         src = Path(cli.__file__).resolve().parents[1]
-        with contextlib.ExitStack() as stack:
-            if stdout == "/dev/full":
-                stdout = stack.enter_context(open(stdout, "w"))
+        with open("/dev/full", "w") as full:
             proc = subprocess.run(
                 [sys.executable, "-m", "infoclone.cli", *(a.format(tmp=tmp_path) for a in argv)],
-                stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
-                env={**os.environ, "PYTHONPATH": str(src)})
+                stdout=full if to_full else subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == EXIT_USAGE
         assert proc.stderr.startswith("error: cannot write")
         assert sorted(os.listdir(tmp_path)) == ["file"]
