@@ -72,10 +72,13 @@ CLONE_BYTES_PER_COPY = 400
 # Bytes per density grid point, its CSV included: above the tracemalloc peaks
 # at 100,000 and 400,000 points (61-78).
 PDF_BYTES_PER_POINT = 100
+# Bytes per simplex state and mode of fock-verify, its dump included: above the
+# tracemalloc peaks at 2 to 9 modes and 220 to 42,504 states (83-125).
+FOCK_BYTES_PER_STATE_MODE = 128
 # The most bytes a command may ask for, counted from its arguments before it
 # allocates: up to n = 1,637 transfer targets, 2,684,354 clone copies,
-# 10,737,418 density points, or 134,217,728 Monte Carlo trials at
-# measurement.BYTES_PER_TRIAL.
+# 10,737,418 density points, 134,217,728 Monte Carlo trials (8 bytes each) or
+# 8,388,608 fock-verify simplex states times modes.
 BYTE_LIMIT = 2**30
 
 
@@ -127,12 +130,11 @@ def _write_json(out, payload: dict):
 
 
 def _check_bytes(subject: str, count: int, unit: str, unit_bytes: int):
-    """Refuse (exit 2) a command whose ``count`` units of ``unit_bytes`` each
-    would need more than ``BYTE_LIMIT``, before it allocates anything."""
-    needed = count * unit_bytes
-    if needed > BYTE_LIMIT:
-        raise ValueError(f"{subject} needs {needed} bytes ({unit_bytes} per {unit}), "
-                         f"more than the limit of {BYTE_LIMIT}")
+    """Refuse (exit 2) ``count`` units of ``unit_bytes`` each past ``BYTE_LIMIT``,
+    before anything is allocated; the message formats no integer past the limit."""
+    if count > BYTE_LIMIT // unit_bytes:
+        raise ValueError(f"{subject} needs more than the limit of {BYTE_LIMIT} bytes "
+                         f"({unit_bytes} per {unit})")
 
 
 def _resolve_output(path: str | None) -> str | None:
@@ -222,11 +224,14 @@ def _network_from_args(args) -> phase_space.CloneNetworkConfig:
     return phase_space.CloneNetworkConfig(magnitudes, phases, args.time)
 
 
-def cmd_transfer(args) -> int:
+def _target_count(args) -> tuple[str, int]:
     if args.copies is not None:
-        flag, targets = "--copies", max(args.copies, 0)
-    else:
-        flag, targets = "--r", len(args.r or ())
+        return "--copies", max(args.copies, 0)
+    return "--r", len(args.r or ())
+
+
+def cmd_transfer(args) -> int:
+    flag, targets = _target_count(args)
     _check_bytes(f"{flag} with {targets} targets", (targets + 1) ** 2, "matrix entry",
                  TRANSFER_BYTES_PER_ENTRY)
     config = _network_from_args(args)
@@ -289,7 +294,23 @@ def _write_amplitude_dump(out, state: fock_oracle.FockVector):
                                        amplitudes.real, amplitudes.imag]])
 
 
+def _simplex_state_modes(modes: int, levels: int) -> int:
+    """C(levels - 1 + modes, modes) simplex states times ``modes``, built one factor
+    at a time over the smaller side and left once past ``BYTE_LIMIT``'s count."""
+    small, large = sorted((modes, levels - 1))
+    states = 1
+    for k in range(1, small + 1):
+        states = states * (large + k) // k
+        if states * modes > BYTE_LIMIT // FOCK_BYTES_PER_STATE_MODE:
+            break
+    return states * modes
+
+
 def cmd_fock_verify(args) -> int:
+    flag, targets = _target_count(args)
+    _check_bytes(f"{flag} with {targets} targets at --truncation {args.truncation}",
+                 _simplex_state_modes(targets + 1, args.truncation),
+                 "simplex state and mode", FOCK_BYTES_PER_STATE_MODE)
     config = _network_from_args(args)
     betas = args.beta or []
     if len(betas) > config.n_targets:
@@ -299,10 +320,9 @@ def cmd_fock_verify(args) -> int:
     entries[1 : 1 + len(betas)] = betas
     params = phase_space.CoherentParams(entries)
 
-    fock_oracle.check_truncation(params.entries, args.truncation, args.gate, args.budget)
+    fock_oracle.check_truncation(params.entries, args.truncation, args.gate)
     predicted, evolved, infidelity = fock_oracle.verify_disentanglement(
-        params, config, args.truncation, args.budget
-    )
+        params, config, args.truncation)
     dim = evolved.amplitudes.size
     with _open_output(args.dump) if args.dump else nullcontext() as dump:
         if dump is not None:
@@ -486,8 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_network_flags(verify)
     verify.add_argument("--truncation", type=int, default=16,
                         help="levels d: keep every occupation with total excitation <= d-1")
-    verify.add_argument("--budget", type=int, default=fock_oracle.DEFAULT_DIM_BUDGET,
-                        help="budget on the simplex dimension C(d-1+modes, modes)")
     verify.add_argument("--gate", type=float, default=1e-6, help="infidelity pass threshold")
     verify.add_argument("--dump", default=None, help="write evolved amplitudes CSV here")
     _add_output_flags(verify, formats=("text", "json"))

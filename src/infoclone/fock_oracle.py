@@ -36,9 +36,7 @@ from .phase_space import (
 )
 
 __all__ = [
-    "DEFAULT_DIM_BUDGET",
     "TruncationError",
-    "DimensionBudgetError",
     "FockVector",
     "poisson_tail",
     "required_levels",
@@ -52,14 +50,16 @@ __all__ = [
     "mode_occupations",
 ]
 
-DEFAULT_DIM_BUDGET = 20000
 # Largest total-excitation tail that check_truncation leaves for the gate to
 # judge: 100 times the CLI's default gate, and above the 1.0e-5 tail of
 # alpha=1 at 8 levels, which the CLI reports as an unreachable gate (exit 3).
 TRUNCATION_TAIL_LIMIT = 1e-4
 NORM_SLACK = 1e-9
-# Largest series radius (levels - 1) * rotation angle, about the number of
-# generator products, and of Bessel coefficients, an evolution takes.
+# Total mean occupation from which check_truncation refuses without a level
+# search: past about 2,900 levels even a two-mode simplex exceeds the byte limit.
+OCCUPATION_LIMIT = 20000
+# Largest series radius (levels - 1) * |theta|: it bounds the error of reducing
+# theta by the double nearest 2*pi, where build_transfer's sin and cos are exact.
 SERIES_RADIUS_LIMIT = 1e6
 
 
@@ -69,10 +69,6 @@ class TruncationError(ValueError):
     def __init__(self, message, required: int):
         super().__init__(message)
         self.required_levels = required
-
-
-class DimensionBudgetError(ValueError):
-    """Total Hilbert-space dimension exceeds the configured budget."""
 
 
 @dataclass(frozen=True)
@@ -92,7 +88,7 @@ class FockVector:
         if self.mode_count < 1 or self.levels < 2:
             raise ValueError("need at least one mode and two levels")
         amps = np.asarray(self.amplitudes, dtype=complex).copy()
-        if amps.shape != (_simplex_dimension(self.mode_count, self.levels),):
+        if amps.shape != (math.comb(self.levels - 1 + self.mode_count, self.mode_count),):
             raise ValueError("amplitude count must equal comb(levels-1+mode_count, mode_count)")
         norm = np.linalg.norm(amps)
         if norm > 1.0 + NORM_SLACK:
@@ -144,8 +140,7 @@ def required_levels(mean_occupation: float, tail_bound: float) -> int:
     return levels
 
 
-def check_truncation(entries, levels: int, gate: float,
-                     dim_budget: int = DEFAULT_DIM_BUDGET) -> None:
+def check_truncation(entries, levels: int, gate: float) -> None:
     """Check that the simplex of ``levels`` can hold the product coherent
     state with these input parameters.
 
@@ -157,26 +152,21 @@ def check_truncation(entries, levels: int, gate: float,
     :class:`TruncationError` naming the level count at which T is within
     ``gate / 2``, enough for the truncation to keep below ``gate``.  A tail
     between ``gate`` and the limit passes: the gate is then out of reach at
-    this truncation, and the infidelity says by how much.  A total mean
-    occupation of ``dim_budget`` or more raises :class:`DimensionBudgetError`,
-    since it alone needs more levels than the budget allows.  Fewer than two
-    levels, a budget below one state, or a gate that is not positive and
-    finite, raise ``ValueError`` naming the ``fock-verify`` flag.
+    this truncation, and the infidelity says by how much.  Fewer than two
+    levels, or a gate that is not positive and finite, raise ``ValueError``
+    naming the ``fock-verify`` flag, and a total mean occupation of
+    ``OCCUPATION_LIMIT`` or more a plain ``ValueError`` before any search.
     """
     if levels < 2:
         raise ValueError(f"--truncation must be at least 2 levels, got {levels}")
-    if dim_budget < 1:
-        raise ValueError(f"--budget must be at least 1, got {dim_budget}")
     if not 0 < gate < math.inf:
         raise ValueError(f"--gate must be positive and finite, got {gate}")
     # hypot gives inf where abs(complex) raises OverflowError
     moduli = [math.hypot(z.real, z.imag) for z in map(complex, entries)]
     total = math.fsum(m * m for m in moduli)  # inf, not OverflowError, past the float range
-    if not total < dim_budget:
-        raise DimensionBudgetError(
-            f"a total mean occupation of {total:.3g} needs more levels than the "
-            f"dimension budget {dim_budget} allows"
-        )
+    if not total < OCCUPATION_LIMIT:
+        raise ValueError(f"a total mean occupation of {total:.3g} is not below {OCCUPATION_LIMIT}, "
+                         f"more than any simplex within the byte limit holds")
     tail = poisson_tail(total, levels)
     if tail > max(gate, TRUNCATION_TAIL_LIMIT):
         needed = required_levels(total, gate / 2)
@@ -303,8 +293,8 @@ def overlap(x: FockVector, y: FockVector) -> complex:
     return complex(np.vdot(x.amplitudes, y.amplitudes))
 
 
-def evolve_product_state(params: CoherentParams, config: CloneNetworkConfig, levels: int,
-                         dim_budget: int = DEFAULT_DIM_BUDGET) -> FockVector:
+def evolve_product_state(params: CoherentParams, config: CloneNetworkConfig,
+                         levels: int) -> FockVector:
     """Evolve a product coherent state by the coupling network.
 
     The generator maps each total-number sector of the simplex into itself,
@@ -318,9 +308,6 @@ def evolve_product_state(params: CoherentParams, config: CloneNetworkConfig, lev
     """
     if len(params) != config.n_targets + 1:
         raise ValueError("parameter count must match the network size")
-    dim = _simplex_dimension(config.n_targets + 1, levels)
-    if dim > dim_budget:
-        raise DimensionBudgetError(f"total dimension {dim} exceeds the budget {dim_budget}")
     total = math.hypot(*config.magnitudes)
     rho = (levels - 1) * abs(config.time) * total
     if not rho <= SERIES_RADIUS_LIMIT:
@@ -344,8 +331,7 @@ def disentanglement_infidelity(predicted: CoherentParams, evolved: FockVector) -
     return float(1.0 - abs(overlap(expected, evolved)) ** 2)
 
 
-def verify_disentanglement(params: CoherentParams, config: CloneNetworkConfig, levels: int,
-                           dim_budget: int = DEFAULT_DIM_BUDGET
+def verify_disentanglement(params: CoherentParams, config: CloneNetworkConfig, levels: int
                            ) -> tuple[CoherentParams, FockVector, float]:
     """``(predicted, evolved, infidelity)``: the input product state evolved
     once by brute force, scored by :func:`disentanglement_infidelity` against
@@ -354,14 +340,9 @@ def verify_disentanglement(params: CoherentParams, config: CloneNetworkConfig, l
     network output stays a disentangled set of coherent states with exactly
     the predicted parameters.
     """
-    evolved = evolve_product_state(params, config, levels, dim_budget)
+    evolved = evolve_product_state(params, config, levels)
     predicted = apply_transfer(build_transfer(config), params)
     return predicted, evolved, disentanglement_infidelity(predicted, evolved)
-
-
-def _simplex_dimension(mode_count: int, levels: int) -> int:
-    """Number of occupation tuples of ``mode_count`` modes with total <= levels - 1."""
-    return math.comb(levels - 1 + mode_count, mode_count)
 
 
 @functools.lru_cache(maxsize=4)

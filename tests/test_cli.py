@@ -200,15 +200,18 @@ class TestFockVerify:
         assert payload["dim"] == 816  # C(18, 3) simplex states
 
     def test_budget_exceeded_is_usage_error(self, capsys):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys,
             "fock-verify",
             "--copies", "3",
             "--alpha", "0.5,0",
-            "--truncation", "30",
+            "--truncation", "300",
         )
-        assert code == EXIT_USAGE  # C(33, 4) = 40920 > 20000
-        assert "budget" in err
+        # C(303, 4) * 4 = 1.4e9 states times modes, 128 bytes each
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--copies with 3 targets at --truncation 300 needs more than" in err
+        assert f"limit of {cli.BYTE_LIMIT} bytes" in err
 
     def test_unreachable_gate_exits_three(self, capsys):
         # truncation loss at alpha=1, d=8 is 2T - T^2 ~ 2e-5, well above the
@@ -377,15 +380,6 @@ class TestFockVerify:
         assert out == ""
         assert "--truncation" in err
 
-    @pytest.mark.parametrize("budget", ["0", "-5"])
-    def test_budget_below_one_is_usage_error(self, capsys, budget):
-        code, out, err = run_cli(
-            capsys, "fock-verify", "--alpha", "0.1,0", "--copies", "2", f"--budget={budget}"
-        )
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert "--budget" in err
-
     def test_non_finite_time_is_usage_error(self, capsys):
         code, out, err = run_cli(
             capsys, "fock-verify", "--copies", "2", "--alpha=0.5,0", "--time", "inf"
@@ -482,6 +476,40 @@ class TestStrictInput:
         assert code == EXIT_USAGE
         assert out == ""
         assert flag.split("=")[0] in err and "20000 targets" in err and "bytes" in err
+
+    def test_oversized_fock_verify_is_refused_before_allocating(self, capsys, monkeypatch):
+        # a million targets would take about 80 MB to build and check; the
+        # count from the flags refuses them before the network is built
+        def fail(*args, **kwargs):
+            raise AssertionError("the network was built past the byte limit")
+
+        monkeypatch.setattr(phase_space, "symmetric_clone_config", fail)
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "fock-verify", "--alpha=0.1,0", "--copies=1000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: --copies with 1000000 targets at --truncation 16 needs ")
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("argv", [
+        ("clone", "--alpha=1,0", "--copies=" + "9" * 4300),
+        ("transfer", "--copies=" + "9" * 2200),
+        ("mc-info", "--sources=1", "--copies=2", "--trials=" + "9" * 4300),
+        ("fock-verify", "--alpha=0.1,0", "--copies=" + "9" * 4300),
+        ("fock-verify", "--alpha=0.1,0", "--copies=2", "--truncation=" + "9" * 4300),
+    ], ids=["clone", "transfer", "mc-info", "fock-verify-copies", "fock-verify-truncation"])
+    def test_byte_guard_names_the_flag_at_any_count(self, capsys, argv):
+        # argparse admits integers of up to 4300 digits, and their byte counts
+        # have more digits than Python will convert to a string
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        flag = argv[-1].split("=")[0]
+        assert f" {flag} " in err and f"needs more than the limit of {cli.BYTE_LIMIT} bytes" in err
 
     def test_overflowing_rotation_angle_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "transfer", "--copies", "4", "--time", "1.7e308")
@@ -678,8 +706,7 @@ class TestMonteCarlo:
         )
         assert code == EXIT_USAGE
         assert out == ""
-        assert "--trials" in err
-        assert f"{trials * measurement.BYTES_PER_TRIAL} bytes" in err
+        assert f"--trials {trials} needs more than the limit of {cli.BYTE_LIMIT} bytes" in err
         assert "Traceback" not in err
         assert not path.exists()
 
@@ -699,8 +726,8 @@ class TestMonteCarlo:
             capsys, "mc-gauss", "--sources", "2", "--copies", "2", f"--trials={trials}")
         assert code == EXIT_USAGE
         assert out == ""
-        assert f"--trials {trials} needs {trials * measurement.BYTES_PER_TRIAL} bytes" in err
-        assert f"limit of {cli.BYTE_LIMIT}" in err
+        assert err == (f"error: --trials {trials} needs more than the limit of {cli.BYTE_LIMIT} "
+                       f"bytes ({measurement.BYTES_PER_TRIAL} per trial)\n")
 
     def test_trials_at_the_byte_limit_run(self, capsys, monkeypatch):
         # the limit is inclusive: at a limit of 1000 trials, 1000 run and 1001 do not
@@ -948,25 +975,31 @@ class TestMemory:
             gc.enable()
         assert kept < 400_000 * measurement.BYTES_PER_TRIAL / 8
 
-    @pytest.mark.parametrize("argv,counts,unit_bytes", [
+    @pytest.mark.parametrize("argv,sizes,unit_bytes", [
         (("pdf", "--scheme=gauss", "--sources=1", "--copies=2", "--grid={}"),
          (100_000, 400_000), "PDF_BYTES_PER_POINT"),
         *((("clone", "--alpha=1.3,-0.7", "--copies={}", f"--format={fmt}"),
            (20_000, 80_000), "CLONE_BYTES_PER_COPY") for fmt in ("json", "csv", "text")),
-    ], ids=["pdf", "clone-json", "clone-csv", "clone-text"])
-    def test_byte_guard_bounds_the_peak(self, capsys, argv, counts, unit_bytes):
-        # the bytes the guard counts are an upper bound on the traced peak
-        main([a.format(counts[0]) for a in argv])  # the parser and the renderer's tables
-        for count in counts:
+        *((("fock-verify", "--alpha=0.3,0.1", "--copies=2", "--truncation={}", *dump),
+           (30, 48), "FOCK_BYTES_PER_STATE_MODE") for dump in ([], ["--dump", os.devnull])),
+    ], ids=["pdf", "clone-json", "clone-csv", "clone-text", "fock-verify", "fock-verify-dump"])
+    def test_byte_guard_bounds_the_peak(self, capsys, argv, sizes, unit_bytes):
+        # the bytes the guard counts are an upper bound on the traced peak;
+        # fock-verify counts its 3 modes' simplex states times the modes
+        main([a.format(sizes[0]) for a in argv])  # the parser and the renderer's tables
+        for size in sizes:
             capsys.readouterr()
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                assert main([a.format(count) for a in argv]) == EXIT_OK
+                assert main([a.format(size) for a in argv]) == EXIT_OK
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
+            count = math.comb(size + 2, 3) * 3 if argv[0] == "fock-verify" else size
             assert peak <= count * getattr(cli, unit_bytes)
+            if argv[0] == "fock-verify":  # and within 2x, which clone text is not
+                assert count * getattr(cli, unit_bytes) <= 2 * peak
 
 
 class TestPinnedOracle:
