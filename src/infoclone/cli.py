@@ -73,12 +73,13 @@ CLONE_BYTES_PER_COPY = 400
 # at 100,000 and 400,000 points (61-78).
 PDF_BYTES_PER_POINT = 100
 # Bytes per simplex state and mode of fock-verify, its dump included: above the
-# tracemalloc peaks at 2 to 9 modes and 220 to 42,504 states (83-125).
-FOCK_BYTES_PER_STATE_MODE = 128
+# tracemalloc peaks of a fresh process at 2 to 9 modes (90-133, the most at 2
+# modes with --dump).
+FOCK_BYTES_PER_STATE_MODE = 144
 # The most bytes a command may ask for, counted from its arguments before it
 # allocates: up to n = 1,637 transfer targets, 2,684,354 clone copies,
 # 10,737,418 density points, 134,217,728 Monte Carlo trials (8 bytes each) or
-# 8,388,608 fock-verify simplex states times modes.
+# 7,456,540 fock-verify simplex states times modes.
 BYTE_LIMIT = 2**30
 
 

@@ -56,11 +56,8 @@ __all__ = [
 TRUNCATION_TAIL_LIMIT = 1e-4
 NORM_SLACK = 1e-9
 # Total mean occupation from which check_truncation refuses without a level
-# search: past about 2,900 levels even a two-mode simplex exceeds the byte limit.
+# search: past about 2,730 levels even a two-mode simplex exceeds the byte limit.
 OCCUPATION_LIMIT = 20000
-# Largest series radius (levels - 1) * |theta|: it bounds the error of reducing
-# theta by the double nearest 2*pi, where build_transfer's sin and cos are exact.
-SERIES_RADIUS_LIMIT = 1e6
 
 
 class TruncationError(ValueError):
@@ -301,25 +298,22 @@ def evolve_product_state(params: CoherentParams, config: CloneNetworkConfig,
     so every retained sector evolves exactly.  One excitation sees
     eigenvalues 0 and +-i*theta, theta = time * sqrt(sum r_j**2), and n
     excitations sums of n of them, so the series radius is exactly
-    rho = (levels - 1) * |theta|; above ``SERIES_RADIUS_LIMIT`` it is refused.
-    Those eigenvalues are integer multiples of i*theta, so the evolution is
-    2*pi-periodic in theta: an angle beyond +-pi runs the series at
-    ``math.remainder(theta, 2*pi)``, a radius of at most (levels - 1) * pi.
+    rho = (levels - 1) * |theta|.  Those eigenvalues are integer multiples
+    of i*theta, so the evolution is 2*pi-periodic in theta: an angle beyond
+    +-pi runs the series at atan2(sin theta, cos theta), a radius of at most
+    (levels - 1) * pi.  That reduces ``config.rotation_angle`` by the sine
+    and cosine that ``build_transfer`` turns by, exact at any size.
     """
     if len(params) != config.n_targets + 1:
         raise ValueError("parameter count must match the network size")
-    total = math.hypot(*config.magnitudes)
-    rho = (levels - 1) * abs(config.time) * total
-    if not rho <= SERIES_RADIUS_LIMIT:
-        raise ValueError(f"(levels - 1) * rotation angle = {rho:.3g} exceeds "
-                         f"{SERIES_RADIUS_LIMIT:g}; the network is 2*pi-periodic in the angle")
     initial = product_coherent_state(params, levels)
     if config.time == 0:
         return initial
-    theta = config.time * total
-    if abs(theta) > math.pi:
-        config = replace(config, time=config.time * (math.remainder(theta, 2.0 * math.pi) / theta))
-        rho = (levels - 1) * abs(config.time) * total
+    angle = config.rotation_angle
+    if abs(angle) > math.pi:
+        reduced = math.atan2(math.sin(angle), math.cos(angle))
+        config = replace(config, time=config.time * (reduced / angle))
+    rho = (levels - 1) * abs(config.time) * math.hypot(*config.magnitudes)
     evolved = _propagate(_coupling_generator(config, levels), max(rho, 1.0), initial.amplitudes)
     return FockVector(len(params), levels, evolved)
 

@@ -207,7 +207,7 @@ class TestFockVerify:
             "--alpha", "0.5,0",
             "--truncation", "300",
         )
-        # C(303, 4) * 4 = 1.4e9 states times modes, 128 bytes each
+        # C(303, 4) * 4 = 1.4e9 states times modes, 144 bytes each
         assert code == EXIT_USAGE
         assert out == ""
         assert "--copies with 3 targets at --truncation 300 needs more than" in err
@@ -361,6 +361,15 @@ class TestFockVerify:
         assert code == EXIT_OK
         assert json.loads(out)["infidelity"] < 1e-12
         assert elapsed < 1.0
+
+    def test_any_time_transfer_accepts_runs(self, capsys):
+        # a rotation angle of 1.4e300 is reduced by transfer's own sine and cosine
+        network = ("--r", "1,1", "--time", "1e300")
+        assert run_cli(capsys, "transfer", *network)[0] == EXIT_OK
+        code, out, _ = run_cli(capsys, "fock-verify", *network, "--alpha", "0.6,0.2",
+                               "--truncation", "12", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["infidelity"] < 1e-12
 
     def test_delta_without_r_is_usage_error(self, capsys):
         code, out, err = run_cli(
@@ -982,13 +991,19 @@ class TestMemory:
            (20_000, 80_000), "CLONE_BYTES_PER_COPY") for fmt in ("json", "csv", "text")),
         *((("fock-verify", "--alpha=0.3,0.1", "--copies=2", "--truncation={}", *dump),
            (30, 48), "FOCK_BYTES_PER_STATE_MODE") for dump in ([], ["--dump", os.devnull])),
-    ], ids=["pdf", "clone-json", "clone-csv", "clone-text", "fock-verify", "fock-verify-dump"])
+        (("fock-verify", "--alpha=0.3,0.1", "--copies=1", "--truncation={}", "--dump", os.devnull),
+         (60, 181), "FOCK_BYTES_PER_STATE_MODE"),
+    ], ids=["pdf", "clone-json", "clone-csv", "clone-text", "fock-verify", "fock-verify-dump",
+            "fock-verify-2-modes-dump"])
     def test_byte_guard_bounds_the_peak(self, capsys, argv, sizes, unit_bytes):
         # the bytes the guard counts are an upper bound on the traced peak;
-        # fock-verify counts its 3 modes' simplex states times the modes
+        # fock-verify counts its simplex states times the modes, and builds
+        # its occupation table as a fresh process does, not from the cache
         main([a.format(sizes[0]) for a in argv])  # the parser and the renderer's tables
+        modes = 1 + int(argv[2].removeprefix("--copies=")) if argv[0] == "fock-verify" else 0
         for size in sizes:
             capsys.readouterr()
+            fock_oracle.mode_occupations.cache_clear()
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -996,9 +1011,9 @@ class TestMemory:
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-            count = math.comb(size + 2, 3) * 3 if argv[0] == "fock-verify" else size
+            count = math.comb(size - 1 + modes, modes) * modes if modes else size
             assert peak <= count * getattr(cli, unit_bytes)
-            if argv[0] == "fock-verify":  # and within 2x, which clone text is not
+            if modes:  # and within 2x, which clone text is not
                 assert count * getattr(cli, unit_bytes) <= 2 * peak
 
 
@@ -1006,8 +1021,10 @@ class TestPinnedOracle:
     """Literal ``fock-verify`` JSON for one, two and three targets, and the
     sha256 of one amplitude dump: any change to the generator, the order in
     which the propagator adds its products, or the angle reduction shows
-    here.  The three-target network turns by 3*sqrt(2.74), about 4.97 > pi,
-    so it runs at the reduced angle."""
+    here.  The two-target network turns by 3*pi/2 and the three-target one
+    by 3*sqrt(2.74), about 4.97, both beyond pi, so they run at the angle
+    reduced by atan2 of its sine and cosine; the one-target network turns by
+    0.88 and runs unreduced."""
 
     NETWORKS = {
         "one-target": ["--r=0.8", "--delta=0.3", "--time=1.1", "--alpha=0.5,-0.3",
@@ -1023,12 +1040,12 @@ class TestPinnedOracle:
          '[[0.4886154582966947, -0.16306762835440983], '
          '[-0.3090579322925032, 0.1707251504127658]]}\n'),
         ("two-targets", '{"schema_version": 3, "truncation": 16, "dim": 816, '
-         '"infidelity": 8.881784197001252e-16, "gate": 1e-06, "predicted": '
+         '"infidelity": 2.220446049250313e-16, "gate": 1e-06, "predicted": '
          '[[-1.1021821192326178e-16, -3.6739403974420595e-17], '
          '[0.42426406871192845, 0.1414213562373095], '
          '[0.42426406871192845, 0.1414213562373095]]}\n'),
         ("three-targets", '{"schema_version": 3, "truncation": 10, "dim": 715, '
-         '"infidelity": 2.842170943040401e-14, "gate": 1e-06, "predicted": '
+         '"infidelity": 2.8199664825478976e-14, "gate": 1e-06, "predicted": '
          '[[0.11773622211428879, 0.03565290897618696], '
          '[0.17843715689673673, 0.23741726588949863], '
          '[0.12099501508205224, -0.2033125706871958], '
@@ -1077,7 +1094,7 @@ class TestPinnedOracle:
                              f"--dump={path}")
         assert code == EXIT_OK
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "9dae285c2897ddb25251a271dc851d4a45147d5db053281d26561af6f66598f7"
+            "a472813e561e2387bc88ca41d19c91a68eee3597aaa6c12b805e2458c01c8952"
         )
 
 

@@ -400,10 +400,23 @@ class TestChebyshevPropagator:
         evolved = evolve_product_state(params, config, levels)
         assert np.array_equal(evolved.amplitudes, expected)
 
-    def test_series_radius_limit(self):
-        config = CloneNetworkConfig([1.0], [0.0], 1e6)
-        with pytest.raises(ValueError, match="periodic"):
-            evolve_product_state(CoherentParams([0.1, 0.0]), config, 8)
+    @pytest.mark.parametrize("angle", [1e2, 1e8, 1e12, 1e16, 1e100, 1e300])
+    def test_huge_angle_matches_the_transfer_matrix(self, angle):
+        # the series turns by atan2 of the sine and cosine build_transfer
+        # takes of the same rotation_angle, so the prediction and the
+        # evolution agree at any angle.  Reducing time * hypot(r) instead
+        # fails from about 1e12: that norm can differ from rotation_angle's
+        # in its last bit, and one ulp of a 1e16 angle is 2 radians
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            targets = int(rng.integers(1, 4))
+            magnitudes = rng.uniform(0.2, 1.5, targets)
+            time = rng.choice([-1.0, 1.0]) * angle / math.sqrt(np.sum(magnitudes**2))
+            config = CloneNetworkConfig(magnitudes, rng.uniform(-np.pi, np.pi, targets), time)
+            params = CoherentParams(rng.uniform(0.0, 0.3, targets + 1)
+                                    * np.exp(1j * rng.uniform(-np.pi, np.pi, targets + 1)))
+            _, _, infidelity = verify_disentanglement(params, config, 12)
+            assert infidelity < 1e-12
 
 
 class TestProductState:
