@@ -178,9 +178,6 @@ def _open_output(path: str | None):
             raise ValueError(f"cannot write standard output: {exc.strerror or exc}") from None
         return
     try:
-        parent = os.path.dirname(resolved)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
         try:
             handle, created = open(resolved, "x", encoding="utf-8", newline=""), True
         except FileExistsError:

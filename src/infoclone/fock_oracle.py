@@ -36,7 +36,6 @@ from .phase_space import (
 )
 
 __all__ = [
-    "TruncationError",
     "FockVector",
     "poisson_tail",
     "required_levels",
@@ -58,14 +57,6 @@ NORM_SLACK = 1e-9
 # Total mean occupation from which check_truncation refuses without a level
 # search: past about 2,730 levels even a two-mode simplex exceeds the byte limit.
 OCCUPATION_LIMIT = 20000
-
-
-class TruncationError(ValueError):
-    """Requested truncation cannot meet the tail bound."""
-
-    def __init__(self, message, required: int):
-        super().__init__(message)
-        self.required_levels = required
 
 
 @dataclass(frozen=True)
@@ -146,13 +137,13 @@ def check_truncation(entries, levels: int, gate: float) -> None:
     tail of that total above ``levels - 1``, the scored infidelity is exactly
     2T - T**2.  When T exceeds ``max(gate, TRUNCATION_TAIL_LIMIT)``, an
     infidelity measures the truncation, not the network, so this raises
-    :class:`TruncationError` naming the level count at which T is within
-    ``gate / 2``, enough for the truncation to keep below ``gate``.  A tail
-    between ``gate`` and the limit passes: the gate is then out of reach at
-    this truncation, and the infidelity says by how much.  Fewer than two
-    levels, or a gate that is not positive and finite, raise ``ValueError``
-    naming the ``fock-verify`` flag, and a total mean occupation of
-    ``OCCUPATION_LIMIT`` or more a plain ``ValueError`` before any search.
+    ``ValueError`` naming the level count at which T is within ``gate / 2``,
+    enough for the truncation to keep below ``gate``.  A tail between
+    ``gate`` and the limit passes: the gate is then out of reach at this
+    truncation, and the infidelity says by how much.  Fewer than two levels,
+    or a gate that is not positive and finite, raise ``ValueError`` naming
+    the ``fock-verify`` flag, and so does a total mean occupation of
+    ``OCCUPATION_LIMIT`` or more, before any search.
     """
     if levels < 2:
         raise ValueError(f"--truncation must be at least 2 levels, got {levels}")
@@ -167,12 +158,9 @@ def check_truncation(entries, levels: int, gate: float) -> None:
     tail = poisson_tail(total, levels)
     if tail > max(gate, TRUNCATION_TAIL_LIMIT):
         needed = required_levels(total, gate / 2)
-        raise TruncationError(
-            f"{levels} levels drop {tail:.3e} of the total excitation's weight, "
-            f"above max(gate, {TRUNCATION_TAIL_LIMIT:g}); need at least {needed} "
-            f"levels for gate {gate:g}",
-            required=needed,
-        )
+        raise ValueError(f"{levels} levels drop {tail:.3e} of the total excitation's weight, "
+                         f"above max(gate, {TRUNCATION_TAIL_LIMIT:g}); need at least {needed} "
+                         f"levels for gate {gate:g}")
 
 
 def coherent_state_vector(alpha: complex, levels: int) -> FockVector:
@@ -296,13 +284,15 @@ def evolve_product_state(params: CoherentParams, config: CloneNetworkConfig,
 
     The generator maps each total-number sector of the simplex into itself,
     so every retained sector evolves exactly.  One excitation sees
-    eigenvalues 0 and +-i*theta, theta = time * sqrt(sum r_j**2), and n
+    eigenvalues 0 and +-i*theta, theta = ``config.rotation_angle``, and n
     excitations sums of n of them, so the series radius is exactly
     rho = (levels - 1) * |theta|.  Those eigenvalues are integer multiples
     of i*theta, so the evolution is 2*pi-periodic in theta: an angle beyond
     +-pi runs the series at atan2(sin theta, cos theta), a radius of at most
     (levels - 1) * pi.  That reduces ``config.rotation_angle`` by the sine
-    and cosine that ``build_transfer`` turns by, exact at any size.
+    and cosine that ``build_transfer`` turns by, exact at any size, and the
+    radius is taken from the reduced config's angle, so at any coupling
+    scale it stays within that bound.
     """
     if len(params) != config.n_targets + 1:
         raise ValueError("parameter count must match the network size")
@@ -313,7 +303,7 @@ def evolve_product_state(params: CoherentParams, config: CloneNetworkConfig,
     if abs(angle) > math.pi:
         reduced = math.atan2(math.sin(angle), math.cos(angle))
         config = replace(config, time=config.time * (reduced / angle))
-    rho = (levels - 1) * abs(config.time) * math.hypot(*config.magnitudes)
+    rho = (levels - 1) * abs(config.rotation_angle)
     evolved = _propagate(_coupling_generator(config, levels), max(rho, 1.0), initial.amplitudes)
     return FockVector(len(params), levels, evolved)
 

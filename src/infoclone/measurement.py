@@ -150,7 +150,7 @@ class FidelityRun:
         if not cmath.isfinite(alpha):
             raise ValueError(f"alpha_true must be finite, got {alpha!r}")
         noise = 1.0 / math.sqrt(2.0 * total)
-        modulus = math.hypot(alpha.real, alpha.imag)  # inf where abs(alpha) raises
+        modulus = math.hypot(alpha.real, alpha.imag)  # inf, not OverflowError, past the float range
         if math.ulp(_SQRT2 * modulus) > ALPHA_ULP_FRACTION * noise:
             raise ValueError(
                 f"|alpha_true| = {modulus:.6g} is too large for {total} measured "

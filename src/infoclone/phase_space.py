@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "UNITARITY_TOL",
-    "DegenerateCouplingError",
     "CoherentParams",
     "CloneNetworkConfig",
     "build_transfer",
@@ -37,11 +36,6 @@ __all__ = [
 ]
 
 UNITARITY_TOL = 1e-12
-
-
-class DegenerateCouplingError(ValueError):
-    """Raised when the coupling magnitudes are all zero, or so small that
-    their square sum is below the smallest normal double."""
 
 
 @dataclass(frozen=True)
@@ -77,7 +71,15 @@ class CoherentParams:
 
 @dataclass(frozen=True)
 class CloneNetworkConfig:
-    """Coupling magnitudes/phases and the interaction time of the network."""
+    """Coupling magnitudes/phases and the interaction time of the network.
+
+    The network depends only on the ratios r_j / r and the angle r * t, r
+    the norm ``math.hypot(*magnitudes)``, so any scale of the magnitudes is
+    accepted whose norm is a normal double.  A norm that is zero or
+    subnormal raises ``ValueError``: there r_j / r loses its digits and the
+    transfer matrix stops being unitary.  An infinite norm, like any angle
+    that is not finite, raises ``ValueError`` too.
+    """
 
     magnitudes: np.ndarray
     phases: np.ndarray
@@ -96,29 +98,22 @@ class CloneNetworkConfig:
             raise ValueError("coupling phases must be finite")
         if not math.isfinite(self.time):
             raise ValueError(f"interaction time must be finite, got {self.time}")
-        with np.errstate(over="ignore"):
-            square_sum = float(np.sum(mags**2))
-        if square_sum < sys.float_info.min:
-            raise DegenerateCouplingError(
-                f"the coupling magnitudes are zero or too small: sum r_j**2 = {square_sum:.3g} "
-                f"is below the smallest normal double {sys.float_info.min:.3g}; the network "
-                "depends only on r_j / r and r * t, so scale --r up and --time down by the "
-                "same factor"
-            )
-        if square_sum == math.inf:
-            raise ValueError(
-                "the coupling magnitudes are too large: sum r_j**2 overflows a double; the "
-                "network depends only on r_j / r and r * t, so scale --r down and --time up "
-                "by the same factor"
-            )
         mags.flags.writeable = False
         phases.flags.writeable = False
         object.__setattr__(self, "magnitudes", mags)
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "time", float(self.time))
+        total = self.total_coupling
+        if total < sys.float_info.min:
+            raise ValueError(
+                f"the coupling magnitudes are zero or too small: their norm {total:.3g} is "
+                f"below the smallest normal double {sys.float_info.min:.3g}; the network "
+                "depends only on r_j / r and r * t, so scale --r up and --time down by the "
+                "same factor"
+            )
         if not math.isfinite(self.rotation_angle):
-            raise ValueError(f"the total coupling sqrt(sum r_j**2) = {self.total_coupling:.3g} "
-                             f"(--r) times the time {self.time:.3g} is not finite")
+            raise ValueError(f"the total coupling hypot(r_j) = {total:.3g} (--r) times the "
+                             f"time {self.time:.3g} is not finite")
 
     @property
     def n_targets(self) -> int:
@@ -126,8 +121,8 @@ class CloneNetworkConfig:
 
     @property
     def total_coupling(self) -> float:
-        """Root-sum-square of the coupling magnitudes."""
-        return float(math.sqrt(np.sum(self.magnitudes**2)))
+        """Norm of the coupling magnitudes, ``math.hypot(*magnitudes)``."""
+        return math.hypot(*self.magnitudes)
 
     @property
     def rotation_angle(self) -> float:
@@ -252,15 +247,14 @@ def information_clone(alpha: complex, n_copies: int) -> CoherentParams:
 
 
 def mean_occupation(alpha: complex) -> float:
-    """Mean occupation |alpha|^2 of the coherent state |alpha>.
+    """Mean occupation |alpha|^2 of the coherent state |alpha>, the square
+    of ``math.hypot(alpha.real, alpha.imag)``.
 
     Raises ``ValueError`` naming alpha when it is not finite.
     """
     alpha = complex(alpha)
-    try:
-        mean = abs(alpha) ** 2
-    except OverflowError:  # |alpha| or its square is beyond the float range
-        mean = math.inf
+    m = math.hypot(alpha.real, alpha.imag)
+    mean = m * m
     if not math.isfinite(mean):
         raise ValueError(f"mean occupation |alpha|^2 of alpha={alpha} is not finite")
     return mean

@@ -407,27 +407,41 @@ class TestStrictInput:
         assert out == ""
         assert "alpha" in err and "not finite" in err
 
-    @pytest.mark.parametrize("command", [("transfer",), ("fock-verify", "--alpha=0.1,0")])
-    def test_overflowing_total_coupling_is_usage_error(self, capsys, command):
-        # sum r**2 overflows, though every r is finite (and r * t = 1.41 in the
-        # second case): exit 2 with the rescaling hint, with no RuntimeWarning
-        for r, time in [("1e200", "1"), ("1e154,1e154", "1e-154")]:
+    @pytest.mark.parametrize("time", [1.0, 1.7])
+    @pytest.mark.parametrize("k", [-1000, -600, -530, 0, 520, 600, 1000])
+    def test_power_of_two_coupling_scale_prints_the_unit_bytes(self, capsys, k, time):
+        # the network depends only on r_j / r and r * t, and math.hypot takes
+        # the norm r without squaring, so --r times 2**k and --time times
+        # 2**-k change no byte, whether or not sum r_j**2 is a double
+        def output(scale, command):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                code, out, err = run_cli(capsys, *command, "--r", r, "--time", time)
-            assert code == EXIT_USAGE
-            assert out == ""
-            assert "overflows" in err and "scale --r down and --time up" in err
+                code, out, err = run_cli(
+                    capsys, *command, f"--r={scale!r},{scale / 2!r}", "--delta=0.4,-1.0",
+                    f"--time={time / scale!r}", "--format=json")
+            assert (code, err) == (EXIT_OK, "")
+            return out
+
+        for command in [("transfer",), ("fock-verify", "--alpha=0.5,0.1", "--truncation=12")]:
+            assert output(2.0**k, command) == output(1.0, command)
+
+    @pytest.mark.parametrize("command", [("transfer",), ("fock-verify", "--alpha=0.1,0")])
+    def test_infinite_total_coupling_is_usage_error(self, capsys, command):
+        # every r is finite, but their norm overflows to infinity
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *command, "--r=1.7e308,1.7e308", "--time=1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "total coupling" in err and "not finite" in err
 
     @pytest.mark.parametrize("argv", [
         ("transfer", "--r=1e-320", "--time=1"),
-        ("transfer", "--r=1e-160", "--time=1e160", "--format=csv"),
         ("fock-verify", "--r=1e-320", "--time=1", "--alpha=0.5,0"),
-        ("fock-verify", "--r=1e-160", "--time=1e160", "--alpha=0.5,0"),
     ])
     def test_tiny_couplings_are_usage_error(self, capsys, argv):
-        # sum r**2 underflows below the smallest normal double: exit 2 before
-        # a NaN matrix or a wrong unitarity report, with no RuntimeWarning
+        # the norm of r is subnormal, below the smallest normal double: exit 2
+        # before a NaN matrix or a wrong unitarity report, with no RuntimeWarning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, *argv)
@@ -1020,11 +1034,15 @@ class TestMemory:
 class TestPinnedOracle:
     """Literal ``fock-verify`` JSON for one, two and three targets, and the
     sha256 of one amplitude dump: any change to the generator, the order in
-    which the propagator adds its products, or the angle reduction shows
-    here.  The two-target network turns by 3*pi/2 and the three-target one
-    by 3*sqrt(2.74), about 4.97, both beyond pi, so they run at the angle
-    reduced by atan2 of its sine and cosine; the one-target network turns by
-    0.88 and runs unreduced."""
+    which the propagator adds its products, the angle reduction or the norm
+    of the couplings shows here.  The two-target network turns by 3*pi/2 and
+    the three-target one by 3*hypot(0.9, 1.2, 0.7), about 4.97, both beyond
+    pi, so they run at the angle reduced by atan2 of its sine and cosine;
+    the one-target network turns by 0.88 and runs unreduced.  The series
+    radius is (levels - 1) times the reduced config's |rotation_angle|; for
+    the three-target network that differs in the last bit from
+    (levels - 1) * |time| * r, and its infidelity and dump show which one
+    was taken."""
 
     NETWORKS = {
         "one-target": ["--r=0.8", "--delta=0.3", "--time=1.1", "--alpha=0.5,-0.3",
@@ -1045,12 +1063,12 @@ class TestPinnedOracle:
          '[0.42426406871192845, 0.1414213562373095], '
          '[0.42426406871192845, 0.1414213562373095]]}\n'),
         ("three-targets", '{"schema_version": 3, "truncation": 10, "dim": 715, '
-         '"infidelity": 2.8199664825478976e-14, "gate": 1e-06, "predicted": '
+         '"infidelity": 2.842170943040401e-14, "gate": 1e-06, "predicted": '
          '[[0.11773622211428879, 0.03565290897618696], '
          '[0.17843715689673673, 0.23741726588949863], '
          '[0.12099501508205224, -0.2033125706871958], '
          '[-0.11088696214358267, 0.13560443035675737]]}\n'),
-    ])
+    ], ids=["one-target", "two-targets", "three-targets"])
     def test_json_stdout(self, capsys, network, stdout):
         code, out, _ = run_cli(capsys, "fock-verify", *self.NETWORKS[network], "--format=json")
         assert code == EXIT_OK
@@ -1094,7 +1112,7 @@ class TestPinnedOracle:
                              f"--dump={path}")
         assert code == EXIT_OK
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "a472813e561e2387bc88ca41d19c91a68eee3597aaa6c12b805e2458c01c8952"
+            "2535804e8a9077ae3de1973ee8b3203786258150d6b6dd0c517a4093c49bab6f"
         )
 
 
@@ -1303,7 +1321,10 @@ class TestUnwritableOutput:
         # the summary fails on stdout after the samples CSV is written
         (("mc-info", "--sources", "1", "--copies", "2", "--trials", "1000",
           "--output", "{tmp}/samples.csv"), True),
-    ], ids=["dump", "samples"])
+        # the dump's parent directory is missing: no directory is created
+        (("fock-verify", "--copies", "2", "--alpha", "0.6,0", "--truncation", "10",
+          "--dump", "{tmp}/newdir/sub/d.csv", "--output", "/dev/full"), False),
+    ], ids=["dump", "samples", "missing-parent"])
     def test_failed_command_removes_the_files_it_created(self, tmp_path, argv, to_full):
         (tmp_path / "file").write_text("kept\n")
         src = Path(cli.__file__).resolve().parents[1]

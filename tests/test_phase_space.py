@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ from infoclone.phase_space import (
     UNITARITY_TOL,
     CloneNetworkConfig,
     CoherentParams,
-    DegenerateCouplingError,
     apply_transfer,
     build_transfer,
     check_invariants,
     info_overlap_fidelity,
     information_clone,
+    mean_occupation,
     symmetric_clone_config,
     unitarity_deviation,
 )
@@ -47,19 +48,24 @@ class TestTypes:
         assert np.array_equal(params.targets, np.array([3j, 4.0 + 0j]))
 
     def test_config_rejects_all_zero_couplings(self):
-        with pytest.raises(DegenerateCouplingError):
+        with pytest.raises(ValueError, match="zero"):
             CloneNetworkConfig([0.0, 0.0], [0.0, 0.0], 1.0)
 
-    @pytest.mark.parametrize("magnitudes", [[1e-320], [1e-160], [1e-160, 1e-160],
-                                            [1.4e-154, 0.0]])
-    def test_config_rejects_square_sum_below_smallest_normal(self, magnitudes):
-        # sum r_j**2 underflows: total_coupling would divide by zero or lose digits
-        with pytest.raises(DegenerateCouplingError, match="zero"):
-            CloneNetworkConfig(magnitudes, np.zeros(len(magnitudes)), 1.0)
+    def test_config_rejects_norm_below_smallest_normal(self):
+        # a subnormal norm: r_j / r would lose digits
+        with pytest.raises(ValueError, match="zero"):
+            CloneNetworkConfig([1e-320], [0.0], 1.0)
 
-    def test_config_accepts_square_sum_at_smallest_normal(self):
-        config = CloneNetworkConfig([1.5e-154, 0.0], [0.0, 0.0], 1e154)
+    def test_config_accepts_norm_at_smallest_normal(self):
+        config = CloneNetworkConfig([sys.float_info.min, 0.0], [0.0, 0.0],
+                                    1.0 / sys.float_info.min)
         assert unitarity_deviation(build_transfer(config)) < TOL
+
+    @pytest.mark.parametrize("magnitudes", [[3.0, 4.0], [1e-160, 1e-160], [1e154, 1e154],
+                                            [0.3, 1.1, 0.7, 2.9]])
+    def test_total_coupling_is_hypot(self, magnitudes):
+        config = CloneNetworkConfig(magnitudes, np.zeros(len(magnitudes)), 1.0)
+        assert config.total_coupling == math.hypot(*magnitudes)
 
     def test_config_rejects_negative_magnitude(self):
         with pytest.raises(ValueError):
@@ -371,3 +377,9 @@ class TestOverlapFidelity:
     def test_non_finite_mean_occupation_rejected(self, alpha):
         with pytest.raises(ValueError, match="alpha=.*not finite"):
             info_overlap_fidelity(alpha, 2)
+
+    def test_mean_occupation_squares_hypot(self):
+        rng = np.random.default_rng(31)
+        for z in [3 + 4j, 1e-170 - 2e-170j, 1e150 + 1e150j, *rng.normal(size=(200, 2)) @ [1, 1j]]:
+            m = math.hypot(z.real, z.imag)
+            assert mean_occupation(z) == m * m
