@@ -9,8 +9,6 @@ their parser sets; ``pdf --scheme`` picks the law F**c the same way.
 Exit codes: 0 when every internal gate passes, 2 for invalid configuration,
 3 when a numeric or statistical gate fails.  All output is deterministic for
 a fixed seed, and every JSON output is strict (no NaN or infinity).
-Relative ``--output`` paths are resolved against the
-``INFOCLONE_OUTPUT_DIR`` environment variable when it is set.
 
 ``fock-verify --truncation d`` keeps every occupation tuple whose total
 excitation is at most d - 1 (the simplex), which the network maps into
@@ -22,28 +20,14 @@ Inputs that cannot give a meaningful answer, a command whose bytes counted
 from its arguments exceed ``BYTE_LIMIT``, and a failed write exit 2: the
 README's "Inputs that cannot give a meaningful answer" lists them all.  A
 command that fails removes every output file it created, never a path that
-existed before.
-
-File schemas (version 3):
-  samples CSV   header ``trial,re_est,im_est,F``, one row per trial, floats
-                rendered with 17 significant digits for lossless round-trips.
-                The samples, density and dump CSVs are rendered by
-                ``_csvwrite`` in array chunks, byte for byte Python's ``%d``
-                and ``%.17g`` of each field.
-  summary JSON  single object with ``schema_version``, run configuration,
-                ``mean``, ``variance``, ``ks_statistic``, ``ks_critical_5pct``,
-                ``ks_pass`` and a 50-bin histogram; strict JSON (no NaN).
-  density CSV   header ``F,p`` on a log-spaced grid of ``--grid`` >= 2 points
-                from 1e-12 to 1.
-  dump CSV      header ``index,n_<mode>...,re,im`` over the total-excitation
-                simplex (every occupation tuple with total <= truncation - 1,
-                row-major, source mode slowest): the evolved state that was
-                scored, one row per basis state (``dim`` rows).
+existed before.  The README's "File schemas (version 3)" describes every
+file and JSON object the commands write.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -58,7 +42,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_GATE = 3
 SCHEMA_VERSION = 3
-OUTPUT_DIR_ENV = "INFOCLONE_OUTPUT_DIR"
 PDF_GRID_FLOOR = 1e-12
 DEFAULT_TABLE_CASES = "1,2;1,4;2,2;2,4"
 PDF_SCHEMES = {"info": measurement.INFO_SCHEME, "gauss": measurement.GAUSS_SCHEME}
@@ -93,27 +76,23 @@ def _parse_complex(text: str) -> complex:
 
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part != ""]
+        return [float(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _parse_complex_list(text: str) -> list[complex]:
-    return [_parse_complex(part) for part in text.split(";") if part != ""]
+    return [_parse_complex(part) for part in text.split(";")]
 
 
 def _parse_cases(text: str) -> list[tuple[int, int]]:
     cases = []
     for part in text.split(";"):
-        if not part:
-            continue
         try:
             m_text, n_text = part.split(",")
             cases.append((int(m_text), int(n_text)))
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected 'M,N' pairs, got {part!r}") from None
-    if not cases:
-        raise argparse.ArgumentTypeError("no cases given")
     return cases
 
 
@@ -138,16 +117,6 @@ def _check_bytes(subject: str, count: int, unit: str, unit_bytes: int):
                          f"({unit_bytes} per {unit})")
 
 
-def _resolve_output(path: str | None) -> str | None:
-    if path is None:
-        return None
-    if not os.path.isabs(path):
-        base = os.environ.get(OUTPUT_DIR_ENV)
-        if base:
-            return os.path.join(base, path)
-    return path
-
-
 def _discard_stdout():
     """Point file descriptor 1 at the null device, so that the bytes a failed
     write left in stdout's buffer meet a flush at interpreter exit that
@@ -168,8 +137,7 @@ def _open_output(path: str | None):
     ends.  A file that this call created is removed if its writer raises, so
     a failed command leaves no partial output; a path that already existed
     (a file, a symlink, a device, a FIFO) is never removed."""
-    resolved = _resolve_output(path)
-    if resolved is None:
+    if path is None:
         try:
             yield sys.stdout
             sys.stdout.flush()
@@ -179,20 +147,20 @@ def _open_output(path: str | None):
         return
     try:
         try:
-            handle, created = open(resolved, "x", encoding="utf-8", newline=""), True
+            handle, created = open(path, "x", encoding="utf-8", newline=""), True
         except FileExistsError:
-            handle, created = open(resolved, "w", encoding="utf-8", newline=""), False
+            handle, created = open(path, "w", encoding="utf-8", newline=""), False
     except OSError as exc:
-        raise ValueError(f"cannot write {resolved!r}: {exc.strerror or exc}") from None
+        raise ValueError(f"cannot write {path!r}: {exc.strerror or exc}") from None
     try:
         with handle:
             yield handle
     except BaseException as exc:
         if created:
             with suppress(OSError):
-                os.remove(resolved)
+                os.remove(path)
         if isinstance(exc, OSError):
-            raise ValueError(f"cannot write {resolved!r}: {exc.strerror or exc}") from None
+            raise ValueError(f"cannot write {path!r}: {exc.strerror or exc}") from None
         raise
 
 
@@ -203,13 +171,8 @@ def _network_from_args(args) -> phase_space.CloneNetworkConfig:
     if args.delta is not None and args.r is None:
         raise ValueError("--delta sets the phases of the --r couplings; give --r with it")
     if args.copies is not None:
-        if args.copies < 1:
-            raise ValueError("--copies must be positive")
-        if args.time is None:
-            return phase_space.symmetric_clone_config(args.copies)
-        return phase_space.CloneNetworkConfig(
-            np.ones(args.copies), np.zeros(args.copies), args.time
-        )
+        config = phase_space.symmetric_clone_config(args.copies)
+        return config if args.time is None else dataclasses.replace(config, time=args.time)
     if args.r is None:
         raise ValueError("specify --copies or --r with --time")
     if args.time is None:
@@ -257,8 +220,6 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_clone(args) -> int:
-    if args.copies < 1:
-        raise ValueError("--copies must be positive")
     _check_bytes(f"--copies {args.copies}", args.copies, "copy", CLONE_BYTES_PER_COPY)
     params = phase_space.information_clone(args.alpha, args.copies)
     fidelity = phase_space.info_overlap_fidelity(args.alpha, args.copies)
@@ -461,8 +422,7 @@ def _add_network_flags(parser):
 
 def _add_output_flags(parser, formats=("text", "csv", "json")):
     parser.add_argument("--format", choices=formats, default=formats[0])
-    parser.add_argument("--output", default=None,
-                        help=f"output path (relative paths honor ${OUTPUT_DIR_ENV})")
+    parser.add_argument("--output", default=None, help="output path")
 
 
 def _add_mc_flags(parser):
@@ -475,7 +435,9 @@ def _add_mc_flags(parser):
     parser.add_argument("--output", default=None, help="write per-trial samples CSV here")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the life of the process."""
     parser = argparse.ArgumentParser(
         prog="infoclone",
         description="Coherent-state information cloning: transfer matrices, "
@@ -535,15 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and kept for the life of the process."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:

@@ -143,15 +143,17 @@ def check_truncation(entries, levels: int, gate: float) -> None:
     truncation, and the infidelity says by how much.  Fewer than two levels,
     or a gate that is not positive and finite, raise ``ValueError`` naming
     the ``fock-verify`` flag, and so does a total mean occupation of
-    ``OCCUPATION_LIMIT`` or more, before any search.
+    ``OCCUPATION_LIMIT`` or more, before any search.  An entry whose own
+    mean occupation is not finite raises ``mean_occupation``'s ``ValueError``.
     """
     if levels < 2:
         raise ValueError(f"--truncation must be at least 2 levels, got {levels}")
     if not 0 < gate < math.inf:
         raise ValueError(f"--gate must be positive and finite, got {gate}")
-    # hypot gives inf where abs(complex) raises OverflowError
-    moduli = [math.hypot(z.real, z.imag) for z in map(complex, entries)]
-    total = math.fsum(m * m for m in moduli)  # inf, not OverflowError, past the float range
+    try:
+        total = math.fsum(map(mean_occupation, entries))
+    except OverflowError:  # finite means whose sum is past the float range
+        total = math.inf
     if not total < OCCUPATION_LIMIT:
         raise ValueError(f"a total mean occupation of {total:.3g} is not below {OCCUPATION_LIMIT}, "
                          f"more than any simplex within the byte limit holds")

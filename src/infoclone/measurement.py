@@ -134,8 +134,7 @@ class FidelityRun:
     scheme: str = INFO_SCHEME
 
     def __post_init__(self):
-        if self.sources < 1 or self.copies < 1:
-            raise ValueError("sources and copies must be positive")
+        fidelity_exponent(self.scheme, self.sources, self.copies)
         total = self.sources * self.copies
         if total < 2 or total % 2:
             raise ValueError(
@@ -158,7 +157,6 @@ class FidelityRun:
                 f"2**-20 of the per-trial estimate noise floor {noise:.3g}"
             )
         object.__setattr__(self, "alpha_true", alpha)
-        fidelity_exponent(self.scheme, self.sources, self.copies)
 
     @property
     def measurements_per_quadrature(self) -> int:

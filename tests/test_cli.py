@@ -53,6 +53,13 @@ class TestTransfer:
             matrix[0], [0.0, -1.0 / math.sqrt(2), -1.0 / math.sqrt(2)], atol=1e-15
         )
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_copies_with_time_is_unit_couplings(self, capsys, fmt):
+        copies = run_cli(capsys, "transfer", "--copies", "3", "--time", "0.7", "--format", fmt)
+        couplings = run_cli(capsys, "transfer", "--r", "1,1,1", "--time", "0.7", "--format", fmt)
+        assert copies[0] == EXIT_OK
+        assert copies == couplings
+
     def test_zero_time_is_identity(self, capsys):
         code, out, _ = run_cli(
             capsys, "transfer", "--time", "0", "--r", "1,1", "--format", "json"
@@ -199,7 +206,7 @@ class TestFockVerify:
         assert payload["infidelity"] < 1e-6
         assert payload["dim"] == 816  # C(18, 3) simplex states
 
-    def test_budget_exceeded_is_usage_error(self, capsys):
+    def test_oversized_simplex_is_usage_error(self, capsys):
         code, out, err = run_cli(
             capsys,
             "fock-verify",
@@ -690,12 +697,21 @@ class TestMonteCarlo:
     ])
     def test_overflowing_modulus_is_usage_error(self, capsys, argv):
         # both parts are finite, but |alpha| or |beta| overflows the float range
+        message = "is not finite" if argv[0] == "fock-verify" else "|alpha_true| = inf"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == ""
-        assert "inf" in err
+        assert message in err
+
+    def test_overflowing_total_excitation_is_usage_error(self, capsys):
+        # each |param|^2 is finite, but their sum is past the float range
+        code, out, err = run_cli(capsys, "fock-verify", "--copies=1", "--alpha=1.3e154,0",
+                                 "--beta=1.3e154,0")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "a total mean occupation of inf is not below" in err
 
     def test_alpha_just_below_bound_passes(self, capsys):
         code, out, _ = run_cli(
@@ -805,8 +821,14 @@ class TestMonteCarlo:
         assert code == EXIT_USAGE
         assert "even" in err
 
-    def test_output_dir_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("INFOCLONE_OUTPUT_DIR", str(tmp_path))
+    def test_relative_output_is_taken_from_working_directory(self, capsys, tmp_path,
+                                                            monkeypatch):
+        env_dir, work_dir = tmp_path / "env", tmp_path / "work"
+        env_dir.mkdir()
+        work_dir.mkdir()
+        # no environment variable moves a relative path
+        monkeypatch.setenv("INFOCLONE_OUTPUT_DIR", str(env_dir))
+        monkeypatch.chdir(work_dir)
         code, _, _ = run_cli(
             capsys,
             "mc-info",
@@ -817,7 +839,8 @@ class TestMonteCarlo:
             "--output", "samples.csv",
         )
         assert code == EXIT_OK
-        assert (tmp_path / "samples.csv").exists()
+        assert (work_dir / "samples.csv").exists()
+        assert os.listdir(env_dir) == []
 
 
 class TestPinnedStream:
@@ -1340,20 +1363,11 @@ class TestUnwritableOutput:
 
 
 class TestParser:
-    def test_built_once_per_process(self, capsys, monkeypatch):
-        original, builds = cli.build_parser, []
-
-        def counting():
-            builds.append(1)
-            return original()
-
-        cli._parser.cache_clear()
-        monkeypatch.setattr(cli, "build_parser", counting)
-        try:
-            outputs = [run_cli(capsys, "table", "--format", "json") for _ in range(3)]
-        finally:
-            cli._parser.cache_clear()
-        assert builds == [1]
+    def test_built_once_per_process(self, capsys):
+        cli.build_parser.cache_clear()
+        outputs = [run_cli(capsys, "table", "--format", "json") for _ in range(3)]
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
         assert outputs[0][0] == EXIT_OK
         assert outputs[0] == outputs[1] == outputs[2]
 
@@ -1369,25 +1383,29 @@ class TestUsage:
     @pytest.mark.parametrize("argv,message", [
         (("transfer", "--r", "1,x", "--time", "1"), "expected comma-separated numbers, got '1,x'"),
         (("table", "--cases", "1"), "expected 'M,N' pairs, got '1'"),
-        (("table", "--cases", ";"), "no cases given"),
+        (("table", "--cases", ";"), "expected 'M,N' pairs, got ''"),
+        (("table", "--cases=1,2;"), "expected 'M,N' pairs, got ''"),
+        (("transfer", "--r=1,,2", "--time=1"), "expected comma-separated numbers, got '1,,2'"),
+        (("transfer", "--r=1,2,", "--time=1"), "expected comma-separated numbers, got '1,2,'"),
+        (("transfer", "--r=", "--time=1"), "expected comma-separated numbers, got ''"),
+        (("transfer", "--r=1,2", "--delta=0,", "--time=1"),
+         "expected comma-separated numbers, got '0,'"),
+        (("fock-verify", "--alpha=0.1,0", "--r=1,1", "--time=1", "--beta=0.1,0;;"),
+         "expected 're,im', got ''"),
         (("transfer", "--copies", "2", "--r", "1", "--time", "1"),
          "give either --copies or --r, not both"),
-        (("transfer", "--copies", "0"), "--copies must be positive"),
+        (("transfer", "--copies", "0"), "need at least one copy"),
+        (("transfer", "--copies=-2", "--time=1"), "need at least one copy"),
         (("transfer",), "specify --copies or --r with --time"),
         (("transfer", "--r", "1"), "--time is required with --r"),
-        (("clone", "--alpha", "1,0", "--copies", "0"), "--copies must be positive"),
+        (("clone", "--alpha", "1,0", "--copies", "0"), "need at least one copy"),
         (("fock-verify", "--alpha", "0.1,0", "--copies", "1", "--beta", "0,0;0,0"),
          "more --beta values than target modes"),
         (("mc-info", "--sources", "0", "--copies", "2", "--trials", "10"),
-         "sources and copies must be positive"),
+         "sources must be a positive integer"),
     ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else None)
     def test_usage_error_names_the_problem(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == ""
         assert message in err
-
-    def test_trailing_case_separator_is_ignored(self, capsys):
-        code, out, _ = run_cli(capsys, "table", "--cases", "1,2;", "--format", "json")
-        assert code == EXIT_OK
-        assert out == run_cli(capsys, "table", "--cases", "1,2", "--format", "json")[1]

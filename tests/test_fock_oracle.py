@@ -624,9 +624,13 @@ class TestTruncationCheck:
         with pytest.raises(ValueError, match=f"need at least {needed} levels"):
             check_truncation([2.0, 0.0], 8, 1e-6)
 
-    @pytest.mark.parametrize("amplitude", [200.0, 1e17, 1e200])
-    def test_mean_beyond_budget(self, amplitude):
-        with pytest.raises(ValueError, match=f"not below {OCCUPATION_LIMIT}") as info:
+    @pytest.mark.parametrize("amplitude,message", [
+        (200.0, f"not below {OCCUPATION_LIMIT}"),
+        (1e17, f"not below {OCCUPATION_LIMIT}"),
+        (1e200, "is not finite"),  # |entry|^2 alone overflows
+    ], ids=["200.0", "1e+17", "1e+200"])
+    def test_mean_beyond_budget(self, amplitude, message):
+        with pytest.raises(ValueError, match=message) as info:
             check_truncation([amplitude, 0.0], 8, 1e-6)
         assert type(info.value) is ValueError
 
