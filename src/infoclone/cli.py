@@ -221,34 +221,34 @@ def cmd_transfer(args) -> int:
 
 def cmd_clone(args) -> int:
     _check_bytes(f"--copies {args.copies}", args.copies, "copy", CLONE_BYTES_PER_COPY)
-    params = phase_space.information_clone(args.alpha, args.copies)
+    entries = phase_space.information_clone(args.alpha, args.copies)
+    source, targets = complex(entries[0]), entries[1:]
     fidelity = phase_space.info_overlap_fidelity(args.alpha, args.copies)
     with _open_output(args.output) as out:
         if args.format == "json":
             payload = {
                 "alpha": [args.alpha.real, args.alpha.imag],
                 "copies": args.copies,
-                "source": [params.source.real, params.source.imag],
-                "targets": np.stack((params.targets.real, params.targets.imag), -1).tolist(),
+                "source": [source.real, source.imag],
+                "targets": np.stack((targets.real, targets.imag), -1).tolist(),
                 "overlap_fidelity": fidelity,
             }
             _write_json(out, payload)
         elif args.format == "csv":
-            entries = zip(params.entries.real.tolist(), params.entries.imag.tolist())
+            pairs = zip(entries.real.tolist(), entries.imag.tolist())
             out.write("mode,re,im\n" + "".join(
-                f"{index},{re:.17g},{im:.17g}\n" for index, (re, im) in enumerate(entries)))
+                f"{index},{re:.17g},{im:.17g}\n" for index, (re, im) in enumerate(pairs)))
         else:
-            out.write(f"source: {_fmt_complex(params.source)}\n")
-            for index, z in enumerate(params.targets, start=1):
+            out.write(f"source: {_fmt_complex(source)}\n")
+            for index, z in enumerate(targets, start=1):
                 out.write(f"target {index}: {_fmt_complex(z)}\n")
             out.write(f"overlap fidelity: {_fmt(fidelity)}\n")
     return EXIT_OK
 
 
-def _write_amplitude_dump(out, state: fock_oracle.FockVector):
-    occupations = fock_oracle.mode_occupations(state.mode_count, state.levels)
-    amplitudes = state.amplitudes
-    header = ",".join(["index"] + [f"n_{m}" for m in range(state.mode_count)] + ["re", "im"])
+def _write_amplitude_dump(out, amplitudes: np.ndarray, modes: int, levels: int):
+    occupations = fock_oracle.mode_occupations(modes, levels)
+    header = ",".join(["index"] + [f"n_{m}" for m in range(modes)] + ["re", "im"])
     _csvwrite.write_csv(out, header, [[range(amplitudes.size), *occupations.T,
                                        amplitudes.real, amplitudes.imag]])
 
@@ -277,15 +277,14 @@ def cmd_fock_verify(args) -> int:
     entries = np.zeros(config.n_targets + 1, dtype=complex)
     entries[0] = args.alpha
     entries[1 : 1 + len(betas)] = betas
-    params = phase_space.CoherentParams(entries)
 
-    fock_oracle.check_truncation(params.entries, args.truncation, args.gate)
+    fock_oracle.check_truncation(entries, args.truncation, args.gate)
     predicted, evolved, infidelity = fock_oracle.verify_disentanglement(
-        params, config, args.truncation)
-    dim = evolved.amplitudes.size
+        entries, config, args.truncation)
+    dim = evolved.size
     with _open_output(args.dump) if args.dump else nullcontext() as dump:
         if dump is not None:
-            _write_amplitude_dump(dump, evolved)
+            _write_amplitude_dump(dump, evolved, entries.size, args.truncation)
             dump.flush()  # a failed dump exits 2 before the report is written
         # inside the dump's block, so a failed report removes a dump it created
         with _open_output(args.output) as out:
@@ -295,15 +294,14 @@ def cmd_fock_verify(args) -> int:
                     "dim": dim,
                     "infidelity": infidelity,
                     "gate": args.gate,
-                    "predicted": np.stack((predicted.entries.real, predicted.entries.imag),
-                                          -1).tolist(),
+                    "predicted": np.stack((predicted.real, predicted.imag), -1).tolist(),
                 }
                 _write_json(out, payload)
             else:
                 out.write(f"truncation: {args.truncation} levels, dimension {dim}\n")
                 out.write(
                     "predicted parameters: "
-                    + "  ".join(_fmt_complex(z) for z in predicted.entries)
+                    + "  ".join(_fmt_complex(z) for z in predicted)
                     + "\n"
                 )
                 out.write(f"infidelity: {_fmt(infidelity)}\n")

@@ -23,26 +23,18 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .phase_space import (
-    CloneNetworkConfig,
-    CoherentParams,
-    apply_transfer,
-    build_transfer,
-    mean_occupation,
-)
+from .phase_space import CloneNetworkConfig, build_transfer, mean_occupation
 
 __all__ = [
-    "FockVector",
     "poisson_tail",
     "required_levels",
     "check_truncation",
     "coherent_state_vector",
     "product_coherent_state",
-    "overlap",
     "evolve_product_state",
     "disentanglement_infidelity",
     "verify_disentanglement",
@@ -57,35 +49,6 @@ NORM_SLACK = 1e-9
 # Total mean occupation from which check_truncation refuses without a level
 # search: past about 2,730 levels even a two-mode simplex exceeds the byte limit.
 OCCUPATION_LIMIT = 20000
-
-
-@dataclass(frozen=True)
-class FockVector:
-    """Amplitudes over the total-excitation simplex of ``mode_count`` modes
-    (one amplitude per row of :func:`mode_occupations`).
-
-    Truncation can only lose weight, so the norm never exceeds 1 (up to
-    rounding slack).
-    """
-
-    mode_count: int
-    levels: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.mode_count < 1 or self.levels < 2:
-            raise ValueError("need at least one mode and two levels")
-        amps = np.asarray(self.amplitudes, dtype=complex).copy()
-        if amps.shape != (math.comb(self.levels - 1 + self.mode_count, self.mode_count),):
-            raise ValueError("amplitude count must equal comb(levels-1+mode_count, mode_count)")
-        norm = np.linalg.norm(amps)
-        if norm > 1.0 + NORM_SLACK:
-            raise ValueError(f"norm {norm} exceeds 1; truncation can only lose weight")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 def poisson_tail(mean_occupation: float, levels: int) -> float:
@@ -165,7 +128,7 @@ def check_truncation(entries, levels: int, gate: float) -> None:
                          f"levels for gate {gate:g}")
 
 
-def coherent_state_vector(alpha: complex, levels: int) -> FockVector:
+def coherent_state_vector(alpha: complex, levels: int) -> np.ndarray:
     """Truncated coherent state with amplitudes e^{-|a|^2/2} a^n / sqrt(n!).
 
     The squared norm equals 1 minus the Poisson tail beyond the top level
@@ -178,7 +141,7 @@ def coherent_state_vector(alpha: complex, levels: int) -> FockVector:
     amps[0] = math.exp(-0.5 * mean)
     for n in range(1, levels):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    return FockVector(1, levels, amps)
+    return amps
 
 
 def _coupling_generator(config: CloneNetworkConfig, levels: int) -> tuple:
@@ -260,29 +223,24 @@ def _propagate(slots: tuple, radius: float, vector: np.ndarray) -> np.ndarray:
     return result
 
 
-def product_coherent_state(params: CoherentParams, levels: int) -> FockVector:
-    """Product of truncated coherent states on the simplex, source mode slowest.
+def product_coherent_state(entries, levels: int) -> np.ndarray:
+    """Product of truncated coherent states on the simplex, source mode slowest,
+    one amplitude per row of ``mode_occupations(len(entries), levels)``.
 
     The amplitude of occupation row (n_0, ..., n_k) is the product of the
     modes' amplitudes c_0[n_0] * ... * c_k[n_k], taken left to right.
     """
-    occupations = mode_occupations(len(params), levels)
+    occupations = mode_occupations(len(entries), levels)
     amps = np.ones(occupations.shape[0], dtype=complex)
-    for mode, entry in enumerate(params.entries):
-        amps *= coherent_state_vector(entry, levels).amplitudes[occupations[:, mode]]
-    return FockVector(len(params), levels, amps)
+    for mode, entry in enumerate(entries):
+        amps *= coherent_state_vector(entry, levels)[occupations[:, mode]]
+    return amps
 
 
-def overlap(x: FockVector, y: FockVector) -> complex:
-    """Inner product <x|y> of two vectors on the same truncated space."""
-    if (x.mode_count, x.levels) != (y.mode_count, y.levels):
-        raise ValueError("vectors live on different truncated spaces")
-    return complex(np.vdot(x.amplitudes, y.amplitudes))
-
-
-def evolve_product_state(params: CoherentParams, config: CloneNetworkConfig,
-                         levels: int) -> FockVector:
-    """Evolve a product coherent state by the coupling network.
+def evolve_product_state(entries, config: CloneNetworkConfig, levels: int) -> np.ndarray:
+    """Evolve the product coherent state with parameters ``entries`` (source
+    first) by the coupling network; the amplitudes are indexed like
+    :func:`product_coherent_state`'s.
 
     The generator maps each total-number sector of the simplex into itself,
     so every retained sector evolves exactly.  One excitation sees
@@ -294,11 +252,12 @@ def evolve_product_state(params: CoherentParams, config: CloneNetworkConfig,
     (levels - 1) * pi.  That reduces ``config.rotation_angle`` by the sine
     and cosine that ``build_transfer`` turns by, exact at any size, and the
     radius is taken from the reduced config's angle, so at any coupling
-    scale it stays within that bound.
+    scale it stays within that bound.  Truncation can only lose weight, so
+    an evolved norm above 1 + ``NORM_SLACK`` raises ``ValueError``.
     """
-    if len(params) != config.n_targets + 1:
+    if len(entries) != config.n_targets + 1:
         raise ValueError("parameter count must match the network size")
-    initial = product_coherent_state(params, levels)
+    initial = product_coherent_state(entries, levels)
     if config.time == 0:
         return initial
     angle = config.rotation_angle
@@ -306,29 +265,33 @@ def evolve_product_state(params: CoherentParams, config: CloneNetworkConfig,
         reduced = math.atan2(math.sin(angle), math.cos(angle))
         config = replace(config, time=config.time * (reduced / angle))
     rho = (levels - 1) * abs(config.rotation_angle)
-    evolved = _propagate(_coupling_generator(config, levels), max(rho, 1.0), initial.amplitudes)
-    return FockVector(len(params), levels, evolved)
+    evolved = _propagate(_coupling_generator(config, levels), max(rho, 1.0), initial)
+    norm = np.linalg.norm(evolved)
+    if norm > 1.0 + NORM_SLACK:
+        raise ValueError(f"norm {norm} exceeds 1; truncation can only lose weight")
+    return evolved
 
 
-def disentanglement_infidelity(predicted: CoherentParams, evolved: FockVector) -> float:
+def disentanglement_infidelity(predicted, evolved: np.ndarray, levels: int) -> float:
     """1 - |<expected|evolved>|^2, where ``expected`` is the product coherent
-    state with the ``predicted`` parameters on the truncation of ``evolved``."""
-    expected = product_coherent_state(predicted, evolved.levels)
-    return float(1.0 - abs(overlap(expected, evolved)) ** 2)
+    state with the ``predicted`` parameters at ``levels``, the truncation of
+    ``evolved``."""
+    expected = product_coherent_state(predicted, levels)
+    return float(1.0 - abs(np.vdot(expected, evolved)) ** 2)
 
 
-def verify_disentanglement(params: CoherentParams, config: CloneNetworkConfig, levels: int
-                           ) -> tuple[CoherentParams, FockVector, float]:
+def verify_disentanglement(entries, config: CloneNetworkConfig, levels: int
+                           ) -> tuple[np.ndarray, np.ndarray, float]:
     """``(predicted, evolved, infidelity)``: the input product state evolved
     once by brute force, scored by :func:`disentanglement_infidelity` against
-    the parameters predicted by ``apply_transfer(build_transfer(config))``.
-    This is the end-to-end check, the one ``fock-verify`` runs, that the
-    network output stays a disentangled set of coherent states with exactly
-    the predicted parameters.
+    the parameters ``predicted = build_transfer(config) @ entries``.  This is
+    the end-to-end check, the one ``fock-verify`` runs, that the network
+    output stays a disentangled set of coherent states with exactly the
+    predicted parameters.
     """
-    evolved = evolve_product_state(params, config, levels)
-    predicted = apply_transfer(build_transfer(config), params)
-    return predicted, evolved, disentanglement_infidelity(predicted, evolved)
+    evolved = evolve_product_state(entries, config, levels)
+    predicted = build_transfer(config) @ entries
+    return predicted, evolved, disentanglement_infidelity(predicted, evolved, levels)
 
 
 @functools.lru_cache(maxsize=4)

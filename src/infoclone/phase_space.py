@@ -2,10 +2,11 @@
 
 A single source mode is coupled to ``n`` target modes.  Coherent inputs stay
 coherent under the coupling, so the whole evolution is an (n+1) x (n+1)
-unitary acting on the vector of coherency parameters (source first).  This
-module builds that matrix, applies it, checks the quadratic invariants it
-must preserve, and provides the symmetric configuration that empties the
-source into ``n`` equal copies carrying ``alpha / sqrt(n)``.
+unitary acting on the vector of coherency parameters, a complex array with
+the source first: ``build_transfer(config) @ entries``.  This module builds
+that matrix, checks the quadratic invariants it must preserve, and
+provides the symmetric configuration that empties the source into ``n``
+equal copies carrying ``alpha / sqrt(n)``.
 
 Phase convention: a coupling with magnitude ``r`` and phase ``delta``
 contributes ``r * exp(-1j*delta)`` to the source-raising/target-lowering
@@ -23,10 +24,8 @@ import numpy as np
 
 __all__ = [
     "UNITARITY_TOL",
-    "CoherentParams",
     "CloneNetworkConfig",
     "build_transfer",
-    "apply_transfer",
     "unitarity_deviation",
     "check_invariants",
     "symmetric_clone_config",
@@ -36,37 +35,6 @@ __all__ = [
 ]
 
 UNITARITY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class CoherentParams:
-    """Coherency parameters of the source mode followed by the target modes.
-
-    ``entries[0]`` is the source parameter, ``entries[1:]`` the targets.
-    Instances are immutable.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex).copy()
-        if entries.ndim != 1 or entries.size < 2:
-            raise ValueError("need a source and at least one target parameter")
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("coherency parameters must be finite")
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-
-    def __len__(self):
-        return self.entries.size
-
-    @property
-    def source(self) -> complex:
-        return complex(self.entries[0])
-
-    @property
-    def targets(self) -> np.ndarray:
-        return self.entries[1:]
 
 
 @dataclass(frozen=True)
@@ -152,16 +120,6 @@ def build_transfer(config: CloneNetworkConfig) -> np.ndarray:
     return matrix
 
 
-def apply_transfer(matrix: np.ndarray, params: CoherentParams) -> CoherentParams:
-    """Apply a transfer matrix to a parameter vector: out_a = sum_b M_ab in_b."""
-    matrix = np.asarray(matrix)
-    if matrix.shape != (len(params), len(params)):
-        raise ValueError(
-            f"matrix shape {matrix.shape} does not match {len(params)} parameters"
-        )
-    return CoherentParams(matrix @ params.entries)
-
-
 def unitarity_deviation(matrix: np.ndarray) -> float:
     """Largest entrywise deviation of M^dagger M from the identity."""
     matrix = np.asarray(matrix)
@@ -179,8 +137,8 @@ def check_invariants(before, after, second_pair=None, phases=None) -> float:
     bilinear and the plain sesquilinear pairings.
 
     Args:
-        before: CoherentParams at the input.
-        after: CoherentParams at the output.
+        before: complex parameter array at the input, source first.
+        after: complex parameter array at the output.
         second_pair: optional (before2, after2) tuple for the two-vector forms.
         phases: coupling phases delta_k, one per target mode.
 
@@ -197,24 +155,18 @@ def check_invariants(before, after, second_pair=None, phases=None) -> float:
         weights[1:] = np.exp(-2j * phases)
 
     deviations = [
-        abs(np.sum(np.abs(after.entries) ** 2) - np.sum(np.abs(before.entries) ** 2)),
-        abs(np.sum(weights * after.entries**2) - np.sum(weights * before.entries**2)),
+        abs(np.sum(np.abs(after) ** 2) - np.sum(np.abs(before) ** 2)),
+        abs(np.sum(weights * after**2) - np.sum(weights * before**2)),
     ]
     if second_pair is not None:
         before2, after2 = second_pair
         if len(before2) != len(before) or len(after2) != len(before):
             raise ValueError("second parameter pair has mismatched length")
         deviations.append(
-            abs(
-                np.sum(weights * after.entries * after2.entries)
-                - np.sum(weights * before.entries * before2.entries)
-            )
+            abs(np.sum(weights * after * after2) - np.sum(weights * before * before2))
         )
         deviations.append(
-            abs(
-                np.sum(np.conj(after.entries) * after2.entries)
-                - np.sum(np.conj(before.entries) * before2.entries)
-            )
+            abs(np.sum(np.conj(after) * after2) - np.sum(np.conj(before) * before2))
         )
     return float(max(deviations))
 
@@ -231,8 +183,9 @@ def symmetric_clone_config(n_copies: int) -> CloneNetworkConfig:
     return CloneNetworkConfig(np.ones(n), np.zeros(n), 1.5 * math.pi / math.sqrt(n))
 
 
-def information_clone(alpha: complex, n_copies: int) -> CoherentParams:
-    """Split a source parameter into ``n`` equal information-carrying copies.
+def information_clone(alpha: complex, n_copies: int) -> np.ndarray:
+    """Split a source parameter into ``n`` equal information-carrying copies,
+    returned as the complex parameter array, source first.
 
     Exact algebraic evaluation of the symmetric network at rotation angle
     3*pi/2 (sin rt = -1, cos rt = 0): the source entry is exactly 0 and every
@@ -243,7 +196,7 @@ def information_clone(alpha: complex, n_copies: int) -> CoherentParams:
         raise ValueError("need at least one copy")
     entries = np.full(int(n_copies) + 1, complex(alpha) / math.sqrt(n_copies), dtype=complex)
     entries[0] = 0.0
-    return CoherentParams(entries)
+    return entries
 
 
 def mean_occupation(alpha: complex) -> float:

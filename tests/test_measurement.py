@@ -11,7 +11,7 @@ from scipy.special import kolmogi
 from scipy.stats import kstwobign
 
 from infoclone import measurement
-from infoclone.fock_oracle import coherent_state_vector, overlap
+from infoclone.fock_oracle import coherent_state_vector
 from infoclone.measurement import (
     BLOCK_TRIALS,
     GAUSS_SCHEME,
@@ -240,7 +240,7 @@ class TestFidelity:
         x = coherent_state_vector(alpha, 30)
         y = coherent_state_vector(estimate, 30)
         assert measurement_fidelity(alpha, estimate) == pytest.approx(
-            abs(overlap(x, y)) ** 2, abs=1e-8
+            abs(np.vdot(x, y)) ** 2, abs=1e-8
         )
 
 
