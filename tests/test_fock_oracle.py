@@ -538,6 +538,20 @@ class TestDisentanglement:
             verify_disentanglement(np.asarray([1e200, 0, 0], dtype=complex),
                                    symmetric_clone_config(2), 8)
 
+    @pytest.mark.parametrize("entries", [
+        [math.inf, 0.0, 0.0],
+        [0.5, math.nan, 0.0],
+        [0.5, 0.0, complex(0.0, -math.inf)],
+    ], ids=["source-inf", "target-nan", "target-imag-inf"])
+    def test_non_finite_entry_rejected(self, entries):
+        # a non-finite entry anywhere in the array, source or target, is
+        # refused by mean_occupation before any state is built
+        entries = np.asarray(entries, dtype=complex)
+        with pytest.raises(ValueError, match="not finite"):
+            check_truncation(entries, 8, 1e-6)
+        with pytest.raises(ValueError, match="not finite"):
+            verify_disentanglement(entries, symmetric_clone_config(2), 8)
+
     def test_parameter_count_must_match(self):
         config = CloneNetworkConfig([1.0], [0.0], 1.0)
         with pytest.raises(ValueError):
