@@ -107,14 +107,22 @@ def check_truncation(entries, levels: int, gate: float) -> None:
     or a gate that is not positive and finite, raise ``ValueError`` naming
     the ``fock-verify`` flag, and so does a total mean occupation of
     ``OCCUPATION_LIMIT`` or more, before any search.  An entry whose own
-    mean occupation is not finite raises ``mean_occupation``'s ``ValueError``.
+    mean occupation is not finite raises ``ValueError``: ``mean_occupation``'s,
+    which names alpha, for entry 0, and one naming the ``--beta`` value for
+    entries 1 and up.
     """
     if levels < 2:
         raise ValueError(f"--truncation must be at least 2 levels, got {levels}")
     if not 0 < gate < math.inf:
         raise ValueError(f"--gate must be positive and finite, got {gate}")
+    occupations = [mean_occupation(entries[0])]
+    for j, beta in enumerate(entries[1:], 1):
+        try:
+            occupations.append(mean_occupation(beta))
+        except ValueError:
+            raise ValueError(f"--beta value {j}, {complex(beta)}: |beta|^2 is not finite") from None
     try:
-        total = math.fsum(map(mean_occupation, entries))
+        total = math.fsum(occupations)
     except OverflowError:  # finite means whose sum is past the float range
         total = math.inf
     if not total < OCCUPATION_LIMIT:

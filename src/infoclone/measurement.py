@@ -1,12 +1,17 @@
 """Measurement-fidelity law and Monte Carlo for both cloning schemes.
 
-Each trial measures half of the available copies in position and half in
-momentum, averages, reconstructs the source parameter, and scores the
-reconstruction by the squared coherent-state overlap exp(-|true - est|^2).
-For Gaussian quadrature statistics the sample means are exactly Gaussian, so
-the closed-form fidelity laws hold without any asymptotic caveat, and a run
-draws each trial's two quadrature means directly instead of the individual
-samples: one normal per quadrature per trial, at any number of copies.
+Each trial measures every available copy, averages, reconstructs the
+source parameter, and scores the reconstruction by the squared coherent-state
+overlap exp(-|true - est|^2).  Information clones are measured once each by
+heterodyne, the joint position-momentum measurement of Arthurs and Kelly
+(Bell Syst. Tech. J. 44, 725 (1965)), at any number of clones.  The Gaussian
+copier's law assumes half of its copies measured in position and half in
+momentum, so its copy total must be even.  At an even total the two give the
+same estimate law and the same stream.  For Gaussian quadrature statistics
+the sample means are exactly Gaussian, so the closed-form fidelity laws hold
+without any asymptotic caveat, and a run draws each trial's two quadrature
+means directly instead of the individual samples: one normal per quadrature
+per trial, at any number of copies.
 
 Both schemes share one law, the CDF F**c on [0, 1], with density
 c * F**(c-1) and mean c/(c+1).  The scheme decides only the exponent c
@@ -34,11 +39,12 @@ alone.  The rest of their scratch does not grow with the trial count.
 
 Determinism contract (stream version 3): trials are partitioned into fixed
 batches of ``TRIAL_BATCH`` with independent counter-based streams keyed by
-(seed, batch index); within a batch the position means are drawn before the
-momentum means.  A block of ``BLOCK_TRIALS`` trials holds whole batches,
-so the blocks do not change the stream.  Results are bit-identical for a
-given seed, and the first T results of a run are those of a T-trial run
-whenever T is a multiple of ``TRIAL_BATCH``.
+(seed, batch index); within a batch the real parts of the estimates
+(position means) are drawn before the imaginary parts (momentum means).  A
+block of ``BLOCK_TRIALS`` trials holds whole batches, so the blocks do not
+change the stream.  Results are bit-identical for a given seed, and the
+first T results of a run are those of a T-trial run whenever T is a
+multiple of ``TRIAL_BATCH``.
 """
 
 from __future__ import annotations
@@ -104,10 +110,12 @@ ALPHA_ULP_FRACTION = 2.0**-20
 class FidelityRun:
     """Configuration of one Monte Carlo fidelity experiment.
 
-    ``sources * copies`` clones are available per trial; half are measured in
-    position and half in momentum, so the product must be even (and >= 2).
-    A run needs at least two trials for its summary, and its scheme must
-    have a fidelity law at this case (the Gaussian copier needs copies >= 2).
+    ``sources * copies`` clones are available per trial, each measured once.
+    Information clones are heterodyned, so any total runs, 1 included.  The
+    Gaussian copier's law assumes half of its copies measured in position and
+    half in momentum, so its total must be even.  A run needs at least two
+    trials for its summary, and its scheme must have a fidelity law at this
+    case (the Gaussian copier needs copies >= 2).
 
     ``|alpha_true|`` is bounded so that rounding cannot shape the fidelity
     law.  Each estimate component scatters around alpha_true with a
@@ -136,11 +144,9 @@ class FidelityRun:
     def __post_init__(self):
         fidelity_exponent(self.scheme, self.sources, self.copies)
         total = self.sources * self.copies
-        if total < 2 or total % 2:
-            raise ValueError(
-                "sources*copies must be even and at least 2 for the "
-                "position/momentum split"
-            )
+        if self.scheme == GAUSS_SCHEME and total % 2:
+            raise ValueError(f"sources*copies = {total} must be even for the gaussian scheme, "
+                             "whose law measures half of the copies in position, half in momentum")
         if self.trials < 2:
             raise ValueError(f"trials must be at least 2, got {self.trials}")
         if not 0 <= self.seed < 2**64:
@@ -157,10 +163,6 @@ class FidelityRun:
                 f"2**-20 of the per-trial estimate noise floor {noise:.3g}"
             )
         object.__setattr__(self, "alpha_true", alpha)
-
-    @property
-    def measurements_per_quadrature(self) -> int:
-        return self.sources * self.copies // 2
 
 
 @dataclass(frozen=True)
@@ -211,19 +213,21 @@ def trial_blocks(run: FidelityRun, fidelity: np.ndarray):
     estimates)``.  ``estimates`` is one buffer that the next block
     overwrites, so a caller that keeps it copies it.
 
-    Information clones carry alpha/sqrt(copies) and every quadrature
-    measurement has variance 1/2.  Gaussian copies carry the full source
-    parameter, measured with the standard deviation of
+    Information clones carry alpha/sqrt(copies); a quadrature measurement
+    of one has variance sd^2 = 1/2.  Gaussian copies carry the full source
+    parameter, measured with the standard deviation sd of
     :func:`~infoclone.gaussian_cloner.gauss_quadrature_sd`.  Each measured
-    copy's quadrature samples have mean sqrt(2) times its component, and a
-    trial averages k = ``measurements_per_quadrature`` of them per
-    quadrature.  The mean of k i.i.d. N(mu, sd^2) draws is exactly
-    N(mu, sd^2/k), so each trial's quadrature means are drawn directly, one
-    normal each, and the cost does not grow with k.  Batch b of
-    ``TRIAL_BATCH`` trials draws from ``trial_rng(seed, b)``: its position
-    means, then as many momentum means, straight into the real and imaginary
-    parts of its slice of the block.  The estimate clone_scale * (y + iz) /
-    sqrt(2) undoes the scale.
+    copy's quadrature samples have mean sqrt(2) times its component.  A
+    trial's two quadrature means are N(mu, sd^2/k) with k =
+    sources*copies/2.  For the copier that is the mean of k i.i.d.
+    N(mu, sd^2) samples: half of its copies in position, half in momentum.
+    Heterodyne of every information clone, whose joint samples each have
+    variance 2 sd^2, gives the same variance at any total, so there k may
+    be a half-integer.  Each mean is drawn directly, one normal each, and
+    the cost does not grow with k.  Batch b of ``TRIAL_BATCH`` trials draws
+    from ``trial_rng(seed, b)``: its real parts (position means), then as
+    many imaginary parts (momentum means), straight into its slice of the
+    block.  The estimate clone_scale * (y + iz) / sqrt(2) undoes the scale.
     """
     if run.scheme == INFO_SCHEME:
         clone_scale, sd = math.sqrt(run.copies), QUADRATURE_SD
@@ -231,7 +235,7 @@ def trial_blocks(run: FidelityRun, fidelity: np.ndarray):
         clone_scale, sd = 1.0, gauss_quadrature_sd(run.sources, run.copies)
     clone = run.alpha_true / clone_scale
     mean_y, mean_z = _SQRT2 * clone.real, _SQRT2 * clone.imag
-    mean_sd = sd / math.sqrt(run.measurements_per_quadrature)
+    mean_sd = sd / math.sqrt(run.sources * run.copies / 2)
     factor = clone_scale / _SQRT2
     buffer = np.empty(min(BLOCK_TRIALS, run.trials), dtype=complex)
     for start in range(0, run.trials, BLOCK_TRIALS):

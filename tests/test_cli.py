@@ -418,11 +418,13 @@ class TestStrictInput:
     ], ids=["clone-huge", "clone-nan", "clone-inf", "fock-verify-alpha-inf",
             "fock-verify-beta-nan"])
     def test_huge_clone_alpha_is_usage_error(self, capsys, argv):
-        # |alpha|^2 that overflows or is not a number: mean_occupation refuses it
+        # |alpha|^2 that overflows or is not a number: mean_occupation refuses
+        # it, and a --beta value is refused by that flag's name
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == ""
-        assert "alpha" in err and "not finite" in err
+        name = "--beta" if any(arg.startswith("--beta") for arg in argv) else "alpha"
+        assert name in err and "not finite" in err
 
     @pytest.mark.parametrize("time", [1.0, 1.7])
     @pytest.mark.parametrize("k", [-1000, -600, -530, 0, 520, 600, 1000])
@@ -600,6 +602,20 @@ class TestMonteCarlo:
         assert payload["ks_pass"] is True
         assert sum(payload["histogram"]["counts"]) == 100000
 
+    @pytest.mark.parametrize("sources,copies", [(1, 1), (1, 3), (3, 1)])
+    def test_info_runs_at_odd_total(self, capsys, sources, copies):
+        # information clones are heterodyned, so an odd sources*copies runs
+        # and follows F**M.  The KS gate is the 1e-6 level of ks_helpers,
+        # sqrt(log(2e6)/2)/sqrt(n), written out here since that module needs scipy
+        trials = 100_000
+        code, out, err = run_cli(capsys, "mc-info", f"--sources={sources}",
+                                 f"--copies={copies}", f"--trials={trials}", "--seed=7")
+        assert (code, err) == (EXIT_OK, "")
+        payload = json.loads(out)
+        assert payload["reference_cdf_exponent"] == sources
+        assert abs(payload["mean"] - sources / (sources + 1)) < 0.005
+        assert payload["ks_statistic"] < math.sqrt(math.log(2e6) / 2 / trials)
+
     def test_gauss_two_sources(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -708,6 +724,8 @@ class TestMonteCarlo:
     def test_overflowing_modulus_is_usage_error(self, capsys, argv):
         # both parts are finite, but |alpha| or |beta| overflows the float range
         message = "is not finite" if argv[0] == "fock-verify" else "|alpha_true| = inf"
+        if any(arg.startswith("--beta") for arg in argv):
+            message = "--beta value 1, (1.7e+308+1.7e+308j): |beta|^2 is not finite"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, *argv)
@@ -826,7 +844,7 @@ class TestMonteCarlo:
 
     def test_odd_split_is_usage_error(self, capsys):
         code, _, err = run_cli(
-            capsys, "mc-info", "--sources", "1", "--copies", "3", "--trials", "100"
+            capsys, "mc-gauss", "--sources", "1", "--copies", "3", "--trials", "100"
         )
         assert code == EXIT_USAGE
         assert "even" in err
@@ -866,11 +884,13 @@ class TestPinnedStream:
          ("1.1573310472207023", "-1.3497546618750209"), "1"),
         ("mc-info", 4, 16, 12, ("1.0013809605049007", "-0.89531552916469292"),
          ("0.51620489227612198", "-1.2493531270572653"), "4"),
+        ("mc-info", 1, 3, 15, ("0.28266391565346494", "-1.2432026430437273"),
+         ("1.1798090060472208", "-0.90781055853888337"), "1"),
         ("mc-gauss", 2, 2, 13, ("0.072388019476313931", "-1.8388784620881486"),
          ("0.78189895335103798", "-1.6072708440695906"), "1.3333333333333333"),
         ("mc-gauss", 2, 4, 14, ("0.62032418582742643", "-0.44258519782091643"),
          ("0.01133456565590984", "-1.0854083202620233"), "2.2857142857142856"),
-    ], ids=["info-1-2", "info-4-16", "gauss-2-2", "gauss-2-4"])
+    ], ids=["info-1-2", "info-4-16", "info-1-3", "gauss-2-2", "gauss-2-4"])
     def test_first_and_last_estimates(self, capsys, tmp_path, command, sources, copies,
                                       seed, first, last, exponent):
         path = tmp_path / "samples.csv"

@@ -552,6 +552,12 @@ class TestDisentanglement:
         with pytest.raises(ValueError, match="not finite"):
             verify_disentanglement(entries, symmetric_clone_config(2), 8)
 
+    def test_non_finite_target_names_its_beta_value(self):
+        # entries past the source are the fock-verify --beta values, counted from 1
+        entries = np.asarray([0.5, 0.1, complex(math.nan, 0.0)], dtype=complex)
+        with pytest.raises(ValueError, match=r"^--beta value 2, \(nan\+0j\): \|beta\|\^2 is"):
+            check_truncation(entries, 8, 1e-6)
+
     def test_parameter_count_must_match(self):
         config = CloneNetworkConfig([1.0], [0.0], 1.0)
         with pytest.raises(ValueError):

@@ -81,11 +81,12 @@ def estimate_alpha(y_mean, z_mean, copies: int):
 
 
 def per_copy_info_trials(run: FidelityRun) -> FidelitySamples:
-    """Information-scheme run built from single copies: batch b draws, from
+    """Information-scheme run built from single copies, split half in position
+    and half in momentum at an even sources*copies: batch b draws, from
     ``trial_rng(seed, b)``, the k position samples of each of its trials in
     turn, then the momentum samples, and every trial averages its own k."""
     clone = run.alpha_true / math.sqrt(run.copies)
-    k = run.measurements_per_quadrature
+    k = run.sources * run.copies // 2
     estimates = np.empty(run.trials, dtype=complex)
     for index, start in enumerate(range(0, run.trials, TRIAL_BATCH)):
         count = min(TRIAL_BATCH, run.trials - start)
@@ -131,12 +132,13 @@ def rejection_bound(runs: int, level: Fraction, false_alarm: Fraction) -> int:
 
 class TestRunConfig:
     def test_rejects_odd_split(self):
-        with pytest.raises(ValueError):
-            FidelityRun(1.0, sources=1, copies=3, trials=10, seed=0)
+        with pytest.raises(ValueError, match="even"):
+            FidelityRun(1.0, sources=1, copies=3, trials=10, seed=0, scheme=GAUSS_SCHEME)
 
-    def test_rejects_single_copy_total(self):
-        with pytest.raises(ValueError):
-            FidelityRun(1.0, sources=1, copies=1, trials=10, seed=0)
+    def test_accepts_single_copy_total(self):
+        # information clones are heterodyned, so one clone is measured once
+        run = FidelityRun(1.0, sources=1, copies=1, trials=10, seed=0)
+        assert (run.sources, run.copies) == (1, 1)
 
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):
@@ -179,10 +181,6 @@ class TestRunConfig:
         samples = run_trials(run)
         reference = law_cdf(scheme, 1, 2)
         assert ks_statistic(samples.fidelity, reference) < ks_critical(run.trials)
-
-    def test_measurement_split(self):
-        run = FidelityRun(1.0, sources=3, copies=4, trials=10, seed=0)
-        assert run.measurements_per_quadrature == 6
 
 
 class TestSampler:
