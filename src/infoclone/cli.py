@@ -14,7 +14,10 @@ a fixed seed, and every JSON output is strict (no NaN or infinity).
 excitation is at most d - 1 (the simplex), which the network maps into
 itself.  ``mc-info`` and ``mc-gauss`` write each block of samples-CSV rows as
 soon as it is drawn and keep only the fidelity column for the summary.  The
-parser is built once per process, on first use.
+parser is built once per process, on first use.  A command's arguments are
+parsed once, by its subcommand's parser; the top-level parser parses them
+only when that leaves a string over or no subcommand is named, so every usage
+error and help text reads as a top-level parse prints it.
 
 Inputs that cannot give a meaningful answer, a command whose bytes counted
 from its arguments exceed ``BYTE_LIMIT``, and a failed write exit 2: the
@@ -492,12 +495,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(table)
     table.set_defaults(func=cmd_table)
 
+    parser.subcommands = sub.choices  # name -> subcommand parser, for main
     return parser
+
+
+def _parse(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, which parses a valid command once."""
+    parser = build_parser()
+    if argv and argv[0] in parser.subcommands:
+        args, extra = parser.subcommands[argv[0]].parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:

@@ -5,7 +5,11 @@ by the amplification parameter A = M*N/(N-1) (M sources copied to M*N
 outputs).  This module holds the copier's overlap fidelity, the exponent c =
 M^2 N^2 / (2(MN + 2N - 2)) of its measurement-fidelity law F**c, and the
 standard deviation of one quadrature measurement.  The law itself, and the
-Monte Carlo that reproduces it, live in ``measurement``.
+Monte Carlo that reproduces it, live in ``measurement``.  The exponent
+assumes half of the M*N copies measured in position and half in momentum.
+At an odd M*N, ``mc-gauss`` refuses the run for that reason, while ``table``
+and ``pdf --scheme gauss`` still print F**c (F**(9/14) at M = 1, N = 3), a
+law that no run measures; ROADMAP item 8 gives the unequal-split law.
 
 There is one noise model: every quadrature measurement of a copy has
 variance (A+2)/A.  That is twice the single-copy marginal (A+2)/(2A) of the

@@ -54,15 +54,15 @@ class CloneNetworkConfig:
     time: float
 
     def __post_init__(self):
-        mags = np.atleast_1d(np.asarray(self.magnitudes, dtype=float)).copy()
-        phases = np.atleast_1d(np.asarray(self.phases, dtype=float)).copy()
+        mags = np.array(self.magnitudes, dtype=float, ndmin=1)
+        phases = np.array(self.phases, dtype=float, ndmin=1)
         if mags.ndim != 1 or mags.size == 0:
             raise ValueError("need at least one coupling")
         if phases.shape != mags.shape:
             raise ValueError("phases and magnitudes must have matching length")
-        if not np.all(np.isfinite(mags)) or np.any(mags < 0):
+        if not np.isfinite(mags).all() or (mags < 0).any():
             raise ValueError("coupling magnitudes must be finite and nonnegative")
-        if not np.all(np.isfinite(phases)):
+        if not np.isfinite(phases).all():
             raise ValueError("coupling phases must be finite")
         if not math.isfinite(self.time):
             raise ValueError(f"interaction time must be finite, got {self.time}")
@@ -79,7 +79,7 @@ class CloneNetworkConfig:
                 "depends only on r_j / r and r * t, so scale --r up and --time down by the "
                 "same factor"
             )
-        if not math.isfinite(self.rotation_angle):
+        if not math.isfinite(total * self.time):
             raise ValueError(f"the total coupling hypot(r_j) = {total:.3g} (--r) times the "
                              f"time {self.time:.3g} is not finite")
 

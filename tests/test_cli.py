@@ -1400,6 +1400,27 @@ class TestParser:
         assert outputs[0][0] == EXIT_OK
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_a_valid_command_is_parsed_once(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser parsed a valid command")
+
+        monkeypatch.setattr(cli.build_parser(), "parse_args", refuse)
+        code, out, _ = run_cli(capsys, "transfer", "--copies=2", "--format=json")
+        assert code == EXIT_OK
+        assert json.loads(out)["dim"] == 3
+
+    @pytest.mark.parametrize("argv", [
+        (), ("bogus",), ("-x", "transfer"), ("transfer", "extra"),
+        ("transfer", "--copies=2", "extra"), ("transfer", "--bogus"), ("transfer", "--copies=x"),
+    ], ids=lambda argv: " ".join(argv) or "no argv")
+    def test_usage_errors_match_the_top_level_parse(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (exc.value.code, expected.out, expected.err)
+        assert code == EXIT_USAGE and "error:" in err
+
 
 class TestUsage:
     def test_unknown_command_exits_two(self, capsys):

@@ -32,15 +32,6 @@ def random_params(rng, size):
 
 
 class TestTypes:
-    def test_config_rejects_all_zero_couplings(self):
-        with pytest.raises(ValueError, match="zero"):
-            CloneNetworkConfig([0.0, 0.0], [0.0, 0.0], 1.0)
-
-    def test_config_rejects_norm_below_smallest_normal(self):
-        # a subnormal norm: r_j / r would lose digits
-        with pytest.raises(ValueError, match="zero"):
-            CloneNetworkConfig([1e-320], [0.0], 1.0)
-
     def test_config_accepts_norm_at_smallest_normal(self):
         config = CloneNetworkConfig([sys.float_info.min, 0.0], [0.0, 0.0],
                                     1.0 / sys.float_info.min)
@@ -52,10 +43,6 @@ class TestTypes:
         config = CloneNetworkConfig(magnitudes, np.zeros(len(magnitudes)), 1.0)
         assert config.total_coupling == math.hypot(*magnitudes)
 
-    def test_config_rejects_negative_magnitude(self):
-        with pytest.raises(ValueError):
-            CloneNetworkConfig([1.0, -0.5], [0.0, 0.0], 1.0)
-
     @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
     def test_config_rejects_non_finite_time(self, time):
         with pytest.raises(ValueError, match="time must be finite"):
@@ -65,6 +52,44 @@ class TestTypes:
         config = CloneNetworkConfig([3.0, 4.0], [0.0, 0.0], 0.5)
         assert config.total_coupling == pytest.approx(5.0, abs=1e-15)
         assert config.rotation_angle == pytest.approx(2.5, abs=1e-15)
+
+    @pytest.mark.parametrize("magnitudes,phases,time,message", [
+        ([], [], 1.0, "need at least one coupling"),
+        ([[1.0, 2.0]], [[0.0, 0.0]], 1.0, "need at least one coupling"),
+        ([1.0, 2.0], [0.0], 1.0, "phases and magnitudes must have matching length"),
+        ([1.0, math.nan], [0.0, 0.0], 1.0, "magnitudes must be finite and nonnegative"),
+        ([1.0, math.inf], [0.0, 0.0], 1.0, "magnitudes must be finite and nonnegative"),
+        ([1.0, -0.5], [0.0, 0.0], 1.0, "magnitudes must be finite and nonnegative"),
+        ([1.0, 1.0], [0.0, math.nan], 1.0, "phases must be finite"),
+        ([1.0, 1.0], [-math.inf, 0.0], 1.0, "phases must be finite"),
+        ([0.0, 0.0], [0.0, 0.0], 1.0, "zero or too small"),
+        ([1e-320], [0.0], 1.0, "zero or too small"),  # r_j / r would lose digits
+        ([1e300], [0.0], 1e300, "is not finite"),
+        ([1.7e308, 1.7e308], [0.0, 0.0], 1.0, "is not finite"),
+    ], ids=["empty", "2-D", "mismatched phases", "nan magnitude", "infinite magnitude",
+            "negative magnitude", "nan phase", "infinite phase", "zero norm",
+            "subnormal norm", "overflowing angle", "infinite norm"])
+    def test_config_refusals(self, magnitudes, phases, time, message):
+        with pytest.raises(ValueError, match=message):
+            CloneNetworkConfig(magnitudes, phases, time)
+
+    def test_config_stores_read_only_float64_copies(self):
+        magnitudes = np.array([1, 2], dtype=np.int64)
+        phases = np.array([0.5, -0.25])
+        config = CloneNetworkConfig(magnitudes, phases, 3)
+        magnitudes[0] = 7
+        phases[1] = 9.0
+        for stored, expected in ((config.magnitudes, [1.0, 2.0]), (config.phases, [0.5, -0.25])):
+            assert stored.dtype == np.float64
+            assert not stored.flags.writeable
+            assert stored.tolist() == expected
+        assert type(config.time) is float and config.time == 3.0
+
+    def test_config_scalar_magnitude_becomes_one_coupling(self):
+        config = CloneNetworkConfig(2.0, 0.0, 1.0)
+        assert config.magnitudes.shape == config.phases.shape == (1,)
+        assert config.n_targets == 1
+        assert config.total_coupling == 2.0
 
 
 class TestZeroPhaseTransfer:
