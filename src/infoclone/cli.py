@@ -337,7 +337,7 @@ def _run_mc(args) -> int:
                 for start, estimates, scores in blocks))
             csv_out.flush()  # a failed CSV exits 2 before the summary is written
         # the column is not needed after the summary, which sorts it in place
-        summary = measurement._summarize_sorting(fidelity, measurement.fidelity_cdf(exponent))
+        summary = measurement.summarize(fidelity, measurement.fidelity_cdf(exponent))
         critical = measurement.ks_critical(run.trials)
         ks_pass = summary.ks_statistic < critical
         payload = {

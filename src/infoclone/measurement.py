@@ -23,19 +23,15 @@ scheme.
 One driver, :func:`trial_blocks`, runs either scheme, ``BLOCK_TRIALS``
 trials at a time.  It scores each block of estimates into the caller's
 fidelity column and yields the block, so a caller that writes the estimates
-as they come (the CLI's samples CSV) never holds them all.
-:func:`run_trials` collects its blocks into columns
-(:class:`FidelitySamples`): a complex array of estimates and a float array
-of fidelities, 24 bytes per trial.  One function, :func:`_summarize_sorting`,
-summarizes a column: it takes the mean and variance in the drawn order, then
-sorts the column in place for the histogram and the exact KS distance.  The
-CLI hands it the fidelity column, which it needs no longer;
-:func:`summarize` hands it a copy.  The variance (:func:`_variance`) replays
+as they come (the CLI's samples CSV) never holds them all.  One function,
+:func:`summarize`, summarizes the column: it takes the mean and variance in
+the drawn order, then sorts the caller's column in place for the histogram
+and the exact KS distance.  The variance (:func:`_variance`) replays
 numpy's pairwise summation one leaf at a time in a scratch of
 ``BLOCK_TRIALS`` values, so it equals ``np.var`` bit for bit without
-``np.var``'s temporary of the column's size.  So a CLI run
-and its summary peak at ``BYTES_PER_TRIAL`` = 8 bytes per trial: the column
-alone.  The rest of their scratch does not grow with the trial count.
+``np.var``'s temporary of the column's size.  So a run and its summary peak
+at ``BYTES_PER_TRIAL`` = 8 bytes per trial: the column alone.  The rest of
+their scratch does not grow with the trial count.
 
 Determinism contract (stream version 3): trials are partitioned into fixed
 batches of ``TRIAL_BATCH`` with independent counter-based streams keyed by
@@ -69,18 +65,15 @@ __all__ = [
     "KS_5PCT",
     "ALPHA_ULP_FRACTION",
     "FidelityRun",
-    "FidelitySamples",
     "DistributionSummary",
     "trial_rng",
     "measurement_fidelity",
     "trial_blocks",
-    "run_trials",
     "fidelity_exponent",
     "fidelity_pdf",
     "fidelity_cdf",
     "mean_fidelity",
     "summarize",
-    "ks_statistic",
     "ks_critical",
     "ComparisonRow",
     "comparison_table",
@@ -93,9 +86,9 @@ TRIAL_BATCH = 4096
 # the CLI writes each block's rows at once.  Yielding each batch instead made
 # a million-trial samples CSV about 15% slower.
 BLOCK_TRIALS = 4 * TRIAL_BATCH
-# Peak memory per trial of the CLI's trial_blocks followed by
-# _summarize_sorting: the 8-byte fidelity column.  The variance's scratch is
-# one block and the sort is in place.
+# Peak memory per trial of trial_blocks followed by summarize: the 8-byte
+# fidelity column.  The variance's scratch is one block and the sort is in
+# place.
 BYTES_PER_TRIAL = 8
 HISTOGRAM_BINS = 50  # uniform bins on [0, 1]; the summary JSON schema fixes 50
 QUADRATURE_SD = math.sqrt(0.5)
@@ -166,15 +159,6 @@ class FidelityRun:
 
 
 @dataclass(frozen=True)
-class FidelitySamples:
-    """Columns of a run: trial i reconstructed ``estimates[i]`` and scored
-    ``fidelity[i] == measurement_fidelity(alpha_true, estimates[i])``."""
-
-    estimates: np.ndarray
-    fidelity: np.ndarray
-
-
-@dataclass(frozen=True)
 class DistributionSummary:
     """Mean, variance, histogram, and KS distance of a fidelity sample set."""
 
@@ -194,13 +178,12 @@ def trial_rng(seed: int, batch_index: int) -> np.random.Generator:
 def measurement_fidelity(alpha_true: complex, alpha_est):
     """Squared coherent overlap exp(-|true - est|^2) of the reconstruction.
 
-    Elementwise for an array of estimates.  A single estimate goes through
-    the same ufunc loops as an array element (``np.square``, not the scalar
-    ``**``), so a run's fidelity column equals this function applied to each
-    of its estimates, bit for bit.
+    Elementwise for an array of estimates.  A single estimate gives an
+    ``np.float64`` through the same ufunc loops as an array element
+    (``np.square``, not the scalar ``**``), so a run's fidelity column
+    equals this function applied to each of its estimates, bit for bit.
     """
-    fidelity = np.exp(-np.square(np.abs(alpha_true - alpha_est)))
-    return float(fidelity) if np.ndim(fidelity) == 0 else fidelity
+    return np.exp(-np.square(np.abs(alpha_true - alpha_est)))
 
 
 def trial_blocks(run: FidelityRun, fidelity: np.ndarray):
@@ -252,16 +235,6 @@ def trial_blocks(run: FidelityRun, fidelity: np.ndarray):
         yield start, block, fidelity[start:stop]
 
 
-def run_trials(run: FidelityRun) -> FidelitySamples:
-    """Monte Carlo fidelity samples of ``run`` under its scheme, collected
-    from :func:`trial_blocks`."""
-    estimates = np.empty(run.trials, dtype=complex)
-    fidelity = np.empty(run.trials)
-    for start, block, _ in trial_blocks(run, fidelity):
-        estimates[start : start + block.size] = block
-    return FidelitySamples(estimates, fidelity)
-
-
 def fidelity_exponent(scheme: str, sources: int, copies: int | None) -> Fraction:
     """Exact exponent c of the scheme's measurement-fidelity law F**c.
 
@@ -305,22 +278,12 @@ def mean_fidelity(exponent: Fraction) -> Fraction:
     return Fraction(exponent.numerator, exponent.numerator + exponent.denominator)
 
 
-def ks_statistic(values, reference_cdf) -> float:
-    """One-sample Kolmogorov-Smirnov distance of ``values`` against a CDF callable.
-
-    Scans a sorted copy of ``values`` and leaves them as they are.
-    """
-    return _ks_sorted(np.sort(values), reference_cdf)
-
-
 def _ks_sorted(values: np.ndarray, reference_cdf) -> float:
     """KS distance of sorted ``values``: the largest gap between the
     empirical steps k/n and ``reference_cdf``, scanned ``TRIAL_BATCH``
     values at a time.  Each gap is the same elementwise expression as over
     the whole array, so the maximum is exactly that of the one-shot scan."""
     n = values.size
-    if n < 1:
-        raise ValueError("need at least one sample")
     distance = -math.inf
     for start in range(0, n, TRIAL_BATCH):
         stop = min(start + TRIAL_BATCH, n)
@@ -335,26 +298,17 @@ def ks_critical(count: int) -> float:
     return KS_5PCT / math.sqrt(count)
 
 
-def summarize(values, reference_cdf) -> DistributionSummary:
-    """Mean/variance/histogram of fidelity values plus the KS distance.
-
-    The histogram uses uniform bins on [0, 1]; counts always sum to the
-    sample count since fidelities live in (0, 1].  The values are left as
-    they are: the summary sorts a copy, the only scratch of 8 bytes per
-    value.
-    """
-    return _summarize_sorting(np.array(values, dtype=float), reference_cdf)
-
-
-def _summarize_sorting(fidelity: np.ndarray, reference_cdf) -> DistributionSummary:
-    """:func:`summarize` of a float64 column that the caller gives up.
+def summarize(fidelity: np.ndarray, reference_cdf) -> DistributionSummary:
+    """Mean, variance, histogram and KS distance of a float64 fidelity column.
 
     The mean and the variance (:func:`_variance`, whose scratch is one
-    block) are taken in the column's given order; then the column is sorted
-    in place, so no sorted copy is made.  The counts are ``np.histogram``'s
-    with the edges as bins, which sorts the values block by block and
-    counts with ``searchsorted``: left-closed bins, the last one closed on
-    both sides.
+    block) are taken in the column's given order; then the caller's column
+    is sorted in place, so no sorted copy is made.  A caller that needs the
+    drawn order afterwards passes a copy.  The histogram uses uniform bins
+    on [0, 1], and its counts sum to the sample count since fidelities live
+    in (0, 1].  They are ``np.histogram``'s with the edges as bins, counted
+    with ``searchsorted`` on the sorted column: left-closed bins, the last
+    one closed on both sides.
     """
     if fidelity.size < 2:
         raise ValueError("need at least two samples")

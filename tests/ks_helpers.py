@@ -9,13 +9,19 @@ tighter than 1.3581/sqrt(n), while a false alarm is 50,000 times rarer.
 
 import math
 
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, kstest
 
 from infoclone.measurement import KS_5PCT
 
 # Asymptotic 1e-6 point of the Kolmogorov distribution: the first term of its
 # survival series, 2*exp(-2x^2) = 1e-6 (the next term is below 1e-24).
 KS_1E6 = math.sqrt(math.log(2e6) / 2)
+
+
+def ks_one_sample(values, cdf) -> float:
+    """One-sample KS distance of ``values`` against a CDF callable, scipy's,
+    so that no draw of the library is graded by the library's own scan."""
+    return float(kstest(values, cdf).statistic)
 
 
 def ks_two_sample(first, second) -> float:

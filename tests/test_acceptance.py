@@ -28,9 +28,7 @@ from infoclone.measurement import (
     FidelityRun,
     fidelity_cdf,
     fidelity_exponent,
-    ks_statistic,
     mean_fidelity,
-    run_trials,
 )
 from infoclone.phase_space import (
     CloneNetworkConfig,
@@ -40,7 +38,8 @@ from infoclone.phase_space import (
     information_clone,
     unitarity_deviation,
 )
-from ks_helpers import ks_critical_1e6, ks_critical_two_sample_1e6, ks_two_sample
+from ks_helpers import ks_critical_1e6, ks_critical_two_sample_1e6, ks_one_sample, ks_two_sample
+from mc_helpers import draw
 
 # four times the 100k trials of a 5% gate: the 1e-6 threshold 2.6934/sqrt(4n)
 # is still tighter than 1.3581/sqrt(n)
@@ -154,9 +153,9 @@ def test_criterion_6_uniform_fidelity_law():
     runs = {}
     for copies, seed in ((1, 3), (2, 7), (3, 11), (8, 17)):
         run = FidelityRun(1.0 + 0.5j, sources=1, copies=copies, trials=MC_TRIALS, seed=seed)
-        values = run_trials(run).fidelity
+        values = draw(run)[1]
         mean = values.mean()
-        statistic = ks_statistic(values, fidelity_cdf(fidelity_exponent(INFO_SCHEME, 1, copies)))
+        statistic = ks_one_sample(values, fidelity_cdf(fidelity_exponent(INFO_SCHEME, 1, copies)))
         assert abs(mean - 0.5) < MC_MEAN_TOL
         assert statistic < ks_critical_1e6(MC_TRIALS)
         runs[copies] = values
@@ -170,10 +169,10 @@ def test_criterion_6_uniform_fidelity_law():
 @pytest.mark.parametrize("sources,copies,seed", [(2, 2, 23), (3, 1, 19), (3, 2, 29), (5, 4, 31)])
 def test_criterion_7_source_count_law(sources, copies, seed):
     run = FidelityRun(0.7 - 0.4j, sources=sources, copies=copies, trials=MC_TRIALS, seed=seed)
-    values = run_trials(run).fidelity
+    values = draw(run)[1]
     target = sources / (sources + 1.0)
     mean = values.mean()
-    statistic = ks_statistic(values, fidelity_cdf(fidelity_exponent(INFO_SCHEME, sources, copies)))
+    statistic = ks_one_sample(values, fidelity_cdf(fidelity_exponent(INFO_SCHEME, sources, copies)))
     assert abs(mean - target) < MC_MEAN_TOL
     assert statistic < ks_critical_1e6(MC_TRIALS)
     _report(7, f"(M,N)=({sources},{copies}): mean {mean:.4f} ~ {target:.4f}, "
@@ -193,9 +192,9 @@ def test_criterion_8_gaussian_cloner_means():
         assert mean_fidelity(exponent) == target
         run = FidelityRun(1.0, sources=sources, copies=copies, trials=MC_TRIALS,
                           seed=seeds[(sources, copies)], scheme=GAUSS_SCHEME)
-        values = run_trials(run).fidelity
+        values = draw(run)[1]
         assert abs(values.mean() - float(target)) < MC_MEAN_TOL
-        assert ks_statistic(values, fidelity_cdf(exponent)) < ks_critical_1e6(MC_TRIALS)
+        assert ks_one_sample(values, fidelity_cdf(exponent)) < ks_critical_1e6(MC_TRIALS)
     _report(8, "Monte Carlo means match 1/3, 4/9, 4/7, 16/23 within 0.005; "
                "closed forms reproduce them exactly as rationals")
 

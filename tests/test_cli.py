@@ -29,10 +29,10 @@ from infoclone.measurement import (
     FidelityRun,
     fidelity_cdf,
     fidelity_exponent,
-    run_trials,
     summarize,
 )
 from infoclone.phase_space import info_overlap_fidelity
+from mc_helpers import draw
 
 
 def run_cli(capsys, *argv):
@@ -663,13 +663,13 @@ class TestMonteCarlo:
         lines = path.read_text().splitlines()
         assert lines[0] == "trial,re_est,im_est,F"
         table = np.array([line.split(",") for line in lines[1:]], dtype=float)
-        samples = run_trials(
+        estimates, fidelity = draw(
             FidelityRun(complex(-0.4, 1.3), 2, 2, 5000, seed=12, scheme=GAUSS_SCHEME)
         )
         assert np.array_equal(table[:, 0], np.arange(5000))
-        assert np.array_equal(table[:, 1], samples.estimates.real)
-        assert np.array_equal(table[:, 2], samples.estimates.imag)
-        assert np.array_equal(table[:, 3], samples.fidelity)
+        assert np.array_equal(table[:, 1], estimates.real)
+        assert np.array_equal(table[:, 2], estimates.imag)
+        assert np.array_equal(table[:, 3], fidelity)
 
     def test_summary_schema_has_no_workers(self, capsys):
         code, out, _ = run_cli(
@@ -982,24 +982,23 @@ class TestStreamedRun:
         assert code in (EXIT_OK, EXIT_GATE)
 
         run = FidelityRun(0.3 - 1.1j, 2, 2, trials, seed=seed, scheme=scheme)
-        samples = run_trials(run)
+        estimates, fidelity = draw(run)
         expected = io.StringIO()
         _csvwrite.write_csv(expected, "trial,re_est,im_est,F", [[
-            range(trials), samples.estimates.real, samples.estimates.imag, samples.fidelity]])
+            range(trials), estimates.real, estimates.imag, fidelity]])
         assert written == expected.getvalue().encode()
-        summary = summarize(samples.fidelity, fidelity_cdf(fidelity_exponent(scheme, 2, 2)))
+        summary = summarize(fidelity.copy(), fidelity_cdf(fidelity_exponent(scheme, 2, 2)))
         payload = json.loads(stdout.getvalue())
         assert (payload["mean"], payload["variance"], payload["ks_statistic"]) == (
             summary.mean, summary.variance, summary.ks_statistic)
         assert payload["histogram"]["counts"] == summary.counts.tolist()
 
-        # the first whole batches of a run are the shorter run; summarize
-        # left the fidelity column in trial order
+        # the first whole batches of a run are the shorter run
         batches = trials - trials % TRIAL_BATCH
         if batches:
-            short = run_trials(FidelityRun(0.3 - 1.1j, 2, 2, batches, seed=seed, scheme=scheme))
-            assert np.array_equal(short.estimates, samples.estimates[:batches])
-            assert np.array_equal(short.fidelity, samples.fidelity[:batches])
+            short = draw(FidelityRun(0.3 - 1.1j, 2, 2, batches, seed=seed, scheme=scheme))
+            assert np.array_equal(short[0], estimates[:batches])
+            assert np.array_equal(short[1], fidelity[:batches])
 
 
 class TestMemory:

@@ -22,12 +22,10 @@ from infoclone.measurement import (
     fidelity_exponent,
     fidelity_pdf,
     ks_critical,
-    ks_statistic,
     mean_fidelity,
-    run_trials,
-    summarize,
 )
-from ks_helpers import ks_critical_1e6
+from ks_helpers import ks_critical_1e6, ks_one_sample
+from mc_helpers import draw
 
 
 def gauss_mean(sources, copies) -> Fraction:
@@ -125,23 +123,22 @@ class TestClosedForms:
 class TestGaussTrials:
     def test_one_source_two_copies_mean(self):
         run = FidelityRun(0.8 + 0.1j, 1, 2, 100_000, seed=61, scheme=GAUSS_SCHEME)
-        samples = run_trials(run)
-        summary = summarize(samples.fidelity, fidelity_cdf(gauss_exponent_fraction(1, 2)))
-        assert abs(summary.mean - 1.0 / 3.0) < 0.005
-        assert summary.ks_statistic < ks_critical(run.trials)
+        values = draw(run)[1]
+        reference = fidelity_cdf(gauss_exponent_fraction(1, 2))
+        assert abs(values.mean() - 1.0 / 3.0) < 0.005
+        assert ks_one_sample(values, reference) < ks_critical(run.trials)
 
     def test_two_sources_four_copies_mean(self):
         run = FidelityRun(1.0, 2, 4, 100_000, seed=67, scheme=GAUSS_SCHEME)
-        samples = run_trials(run)
-        mean = samples.fidelity.mean()
+        mean = draw(run)[1].mean()
         assert abs(mean - 16.0 / 23.0) < 0.005
 
     def test_law_is_power_of_uniform(self):
         # F**c should be uniform
         run = FidelityRun(0.5, 2, 2, 200_000, seed=71, scheme=GAUSS_SCHEME)
-        values = run_trials(run).fidelity
+        values = draw(run)[1]
         exponent = float(gauss_exponent_fraction(2, 2))
-        statistic = ks_statistic(values**exponent, lambda f: f)
+        statistic = ks_one_sample(values**exponent, lambda f: f)
         assert statistic < ks_critical_1e6(run.trials)
 
     def test_noise_model_sets_the_exponent(self, monkeypatch):
@@ -154,16 +151,16 @@ class TestGaussTrials:
         with monkeypatch.context() as patch:
             patch.setattr(measurement, "gauss_quadrature_sd",
                           lambda sources, copies: math.sqrt((amp + 2.0) / (2.0 * amp)))
-            marginal = run_trials(run).fidelity
-        assert ks_statistic(marginal, lambda f: f ** (2.0 * c)) < critical
-        assert ks_statistic(marginal, fidelity_cdf(gauss_exponent_fraction(1, 2))) > critical
-        driver = run_trials(run).fidelity
-        assert ks_statistic(driver, fidelity_cdf(gauss_exponent_fraction(1, 2))) < critical
+            marginal = draw(run)[1]
+        assert ks_one_sample(marginal, lambda f: f ** (2.0 * c)) < critical
+        assert ks_one_sample(marginal, fidelity_cdf(gauss_exponent_fraction(1, 2))) > critical
+        driver = draw(run)[1]
+        assert ks_one_sample(driver, fidelity_cdf(gauss_exponent_fraction(1, 2))) < critical
         assert gauss_quadrature_sd(1, 2) == math.sqrt((amp + 2.0) / amp)
 
     def test_deterministic(self):
         run = FidelityRun(0.5, 1, 2, 5_000, seed=73, scheme=GAUSS_SCHEME)
-        assert np.array_equal(run_trials(run).fidelity, run_trials(run).fidelity)
+        assert np.array_equal(draw(run)[1], draw(run)[1])
 
     def test_single_copy_rejected(self):
         # the Gaussian law needs copies >= 2; the run is refused when built
