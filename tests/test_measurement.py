@@ -27,6 +27,7 @@ from infoclone.measurement import (
     mean_fidelity,
     measurement_fidelity,
     summarize,
+    trial_blocks,
     trial_rng,
 )
 from ks_helpers import (
@@ -239,6 +240,16 @@ class TestFidelity:
             abs(np.vdot(x, y)) ** 2, abs=1e-8
         )
 
+    def test_single_estimate_is_the_array_element(self):
+        # a scalar estimate runs the array's ufunc loops: an np.float64 (a
+        # float) with the bits of the matching element of an array call
+        alpha, estimates = 0.4 + 0.1j, np.array([0.3 - 0.2j, 1.1 + 0.6j, -0.5j])
+        column = measurement_fidelity(alpha, estimates)
+        for estimate, expected in zip(estimates, column):
+            value = measurement_fidelity(alpha, complex(estimate))
+            assert type(value) is np.float64 and isinstance(value, float)
+            assert value == expected
+
 
 class TestInfoTrials:
     def test_uniform_law_for_single_source(self):
@@ -337,6 +348,22 @@ class TestInfoTrials:
         )[1]
         assert ks_two_sample(driver, reference) < ks_critical_two_sample_1e6(trials, trials)
 
+    def test_blocks_fill_the_callers_column(self):
+        # each block's scores are a view of the caller's column at its start,
+        # the blocks tile it in order, and one estimates buffer is reused
+        run = FidelityRun(0.5 - 0.2j, sources=2, copies=2, trials=2 * BLOCK_TRIALS + 7, seed=61)
+        fidelity = np.zeros(run.trials)
+        starts, buffers = [], set()
+        for start, block, scores in trial_blocks(run, fidelity):
+            assert scores.base is fidelity
+            assert np.shares_memory(scores, fidelity[start : start + block.size])
+            assert np.array_equal(scores, measurement_fidelity(run.alpha_true, block))
+            starts.append((start, block.size))
+            buffers.add(block.__array_interface__["data"][0])
+        assert starts == [(0, BLOCK_TRIALS), (BLOCK_TRIALS, BLOCK_TRIALS), (2 * BLOCK_TRIALS, 7)]
+        assert len(buffers) == 1
+        assert np.array_equal(fidelity, draw(run)[1])
+
     @pytest.mark.parametrize("scheme", [INFO_SCHEME, GAUSS_SCHEME])
     @pytest.mark.parametrize("trials", [2, TRIAL_BATCH, TRIAL_BATCH + 1, 10_000])
     def test_one_stream_and_two_normals_per_batch(self, monkeypatch, scheme, trials):
@@ -417,6 +444,20 @@ class TestSummaries:
     def test_rejects_single_sample(self):
         with pytest.raises(ValueError):
             summarize(np.array([0.5]), law_cdf(INFO_SCHEME, 1))
+
+    def test_rejects_empty_column(self):
+        with pytest.raises(ValueError, match="at least two samples"):
+            summarize(np.empty(0), law_cdf(INFO_SCHEME, 1))
+
+    def test_mean_and_variance_are_of_the_drawn_order(self):
+        # the sorted order sums to other bits for this column, and the summary
+        # reports those of the order it was given
+        values = trial_rng(1, 0).random(7)
+        ordered = np.sort(values)
+        assert float(ordered.mean()) != float(values.mean())
+        assert ordered.var() != values.var()
+        got = summarize(values.copy(), law_cdf(INFO_SCHEME, 1))
+        assert (got.mean, got.variance) == (float(values.mean()), values.var())
 
     @pytest.mark.parametrize("n", [2, 3, TRIAL_BATCH - 1, TRIAL_BATCH + 1, BLOCK_TRIALS + 6,
                                    3 * BLOCK_TRIALS + 17])
